@@ -1,18 +1,75 @@
-"""Row-reduction kernel selection.
+"""Integer fraction-free reduced row echelon kernel.
 
-Prefers the compiled extension when present, otherwise falls back to the
-pure Python twin. ``BACKEND`` records which one is active.
+``BACKEND`` names the row-reduction implementation; there is one, in pure
+Python.
 """
 
 from __future__ import annotations
 
-try:
-    from gderive._kernels._rref_c import rref_int
+from math import gcd
 
-    BACKEND = "c"
-except ImportError:  # pragma: no cover - depends on build environment
-    from gderive._kernels.rref_py import rref_int
-
-    BACKEND = "python"
+BACKEND = "python"
 
 __all__ = ["rref_int", "BACKEND"]
+
+
+def _normalize(row):
+    """Divide a row by the gcd of its entries; force the first nonzero positive."""
+    g = 0
+    for a in row:
+        g = gcd(g, a)
+        if g == 1:
+            break
+    if g > 1:
+        row = [a // g for a in row]
+    for a in row:
+        if a > 0:
+            return row
+        if a < 0:
+            return [-a for a in row]
+    return row
+
+
+def rref_int(rows):
+    """Fully reduce integer rows in place-free style.
+
+    Args:
+        rows: list of equal-length lists of Python ints.
+
+    Returns:
+        (pivot_rows, pivot_cols): the nonzero reduced rows, each scaled to
+        coprime integer entries with a positive pivot, and the pivot column
+        of each. Dividing row i by its pivot entry yields the leading-1
+        rational reduced form.
+    """
+    work = [list(r) for r in rows]
+    ncols = len(work[0]) if work else 0
+    pivot_cols = []
+    r = 0
+    for c in range(ncols):
+        src = -1
+        for i in range(r, len(work)):
+            if work[i][c] != 0:
+                src = i
+                break
+        if src < 0:
+            continue
+        work[r], work[src] = work[src], work[r]
+        if work[r][c] < 0:
+            work[r] = [-a for a in work[r]]
+        work[r] = _normalize(work[r])
+        p = work[r][c]
+        for j in range(len(work)):
+            if j == r:
+                continue
+            v = work[j][c]
+            if v == 0:
+                continue
+            piv = work[r]
+            work[j] = [p * a - v * b for a, b in zip(work[j], piv)]
+            work[j] = _normalize(work[j])
+        pivot_cols.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return work[:r], pivot_cols

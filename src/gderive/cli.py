@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 invalid input, 1 internal guard tripped.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
@@ -42,9 +41,9 @@ from .hilbert import (
 from .linalg import Matrix, format_rational, parse_rational
 from .polynomials import (
     DEFAULT_GUARD,
-    Ideal,
     contains,
     groebner,
+    ideal_from_json_dict,
     member,
     poly_from_string,
     triangular_prime_check,
@@ -57,21 +56,6 @@ from .sl2 import (
     verify_decomposition,
 )
 from . import reproduce as _reproduce
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: subcommand, inputs, and the documented knobs.
-
-    Defaults: window K=8, degree guard 5000 generated polynomials.
-    """
-
-    subcommand: str
-    paths: dict = field(default_factory=dict)
-    fmt: str = "json"
-    window: int = DEFAULT_WINDOW
-    guard: int = DEFAULT_GUARD
-    bindings: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -107,19 +91,6 @@ def load_matrix(path: str) -> Matrix:
 
 def load_automorphism(g: LieAlgebra, path: str) -> Automorphism:
     return make_automorphism(g, load_matrix(path))
-
-
-def load_ideal(path: str) -> Ideal:
-    data = _read_json(path)
-    try:
-        variables = tuple(data["vars"])
-        gens = data["gens"]
-    except (TypeError, KeyError) as exc:
-        raise InputError(f"{path} needs vars and gens") from exc
-    if not all(isinstance(v, str) for v in variables):
-        raise InputError("vars must be a list of variable names")
-    polys = [poly_from_string(variables, text) for text in gens]
-    return Ideal.make(variables, polys)
 
 
 def _parse_bindings(items) -> dict:
@@ -346,7 +317,7 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_groebner(args) -> int:
-    ideal = load_ideal(args.ideal)
+    ideal = ideal_from_json_dict(_read_json(args.ideal))
     basis = groebner(ideal, args.degree_guard)
     out = {
         "vars": list(ideal.variables),
@@ -357,7 +328,7 @@ def cmd_groebner(args) -> int:
 
 
 def cmd_member(args) -> int:
-    ideal = load_ideal(args.ideal)
+    ideal = ideal_from_json_dict(_read_json(args.ideal))
     p = poly_from_string(ideal.variables, args.poly)
     verdict = member(p, ideal, args.degree_guard)
     out = {"poly": str(p), "member": verdict}
@@ -366,8 +337,8 @@ def cmd_member(args) -> int:
 
 
 def cmd_contain(args) -> int:
-    outer = load_ideal(args.outer)
-    inner = load_ideal(args.inner)
+    outer = ideal_from_json_dict(_read_json(args.outer))
+    inner = ideal_from_json_dict(_read_json(args.inner))
     verdict = contains(outer, inner, args.degree_guard)
     out = {"contains": verdict}
     _emit(out, args.format, lambda rep: [str(rep["contains"]).lower()])
@@ -375,7 +346,7 @@ def cmd_contain(args) -> int:
 
 
 def cmd_prime_check(args) -> int:
-    ideal = load_ideal(args.ideal)
+    ideal = ideal_from_json_dict(_read_json(args.ideal))
     cert = triangular_prime_check(ideal, args.degree_guard)
     out = {
         "certified": cert.certified,

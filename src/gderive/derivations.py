@@ -1,11 +1,15 @@
 """Twisted-derivation spaces and the operator constructions built on them.
 
 Every solver assembles an explicit exact linear system in the n^2 entries
-of the unknown map and returns the canonical kernel basis. For a twisted
-pair the residual D([x,y]) - [D(x), sigma(y)] - [tau(x), D(y)] is NOT
-antisymmetric in (x,y) unless sigma = tau, so assembly runs over all
-ordered basis pairs including the diagonal in the twisted case and over
-i < j only in the untwisted one.
+of the unknown map and returns the canonical kernel basis. All systems are
+instances of one scaled identity,
+
+    alpha D([x,y]) = beta [D(x), sigma(y)] + gamma [tau(x), D(y)],
+
+assembled from the structure constants by ``_identity_rows``. Its residual
+is antisymmetric in (x,y) and vanishes on the diagonal exactly when
+beta = gamma and sigma = tau; then the identity is imposed on basis pairs
+i < j only, and otherwise on every ordered pair including the diagonal.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from gderive.linalg import (
     inverse,
     kernel_basis,
     matrix_order,
+    matrix_to_vec,
     solve,
     subspace_intersect,
     vec_to_matrix,
@@ -67,40 +72,63 @@ def _check_shape(g: LieAlgebra, m: Matrix):
         raise DimensionMismatch("matrix does not act on the algebra")
 
 
-def _identity_pairs(g: LieAlgebra, sigma: Matrix, tau: Matrix):
-    """Index pairs on which the defining identity must be imposed."""
-    n = g.dim
-    if sigma == tau:
+def _identity_pairs(n: int, beta, gamma, sigma: Matrix, tau: Matrix):
+    """Basis index pairs on which the scaled identity must be imposed."""
+    if beta == gamma and sigma == tau:
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
     return [(i, j) for i in range(n) for j in range(n)]
 
 
-def _pair_rows(g: LieAlgebra, sigma: Matrix, tau: Matrix, i: int, j: int):
-    """Coefficient rows (one per coordinate) of the (e_i, e_j) residual.
+def _bracket_images(table, mat: Matrix, scale):
+    """scale * [e_m, mat(e_c)] as sparse {r: coeff}, indexed [c][m]."""
+    n = mat.rows
+    out = []
+    for c in range(n):
+        column = [(p, scale * mat[p, c]) for p in range(n) if scale and mat[p, c]]
+        images = []
+        for m in range(n):
+            image = {}
+            for p, s in column:
+                for r, a in table[m][p].items():
+                    image[r] = image.get(r, 0) + s * a
+            images.append(image)
+        out.append(images)
+    return out
 
-    Unknown D[k][m] sits at flat index m*n + k (stacked images).
+
+def _identity_rows(g: LieAlgebra, alpha, beta, gamma, sigma: Matrix, tau: Matrix):
+    """Rows of alpha D[e_i,e_j] - beta [D e_i, sigma e_j] - gamma [tau e_i, D e_j].
+
+    One row per coordinate r of each pair from ``_identity_pairs``; the
+    unknown D[k][m] sits at flat index m*n + k (stacked images).
     """
     n = g.dim
-    basis = _basis_vectors(n)
-    cij = g.pair_bracket(i, j)
-    sig_j = sigma.col(j)
-    tau_i = tau.col(i)
-    rows = [[Fraction(0)] * (n * n) for _ in range(n)]
-    for m in range(n):
-        # D([e_i,e_j]) contributes c_m * D[r][m].
-        if cij[m]:
-            for r in range(n):
-                rows[r][m * n + r] += cij[m]
-        # -[D(e_i), sigma(e_j)] contributes -[e_m, sigma e_j]_r * D[m][i].
-        left = bracket(g, basis[m], sig_j)
-        for r in range(n):
-            if left[r]:
-                rows[r][i * n + m] -= left[r]
-        # -[tau(e_i), D(e_j)] contributes -[tau e_i, e_m]_r * D[m][j].
-        right = bracket(g, tau_i, basis[m])
-        for r in range(n):
-            if right[r]:
-                rows[r][j * n + m] -= right[r]
+    table = [[{} for _ in range(n)] for _ in range(n)]
+    for (i, j), cij in g.structure.items():
+        for k, a in enumerate(cij):
+            if a:
+                table[i][j][k] = a
+                table[j][i][k] = -a
+    # -beta [D e_i, sigma e_j] = sum_m D[m][i] * left[j][m];
+    # -gamma [tau e_i, D e_j] = sum_m D[m][j] * right[i][m].
+    left = _bracket_images(table, sigma, -beta)
+    right = _bracket_images(table, tau, gamma)
+    zero = Fraction(0)
+    rows = []
+    for i, j in _identity_pairs(n, beta, gamma, sigma, tau):
+        pair_rows = [[zero] * (n * n) for _ in range(n)]
+        if alpha:
+            for m, a in table[i][j].items():
+                a = alpha * a
+                for r in range(n):
+                    pair_rows[r][m * n + r] += a
+        for m, image in enumerate(left[j]):
+            for r, a in image.items():
+                pair_rows[r][i * n + m] += a
+        for m, image in enumerate(right[i]):
+            for r, a in image.items():
+                pair_rows[r][j * n + m] += a
+        rows.extend(pair_rows)
     return rows
 
 
@@ -132,7 +160,7 @@ def is_derivation_pair(
     require_validated(tau)
     _check_shape(g, d)
     basis = _basis_vectors(g.dim)
-    for i, j in _identity_pairs(g, sigma.matrix, tau.matrix):
+    for i, j in _identity_pairs(g.dim, 1, 1, sigma.matrix, tau.matrix):
         lhs = d.apply(g.pair_bracket(i, j))
         rhs = tuple(
             a + b
@@ -165,9 +193,7 @@ def derivation_space(
     _check_shape(g, sigma.matrix)
     _check_shape(g, tau.matrix)
     n = g.dim
-    rows = []
-    for i, j in _identity_pairs(g, sigma.matrix, tau.matrix):
-        rows.extend(_pair_rows(g, sigma.matrix, tau.matrix, i, j))
+    rows = _identity_rows(g, 1, 1, 1, sigma.matrix, tau.matrix)
     if kind == "plus":
         rows.extend(_commutation_rows(n, sigma.matrix))
     elif kind == "minus":
@@ -198,24 +224,9 @@ def centroid(g: LieAlgebra) -> DerivationSpace:
     covers both defining identities, since [x, D(y)] = D([x,y]) at (i,j)
     is the first identity at (j,i) up to sign.
     """
-    n = g.dim
-    basis = _basis_vectors(n)
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            cij = g.pair_bracket(i, j)
-            pair_rows = [[Fraction(0)] * (n * n) for _ in range(n)]
-            for m in range(n):
-                if cij[m]:
-                    for r in range(n):
-                        pair_rows[r][m * n + r] += cij[m]
-                left = bracket(g, basis[m], basis[j])
-                for r in range(n):
-                    if left[r]:
-                        pair_rows[r][i * n + m] -= left[r]
-            rows.extend(pair_rows)
     ident = Automorphism.identity(g)
-    matrices, space = _solve_rows(n, rows)
+    rows = _identity_rows(g, 1, 1, 0, ident.matrix, ident.matrix)
+    matrices, space = _solve_rows(g.dim, rows)
     return DerivationSpace(g, ident, ident, "centroid", matrices, space)
 
 
@@ -289,9 +300,7 @@ def kernel_phi(g: LieAlgebra, sigma: Automorphism, x) -> DerivationSpace:
     require_validated(sigma)
     tau = Automorphism.identity(g)
     n = g.dim
-    rows = []
-    for i, j in _identity_pairs(g, sigma.matrix, tau.matrix):
-        rows.extend(_pair_rows(g, sigma.matrix, tau.matrix, i, j))
+    rows = _identity_rows(g, 1, 1, 1, sigma.matrix, tau.matrix)
     x = tuple(Fraction(a) if isinstance(a, int) else a for a in x)
     rows.extend(_image_constraint_rows(n, x, center(g)))
     matrices, space = _solve_rows(n, rows)
@@ -305,26 +314,13 @@ def quasiderivation_witness(g: LieAlgebra, d: Matrix):
     """
     _check_shape(g, d)
     n = g.dim
-    basis = _basis_vectors(n)
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            cij = g.pair_bracket(i, j)
-            target = tuple(
-                a + b
-                for a, b in zip(
-                    bracket(g, d.apply(basis[i]), basis[j]),
-                    bracket(g, basis[i], d.apply(basis[j])),
-                )
-            )
-            for r in range(n):
-                row = [Fraction(0)] * (n * n)
-                for m in range(n):
-                    if cij[m]:
-                        row[m * n + r] += cij[m]
-                rows.append(row)
-                rhs.append(target[r])
+    ident = Matrix.identity(n)
+    rows = _identity_rows(g, 1, 0, 0, ident, ident)
+    flat = matrix_to_vec(d)
+    rhs = [
+        sum((a * b for a, b in zip(row, flat) if a), Fraction(0))
+        for row in _identity_rows(g, 0, -1, -1, ident, ident)
+    ]
     if not rows:
         return Matrix.zero(n, n)
     solution = solve(Matrix.from_rows(rows), rhs)
@@ -340,31 +336,9 @@ def abg_space(g: LieAlgebra, alpha, beta, gamma) -> DerivationSpace:
     system then runs over all ordered pairs including the diagonal.
     """
     alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
-    n = g.dim
-    basis = _basis_vectors(n)
-    if beta == gamma:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    else:
-        pairs = [(i, j) for i in range(n) for j in range(n)]
-    rows = []
-    for i, j in pairs:
-        cij = g.pair_bracket(i, j)
-        pair_rows = [[Fraction(0)] * (n * n) for _ in range(n)]
-        for m in range(n):
-            if cij[m]:
-                for r in range(n):
-                    pair_rows[r][m * n + r] += alpha * cij[m]
-            left = bracket(g, basis[m], basis[j])
-            for r in range(n):
-                if left[r]:
-                    pair_rows[r][i * n + m] -= beta * left[r]
-            right = bracket(g, basis[i], basis[m])
-            for r in range(n):
-                if right[r]:
-                    pair_rows[r][j * n + m] -= gamma * right[r]
-        rows.extend(pair_rows)
-    matrices, space = _solve_rows(n, rows)
     ident = Automorphism.identity(g)
+    rows = _identity_rows(g, alpha, beta, gamma, ident.matrix, ident.matrix)
+    matrices, space = _solve_rows(g.dim, rows)
     kind = f"abg({alpha},{beta},{gamma})"
     return DerivationSpace(g, ident, ident, kind, matrices, space)
 
@@ -379,9 +353,7 @@ def stabilized_space(
             raise NotSigmaStable("sigma does not preserve the subspace")
     tau = Automorphism.identity(g)
     n = g.dim
-    rows = []
-    for i, j in _identity_pairs(g, sigma.matrix, tau.matrix):
-        rows.extend(_pair_rows(g, sigma.matrix, tau.matrix, i, j))
+    rows = _identity_rows(g, 1, 1, 1, sigma.matrix, tau.matrix)
     for v in h.basis:
         rows.extend(_image_constraint_rows(n, v, h))
     matrices, space = _solve_rows(n, rows)

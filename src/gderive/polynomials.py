@@ -563,6 +563,8 @@ def ideal_from_json_dict(data: dict) -> Ideal:
         raise InputError("vars must be a list of names")
     if len(set(variables)) != len(variables):
         raise InputError("vars must be distinct")
+    if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+        raise InputError("gens must be a list of polynomial strings")
     variables = tuple(variables)
     return Ideal.make(variables, tuple(
         poly_from_string(variables, g) for g in gens

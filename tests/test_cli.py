@@ -266,6 +266,19 @@ class TestPolynomialCommands:
         assert code == 2
         assert "error[InvalidInput]" in err
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"vars": ["x", "x"], "gens": ["x"]}, "vars must be distinct"),
+        ({"vars": ["x"], "gens": 5}, "gens must be a list"),
+    ])
+    def test_ideal_rejected_like_the_library(self, capsys, files, doc, message):
+        path = files["tmp"] / "rejected.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "groebner", "--ideal", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"error[InvalidInput]: {message}" in err
+        assert "Traceback" not in err
+
 
 class TestSl2Command:
     def test_symbolic_family_b(self, capsys):

@@ -55,8 +55,10 @@ from gderive.linalg import (
     Subspace,
     exp_nilpotent,
     inverse,
+    kernel_basis,
     matrix_to_vec,
     subspace_intersect,
+    vec_to_matrix,
 )
 
 SL2 = builtin("sl2")
@@ -447,6 +449,65 @@ class TestAbgSpaces:
         assert abg_space(HEIS, 2, 2, 2).subspace == abg_space(
             HEIS, 1, 1, 1
         ).subspace
+
+
+# Directions x with ad(x) nilpotent, so exp(b ad x) is an inner automorphism.
+NILPOTENT_DIRECTIONS = {
+    "sl2": [(1, 0, 0), (0, 0, 1)],
+    "heisenberg": [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+    "example_4_6": [(0, 1, 0), (0, 0, 1)],
+}
+
+
+@st.composite
+def inner_automorphisms(draw, g):
+    direction = draw(st.sampled_from(NILPOTENT_DIRECTIONS[g.name]))
+    x = tuple(draw(st.integers(-2, 2)) * a for a in direction)
+    return make_automorphism(g, exp_nilpotent(ad(g, x)))
+
+
+def elementary_reference(g, alpha, beta, gamma, sigma, tau):
+    """Solutions of alpha D[x,y] = beta [Dx, sigma y] + gamma [tau x, Dy].
+
+    Column c of the system is the residual of the elementary matrix with
+    flat index c, evaluated with ``bracket`` on every ordered basis pair.
+    """
+    n = g.dim
+    basis = Matrix.identity(n).entries
+    columns = []
+    for c in range(n * n):
+        d = vec_to_matrix([int(k == c) for k in range(n * n)], n, n)
+        column = []
+        for i in range(n):
+            for j in range(n):
+                lhs = d.apply(bracket(g, basis[i], basis[j]))
+                left = bracket(g, d.apply(basis[i]), sigma.apply(basis[j]))
+                right = bracket(g, tau.apply(basis[i]), d.apply(basis[j]))
+                column.extend(
+                    alpha * a - beta * b - gamma * r
+                    for a, b, r in zip(lhs, left, right)
+                )
+        columns.append(column)
+    return kernel_basis(Matrix.from_rows(list(zip(*columns))))
+
+
+class TestAssemblerAgainstElementaryMatrices:
+    @given(st.sampled_from([SL2, HEIS, EX46]), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_solvers_match_reference(self, g, data):
+        sigma = data.draw(inner_automorphisms(g))
+        tau = data.draw(inner_automorphisms(g))
+        abg = data.draw(st.tuples(*[st.integers(-2, 2)] * 3))
+        ident = Automorphism.identity(g).matrix
+        cases = [
+            (derivation_space(g, sigma, tau), (1, 1, 1, sigma.matrix, tau.matrix)),
+            (derivation_space(g, sigma, sigma), (1, 1, 1, sigma.matrix, sigma.matrix)),
+            (derivation_space(g, Automorphism.identity(g)), (1, 1, 1, ident, ident)),
+            (centroid(g), (1, 1, 0, ident, ident)),
+            (abg_space(g, *abg), (*abg, ident, ident)),
+        ]
+        for space, identity in cases:
+            assert space.subspace == elementary_reference(g, *identity)
 
 
 class TestStabilizedAndRestrict:

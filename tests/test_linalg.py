@@ -6,9 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gderive import linalg
-from gderive._kernels import rref_int
-from gderive._kernels.rref_py import rref_int as rref_int_py
 from gderive.errors import DimensionMismatch, InputError, NotNilpotent, SingularMatrix
 from gderive.linalg import (
     Matrix,
@@ -131,12 +128,6 @@ class TestRref:
         assert rank + kernel_basis(m).dim == m.cols
         again, _, rank2 = rref(reduced)
         assert again == reduced and rank2 == rank
-
-    @given(matrices())
-    @settings(max_examples=60, deadline=None)
-    def test_backend_parity(self, m):
-        int_rows = linalg._rows_to_int(m.entries)
-        assert rref_int(int_rows) == rref_int_py(int_rows)
 
 
 class TestKernel:
