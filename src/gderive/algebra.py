@@ -10,10 +10,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from gderive.errors import (
     DimensionMismatch,
     InputError,
+    SingularMatrix,
     UnknownName,
     UnvalidatedAutomorphism,
 )
@@ -21,12 +23,17 @@ from gderive.linalg import (
     Matrix,
     Subspace,
     format_rational,
+    integer_columns,
     inverse,
     kernel_basis,
     parse_rational,
 )
 
-_ABELIAN_RE = re.compile(r"^abelian\(([0-9]+)\)$")
+_ABELIAN_RE = re.compile(r"^abelian\(0*([0-9]+)\)$")
+
+# Largest n accepted for the built-in abelian(n): its derivation systems
+# have n^2 unknowns, so abelian(64) already asks for a 4096-column system.
+MAX_ABELIAN_DIM = 64
 
 
 @dataclass(frozen=True, eq=True)
@@ -73,6 +80,45 @@ def ad(g: LieAlgebra, x) -> Matrix:
     ))
 
 
+def structure_table(g: LieAlgebra):
+    """The nonzero structure constants as a sparse integer table.
+
+    Returns (table, scale): table[i] is {j: {k: scale * c_ij^k}} over the
+    pairs with a nonzero bracket, in both orders (i, j) and (j, i), and
+    scale is the lcm of the constants' denominators.
+    """
+    scale = lcm(*(a.denominator for vec in g.structure.values() for a in vec))
+    table = [{} for _ in range(g.dim)]
+    for (i, j), cij in g.structure.items():
+        for k, a in enumerate(cij):
+            if a:
+                a = a.numerator * (scale // a.denominator)
+                table[i].setdefault(j, {})[k] = a
+                table[j].setdefault(i, {})[k] = -a
+    return table, scale
+
+
+def bracket_images(table, columns, coeff):
+    """coeff * [e_m, x_c] as sparse {r: value}, indexed [c][m].
+
+    ``columns`` holds the vectors x_c as sparse {p: value} dicts and
+    ``table`` comes from :func:`structure_table`, whose scale carries over.
+    """
+    out = []
+    for column in columns:
+        images = [{} for _ in table]
+        if coeff:
+            for p, a in column.items():
+                s = coeff * a
+                # [e_m, e_p] = -[e_p, e_m]
+                for m, cpm in table[p].items():
+                    image = images[m]
+                    for r, c in cpm.items():
+                        image[r] = image.get(r, 0) - s * c
+        out.append(images)
+    return out
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     violations: tuple
@@ -85,25 +131,40 @@ class ValidationReport:
 def validate_lie(g: LieAlgebra) -> ValidationReport:
     """Check the Jacobi identity on every basis triple.
 
-    Violations are (i, j, k, residual) entries with 1-based indices;
-    antisymmetry holds by construction and is not rechecked.
+    Violations are (i, j, k, residual) entries with 1-based indices, sorted
+    by (i, j, k); antisymmetry holds by construction and is not rechecked.
+    Only nonzero pairs contribute: [[e_a, e_b], e_k] enters the residual of
+    the sorted triple of {a, b, k}, with a minus sign when k lies between a
+    and b, where the triple's term is [[e_b, e_a], e_k].
     """
-    basis = Matrix.identity(g.dim).entries
+    table, scale = structure_table(g)
+    residuals = {}
+    for a, row in enumerate(table):
+        for b, cab in row.items():
+            if b < a:
+                continue
+            for m, x in cab.items():
+                for k, cmk in table[m].items():
+                    if k < a:
+                        triple, sign = (k, a, b), 1
+                    elif a < k < b:
+                        triple, sign = (a, k, b), -1
+                    elif k > b:
+                        triple, sign = (a, b, k), 1
+                    else:
+                        continue
+                    residual = residuals.setdefault(triple, {})
+                    for r, y in cmk.items():
+                        residual[r] = residual.get(r, 0) + sign * x * y
+    n = g.dim
     violations = []
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            for k in range(j + 1, g.dim):
-                ei, ej, ek = basis[i], basis[j], basis[k]
-                residual = tuple(
-                    a + b + c
-                    for a, b, c in zip(
-                        bracket(g, bracket(g, ei, ej), ek),
-                        bracket(g, bracket(g, ej, ek), ei),
-                        bracket(g, bracket(g, ek, ei), ej),
-                    )
-                )
-                if any(residual):
-                    violations.append((i + 1, j + 1, k + 1, residual))
+    for triple in sorted(residuals):
+        residual = residuals[triple]
+        if any(residual.values()):
+            i, j, k = triple
+            violations.append((i + 1, j + 1, k + 1, tuple(
+                Fraction(residual.get(r, 0), scale * scale) for r in range(n)
+            )))
     return ValidationReport(tuple(violations))
 
 
@@ -146,14 +207,27 @@ def is_automorphism(g: LieAlgebra, m: Matrix) -> bool:
         return False
     try:
         inverse(m)
-    except Exception:
+    except SingularMatrix:
         return False
-    basis = Matrix.identity(g.dim).entries
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            lhs = m.apply(g.pair_bracket(i, j))
-            rhs = bracket(g, m.apply(basis[i]), m.apply(basis[j]))
-            if lhs != rhs:
+    table, _ = structure_table(g)
+    columns, scale = integer_columns(m)
+    # images[j][p] is [e_p, m e_j], so [m e_i, m e_j] = sum_p m_pi images[j][p].
+    images = bracket_images(table, columns, 1)
+    n = g.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            # Both sides carry the table's scale times scale^2.
+            lhs = {}
+            for k, x in table[i].get(j, {}).items():
+                for r, y in columns[k].items():
+                    lhs[r] = lhs.get(r, 0) + scale * x * y
+            rhs = {}
+            for p, x in columns[i].items():
+                for r, y in images[j][p].items():
+                    rhs[r] = rhs.get(r, 0) + x * y
+            if {r: a for r, a in lhs.items() if a} != {
+                r: a for r, a in rhs.items() if a
+            }:
                 return False
     return True
 
@@ -213,7 +287,13 @@ def builtin(name: str) -> LieAlgebra:
         return with_validation(LieAlgebra("example_4_6", 3, structure))
     match = _ABELIAN_RE.match(name)
     if match:
-        n = int(match.group(1))
+        digits = match.group(1)
+        # The length test keeps int() away from huge digit strings.
+        if len(digits) > len(str(MAX_ABELIAN_DIM)) or int(digits) > MAX_ABELIAN_DIM:
+            raise InputError(
+                f"{name} is too large: abelian(n) needs n <= {MAX_ABELIAN_DIM}"
+            )
+        n = int(digits)
         return with_validation(LieAlgebra(name, n, {}))
     raise UnknownName(f"no built-in algebra named {name!r}")
 
@@ -228,6 +308,8 @@ def algebra_from_json_dict(data: dict) -> LieAlgebra:
         raise InputError("algebra object needs name, dim, brackets") from exc
     if not isinstance(dim, int) or dim < 0:
         raise InputError("dim must be a nonnegative integer")
+    if not isinstance(entries, list):
+        raise InputError("brackets must be a list")
     structure = {}
     for item in entries:
         try:
@@ -236,6 +318,12 @@ def algebra_from_json_dict(data: dict) -> LieAlgebra:
             raise InputError("bracket entries need left, right, result") from exc
         if not (isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= dim):
             raise InputError(f"bracket pair ({i},{j}) must satisfy 1 <= i < j <= dim")
+        if not isinstance(result, list) or not all(
+            isinstance(term, list) and len(term) == 2 for term in result
+        ):
+            raise InputError(
+                "bracket result must be a list of [coefficient, index] pairs"
+            )
         vec = [Fraction(0)] * dim
         for coeff, k in result:
             if not (isinstance(k, int) and 1 <= k <= dim):

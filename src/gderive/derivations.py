@@ -6,10 +6,12 @@ instances of one scaled identity,
 
     alpha D([x,y]) = beta [D(x), sigma(y)] + gamma [tau(x), D(y)],
 
-assembled from the structure constants by ``_identity_rows``. Its residual
-is antisymmetric in (x,y) and vanishes on the diagonal exactly when
-beta = gamma and sigma = tau; then the identity is imposed on basis pairs
-i < j only, and otherwise on every ordered pair including the diagonal.
+assembled from the sparse structure-constant table by ``_identity_rows``.
+Its residual is antisymmetric in (x,y) and vanishes on the diagonal
+exactly when beta = gamma and sigma = tau; then the identity is imposed on
+basis pairs i < j only, and otherwise on every ordered pair including the
+diagonal. Every system is a list of integer rows, handed to the kernel
+without a detour through Fractions.
 """
 
 from __future__ import annotations
@@ -23,10 +25,12 @@ from gderive.algebra import (
     LieAlgebra,
     ad,
     bracket,
+    bracket_images,
     center,
     derived_subalgebra,
     is_abelian,
     require_validated,
+    structure_table,
 )
 from gderive.errors import (
     AbelianAlgebra,
@@ -38,6 +42,7 @@ from gderive.errors import (
 from gderive.linalg import (
     Matrix,
     Subspace,
+    integer_columns,
     inverse,
     kernel_basis,
     matrix_order,
@@ -79,75 +84,72 @@ def _identity_pairs(n: int, beta, gamma, sigma: Matrix, tau: Matrix):
     return [(i, j) for i in range(n) for j in range(n)]
 
 
-def _bracket_images(table, mat: Matrix, scale):
-    """scale * [e_m, mat(e_c)] as sparse {r: coeff}, indexed [c][m]."""
-    n = mat.rows
-    out = []
-    for c in range(n):
-        column = [(p, scale * mat[p, c]) for p in range(n) if scale and mat[p, c]]
-        images = []
-        for m in range(n):
-            image = {}
-            for p, s in column:
-                for r, a in table[m][p].items():
-                    image[r] = image.get(r, 0) + s * a
-            images.append(image)
-        out.append(images)
-    return out
-
-
 def _identity_rows(g: LieAlgebra, alpha, beta, gamma, sigma: Matrix, tau: Matrix):
-    """Rows of alpha D[e_i,e_j] - beta [D e_i, sigma e_j] - gamma [tau e_i, D e_j].
+    """Integer rows of the scaled identity's residual,
+    alpha D[e_i,e_j] - beta [D e_i, sigma e_j] - gamma [tau e_i, D e_j].
 
     One row per coordinate r of each pair from ``_identity_pairs``; the
-    unknown D[k][m] sits at flat index m*n + k (stacked images).
+    unknown D[k][m] sits at flat index m*n + k (stacked images). All rows
+    are scaled by one positive integer that clears the denominators of the
+    structure constants, sigma, tau and the three coefficients; it depends
+    on the coefficients only through their denominators.
     """
     n = g.dim
-    table = [[{} for _ in range(n)] for _ in range(n)]
-    for (i, j), cij in g.structure.items():
-        for k, a in enumerate(cij):
-            if a:
-                table[i][j][k] = a
-                table[j][i][k] = -a
+    table, _ = structure_table(g)
+    sig, ds = integer_columns(sigma)
+    ta, dt = integer_columns(tau)
+    alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
+    den = math.lcm(alpha.denominator, beta.denominator, gamma.denominator)
+    dst = math.lcm(ds, dt)
+    # The common scale is den * dst times the table's own scale.
+    a = int(alpha * den) * dst
     # -beta [D e_i, sigma e_j] = sum_m D[m][i] * left[j][m];
     # -gamma [tau e_i, D e_j] = sum_m D[m][j] * right[i][m].
-    left = _bracket_images(table, sigma, -beta)
-    right = _bracket_images(table, tau, gamma)
-    zero = Fraction(0)
+    left = bracket_images(table, sig, -int(beta * den) * (dst // ds))
+    right = bracket_images(table, ta, int(gamma * den) * (dst // dt))
     rows = []
     for i, j in _identity_pairs(n, beta, gamma, sigma, tau):
-        pair_rows = [[zero] * (n * n) for _ in range(n)]
-        if alpha:
-            for m, a in table[i][j].items():
-                a = alpha * a
+        pair_rows = [[0] * (n * n) for _ in range(n)]
+        if a:
+            for m, x in table[i].get(j, {}).items():
+                x *= a
                 for r in range(n):
-                    pair_rows[r][m * n + r] += a
+                    pair_rows[r][m * n + r] += x
         for m, image in enumerate(left[j]):
-            for r, a in image.items():
-                pair_rows[r][i * n + m] += a
+            for r, x in image.items():
+                pair_rows[r][i * n + m] += x
         for m, image in enumerate(right[i]):
-            for r, a in image.items():
-                pair_rows[r][j * n + m] += a
+            for r, x in image.items():
+                pair_rows[r][j * n + m] += x
         rows.extend(pair_rows)
     return rows
 
 
+def _integer_row(width: int, entries: dict) -> list:
+    """Dense integer row of the rational {column: value} entries, scaled
+    by the lcm of their denominators."""
+    scale = math.lcm(*(a.denominator for a in entries.values()))
+    row = [0] * width
+    for c, a in entries.items():
+        row[c] = a.numerator * (scale // a.denominator)
+    return row
+
+
 def _commutation_rows(n: int, sigma: Matrix):
-    """Rows of D*sigma - sigma*D = 0 in the flattened unknowns."""
+    """Integer rows of D*sigma - sigma*D = 0 in the flattened unknowns."""
     rows = []
     for r in range(n):
         for c in range(n):
-            row = [Fraction(0)] * (n * n)
+            entries = {}
             for m in range(n):
-                row[m * n + r] += sigma[m, c]
-                row[c * n + m] -= sigma[r, m]
-            rows.append(row)
+                entries[m * n + r] = entries.get(m * n + r, 0) + sigma[m, c]
+                entries[c * n + m] = entries.get(c * n + m, 0) - sigma[r, m]
+            rows.append(_integer_row(n * n, entries))
     return rows
 
 
 def _solve_rows(n: int, rows) -> tuple:
-    system = Matrix.from_rows(rows) if rows else Matrix(0, n * n, ())
-    space = kernel_basis(system)
+    space = kernel_basis(Matrix(len(rows), n * n, tuple(rows)))
     matrices = tuple(vec_to_matrix(v, n, n) for v in space.basis)
     return matrices, space
 
@@ -282,16 +284,16 @@ def _functionals_vanishing_on(space: Subspace) -> tuple:
 
 
 def _image_constraint_rows(n: int, x, target: Subspace):
-    """Rows forcing D(x) into the target subspace."""
+    """Integer rows forcing D(x) into the target subspace."""
     rows = []
     for f in _functionals_vanishing_on(target):
-        row = [Fraction(0)] * (n * n)
+        entries = {}
         for r in range(n):
             if f[r]:
                 for m in range(n):
                     if x[m]:
-                        row[m * n + r] += f[r] * x[m]
-        rows.append(row)
+                        entries[m * n + r] = f[r] * x[m]
+        rows.append(_integer_row(n * n, entries))
     return rows
 
 
@@ -317,13 +319,14 @@ def quasiderivation_witness(g: LieAlgebra, d: Matrix):
     ident = Matrix.identity(n)
     rows = _identity_rows(g, 1, 0, 0, ident, ident)
     flat = matrix_to_vec(d)
+    # Both calls scale their rows alike: integer coefficients, same twists.
     rhs = [
         sum((a * b for a, b in zip(row, flat) if a), Fraction(0))
         for row in _identity_rows(g, 0, -1, -1, ident, ident)
     ]
     if not rows:
         return Matrix.zero(n, n)
-    solution = solve(Matrix.from_rows(rows), rhs)
+    solution = solve(Matrix(len(rows), n * n, tuple(rows)), rhs)
     if solution is None:
         return None
     return vec_to_matrix(solution, n, n)

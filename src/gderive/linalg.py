@@ -1,9 +1,12 @@
-"""Exact rational dense linear algebra.
+"""Exact rational linear algebra.
 
 Scalars are :class:`fractions.Fraction`; matrices use the column-as-image
 convention (column j holds the coordinates of the image of basis vector
-e_j). Row reduction delegates to the integer kernel in
-:mod:`gderive._kernels`, so every result is exact and canonical.
+e_j). Row reduction delegates to the sparse integer kernel in
+:mod:`gderive._kernels`, so every result is exact and canonical. Rows of
+Fractions are scaled to integers one by one on the way in; the systems
+that the derivation solvers assemble are integer rows already and go to
+the kernel as they are.
 """
 
 from __future__ import annotations
@@ -49,7 +52,11 @@ def _coerce(value) -> Fraction:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix of Fractions, row-major."""
+    """Immutable dense matrix, row-major.
+
+    Entries are Fractions, except in the linear systems that
+    :mod:`gderive.derivations` assembles, whose rows hold Python ints.
+    """
 
     rows: int
     cols: int
@@ -165,6 +172,10 @@ class Matrix:
             raise InputError("matrix object needs rows, cols, entries") from exc
         if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
             raise DimensionMismatch("rows and cols must be nonnegative integers")
+        if not isinstance(entries, list) or not all(
+            isinstance(r, list) for r in entries
+        ):
+            raise InputError("entries must be a list of rows")
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise DimensionMismatch("entries grid is not rows x cols")
         return Matrix(rows, cols, tuple(
@@ -173,12 +184,31 @@ class Matrix:
 
 
 def _rows_to_int(entries):
-    """Scale each Fraction row by the lcm of denominators to integer rows."""
+    """Integer rows: each row of Fractions is scaled by the lcm of its
+    denominators; a row of ints passes through unchanged."""
     out = []
     for row in entries:
-        scale = lcm(*(a.denominator for a in row)) if row else 1
+        if set(map(type, row)) <= {int}:
+            out.append(row)
+            continue
+        scale = lcm(*(a.denominator for a in row))
         out.append([a.numerator * (scale // a.denominator) for a in row])
     return out
+
+
+def integer_columns(m: Matrix):
+    """The columns of m as sparse integer vectors.
+
+    Returns (columns, scale): columns[j] is {i: scale * m[i, j]} over the
+    nonzero entries, and scale is the lcm of the entries' denominators.
+    """
+    scale = lcm(*(a.denominator for row in m.entries for a in row))
+    columns = [{} for _ in range(m.cols)]
+    for i, row in enumerate(m.entries):
+        for j, a in enumerate(row):
+            if a:
+                columns[j][i] = a.numerator * (scale // a.denominator)
+    return columns, scale
 
 
 def _reduced_rows(entries):
@@ -206,15 +236,17 @@ def rref(m: Matrix):
 
 def kernel_basis(m: Matrix) -> "Subspace":
     """Canonical basis of the right kernel {v : m v = 0}."""
-    reduced, pivot_cols = _reduced_rows(m.entries)
+    pivot_rows, pivot_cols = rref_int(_rows_to_int(m.entries))
     pivots = set(pivot_cols)
     free_cols = [c for c in range(m.cols) if c not in pivots]
+    zero = Fraction(0)
     vectors = []
     for f in free_cols:
-        v = [Fraction(0)] * m.cols
+        v = [zero] * m.cols
         v[f] = Fraction(1)
-        for row, p in zip(reduced, pivot_cols):
-            v[p] = -row[f]
+        for row, p in zip(pivot_rows, pivot_cols):
+            if row[f]:
+                v[p] = Fraction(-row[f], row[p])
         vectors.append(v)
     return Subspace.span(m.cols, vectors)
 
@@ -224,9 +256,7 @@ def solve(m: Matrix, rhs):
     if len(rhs) != m.rows:
         raise DimensionMismatch("right-hand side length differs from rows")
     rhs = tuple(_coerce(v) for v in rhs)
-    augmented = tuple(
-        row + (rhs[i],) for i, row in enumerate(m.entries)
-    )
+    augmented = [[*row, rhs[i]] for i, row in enumerate(m.entries)]
     reduced, pivot_cols = _reduced_rows(augmented)
     x = [Fraction(0)] * m.cols
     for row, p in zip(reduced, pivot_cols):

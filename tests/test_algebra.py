@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gderive.algebra import (
+    MAX_ABELIAN_DIM,
     Automorphism,
     LieAlgebra,
     ad,
@@ -59,6 +60,126 @@ class TestValidation:
         report = validate_lie(bad)
         assert not report.ok
         assert report.violations[0][:3] == (1, 2, 3)
+
+
+structure_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def perturbed_algebras(draw):
+    """A built-in algebra, or a random sparse table on four basis vectors,
+    with a few structure constants moved by small fractions, so that many
+    draws fail Jacobi, some with fractional residuals."""
+    base = draw(st.sampled_from([SL2, HEISENBERG, EX46, None]))
+    if base is None:
+        n = 4
+        structure = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                if draw(st.booleans()):
+                    vec = draw(st.lists(
+                        st.one_of(st.just(Fraction(0)), structure_fractions),
+                        min_size=n, max_size=n,
+                    ))
+                    structure[(i, j)] = tuple(vec)
+    else:
+        n = base.dim
+        structure = dict(base.structure)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for pair, k, delta in draw(st.lists(
+        st.tuples(st.sampled_from(pairs), st.integers(0, n - 1), structure_fractions),
+        max_size=2,
+    )):
+        vec = list(structure.get(pair, (Fraction(0),) * n))
+        vec[k] += delta
+        structure[pair] = tuple(vec)
+    return LieAlgebra("perturbed", n, structure)
+
+
+def reference_violations(g):
+    """Jacobi residuals from dense ``bracket`` on every basis triple."""
+    basis = Matrix.identity(g.dim).entries
+    out = []
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            for k in range(j + 1, g.dim):
+                ei, ej, ek = basis[i], basis[j], basis[k]
+                residual = tuple(
+                    a + b + c
+                    for a, b, c in zip(
+                        bracket(g, bracket(g, ei, ej), ek),
+                        bracket(g, bracket(g, ej, ek), ei),
+                        bracket(g, bracket(g, ek, ei), ej),
+                    )
+                )
+                if any(residual):
+                    out.append((i + 1, j + 1, k + 1, residual))
+    return tuple(out)
+
+
+def reference_is_automorphism(g, m):
+    """Nonzero determinant and m[e_i, e_j] = [m e_i, m e_j] by ``bracket``."""
+    work = [list(row) for row in m.entries]
+    for c in range(g.dim):
+        src = next((i for i in range(c, g.dim) if work[i][c]), None)
+        if src is None:
+            return False
+        work[c], work[src] = work[src], work[c]
+        for i in range(c + 1, g.dim):
+            f = work[i][c] / work[c][c]
+            work[i] = [a - f * b for a, b in zip(work[i], work[c])]
+    basis = Matrix.identity(g.dim).entries
+    return all(
+        m.apply(bracket(g, basis[i], basis[j]))
+        == bracket(g, m.apply(basis[i]), m.apply(basis[j]))
+        for i in range(g.dim)
+        for j in range(i + 1, g.dim)
+    )
+
+
+small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+
+@st.composite
+def candidate_maps(draw):
+    """Algebra and map pairs: Heisenberg automorphisms (singular when
+    ad - bc = 0), sl2 unipotent products, and their one-entry
+    perturbations, plus random maps on perturbed algebras."""
+    kind = draw(st.sampled_from(["heisenberg", "sl2", "random"]))
+    if kind == "heisenberg":
+        g = HEISENBERG
+        a, b, c, d, x, y = (draw(small) for _ in range(6))
+        m = Matrix.from_rows([[a, b, 0], [c, d, 0], [x, y, a * d - b * c]])
+    elif kind == "sl2":
+        g = SL2
+        m = unipotent_upper(draw(small)) @ unipotent_upper(draw(small)).transpose()
+    else:
+        g = draw(perturbed_algebras())
+        m = Matrix.from_rows([
+            [draw(small) for _ in range(g.dim)] for _ in range(g.dim)
+        ])
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, g.dim - 1)), draw(st.integers(0, g.dim - 1))
+        rows = [list(row) for row in m.entries]
+        rows[i][j] += draw(small)
+        m = Matrix.from_rows(rows)
+    return g, m
+
+
+class TestAgainstDenseReferences:
+    @given(perturbed_algebras())
+    @settings(max_examples=150, deadline=None)
+    def test_jacobi_violations(self, g):
+        violations = validate_lie(g).violations
+        assert violations == reference_violations(g)
+        for *_, residual in violations:
+            assert all(type(a) is Fraction for a in residual)
+
+    @given(candidate_maps())
+    @settings(max_examples=150, deadline=None)
+    def test_is_automorphism(self, case):
+        g, m = case
+        assert is_automorphism(g, m) == reference_is_automorphism(g, m)
 
 
 class TestBracket:
@@ -189,6 +310,13 @@ class TestBuiltins:
     def test_unknown(self):
         with pytest.raises(UnknownName):
             builtin("su3")
+
+    def test_abelian_size_bound(self):
+        assert builtin(f"abelian({MAX_ABELIAN_DIM})").dim == MAX_ABELIAN_DIM
+        assert builtin("abelian(007)").dim == 7
+        for n in (str(MAX_ABELIAN_DIM + 1), "1000000", "9" * 5000):
+            with pytest.raises(InputError, match="too large"):
+                builtin(f"abelian({n})")
 
 
 class TestJson:

@@ -6,12 +6,15 @@ plumbing and the engines shows up here.
 """
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import gderive
 from gderive.algebra import algebra_to_json_dict, builtin
 from gderive.cli import main
 from gderive.linalg import Matrix
@@ -153,6 +156,67 @@ class TestDerive:
         )
         assert code == 2
         assert "Jacobi" in err
+
+
+class TestMalformedInput:
+    """Malformed documents and oversized built-ins end with exit 2 and a
+    stable error code, never a traceback."""
+
+    @pytest.mark.parametrize("argv, doc, message", [
+        (
+            ["check", "--algebra", "{doc}"],
+            {"name": "x", "dim": 2, "brackets": 5},
+            "error[InvalidInput]: brackets must be a list",
+        ),
+        (
+            ["check", "--algebra", "{doc}"],
+            {
+                "name": "x",
+                "dim": 2,
+                "brackets": [{"left": 1, "right": 2, "result": [["1"]]}],
+            },
+            "error[InvalidInput]: bracket result must be a list of",
+        ),
+        (
+            ["check", "--algebra", "{doc}"],
+            {
+                "name": "x",
+                "dim": 2,
+                "brackets": [{"left": 1, "right": 2, "result": "1"}],
+            },
+            "error[InvalidInput]: bracket result must be a list of",
+        ),
+        (
+            ["derive", "--algebra", "sl2", "--sigma", "{doc}"],
+            {"rows": 3, "cols": 3, "entries": 5},
+            "error[InvalidInput]: entries must be a list of rows",
+        ),
+        (
+            ["derive", "--algebra", "sl2", "--sigma", "{doc}"],
+            {"rows": 1, "cols": 1, "entries": [5]},
+            "error[InvalidInput]: entries must be a list of rows",
+        ),
+    ])
+    def test_malformed_document(self, capsys, files, argv, doc, message):
+        path = files["tmp"] / "malformed.json"
+        path.write_text(json.dumps(doc))
+        argv = [str(path) if a == "{doc}" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_oversized_abelian(self, capsys, files):
+        code, out, err = run(
+            capsys,
+            "derive", "--algebra", "abelian(1000000)",
+            "--sigma", files["identity"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "error[InvalidInput]: abelian(1000000) is too large" in err
+        assert "Traceback" not in err
 
 
 class TestSmallSolvers:
@@ -409,10 +473,16 @@ class TestParsing:
         assert run(capsys, "check", "--algebra", "sl2", "--bogus")[0] == 2
 
     def test_console_script_installed(self):
+        # The child imports the same gderive as this process, installed or
+        # found through pytest's pythonpath setting.
+        package_root = str(Path(gderive.__file__).resolve().parents[1])
+        paths = [package_root, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
         proc = subprocess.run(
             [sys.executable, "-m", "gderive.cli", "check", "--algebra", "sl2"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["valid"] is True

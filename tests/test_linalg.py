@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gderive._kernels import rref_int
 from gderive.errors import DimensionMismatch, InputError, NotNilpotent, SingularMatrix
 from gderive.linalg import (
     Matrix,
@@ -128,6 +130,73 @@ class TestRref:
         assert rank + kernel_basis(m).dim == m.cols
         again, _, rank2 = rref(reduced)
         assert again == reduced and rank2 == rank
+
+
+def reference_rref(rows):
+    """Leading-1 reduced rows and pivot columns by plain Fraction
+    Gauss-Jordan elimination, sharing no code with the kernel."""
+    work = [[Fraction(a) for a in row] for row in rows]
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        src = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if src is None:
+            continue
+        work[r], work[src] = work[src], work[r]
+        lead = work[r][c]
+        work[r] = [a / lead for a in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+    return work[: len(pivots)], pivots
+
+
+@st.composite
+def integer_grids(draw):
+    """Tall, wide and empty integer grids with zero rows and columns,
+    duplicate and proportional rows, and entries up to 2^70."""
+    nrows = draw(st.integers(0, 8))
+    ncols = draw(st.integers(0, 8))
+    entry = st.one_of(
+        st.just(0), st.integers(-3, 3), st.integers(-(2 ** 70), 2 ** 70)
+    )
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if ncols:
+        zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+        rows = [[0 if c in zero_cols else a for c, a in enumerate(row)] for row in rows]
+    if rows:
+        for i, k in draw(st.lists(
+            st.tuples(st.integers(0, nrows - 1), st.sampled_from([1, -1, 2, 0])),
+            max_size=3,
+        )):
+            rows.append([k * a for a in rows[i]])
+    return rows
+
+
+class TestRrefInt:
+    @given(integer_grids())
+    @example([])
+    @example([[]])
+    @example([[0, 0, 0], [0, 0, 0]])
+    @example([[2 ** 70, 3, 0], [2 ** 70, 3, 0], [0, 0, -(2 ** 69)]])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_gauss_jordan(self, rows):
+        before = [list(row) for row in rows]
+        pivot_rows, pivot_cols = rref_int(rows)
+        assert rows == before
+        expected_rows, expected_cols = reference_rref(rows)
+        assert pivot_cols == expected_cols
+        ncols = len(rows[0]) if rows else 0
+        assert len(pivot_rows) == len(expected_rows)
+        for row, c, expected in zip(pivot_rows, pivot_cols, expected_rows):
+            assert len(row) == ncols
+            assert all(type(a) is int for a in row)
+            assert row[c] > 0
+            assert gcd(*row) == 1
+            assert [Fraction(a, row[c]) for a in row] == expected
 
 
 class TestKernel:
