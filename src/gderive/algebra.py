@@ -31,9 +31,10 @@ from gderive.linalg import (
 
 _ABELIAN_RE = re.compile(r"^abelian\(0*([0-9]+)\)$")
 
-# Largest n accepted for the built-in abelian(n): its derivation systems
-# have n^2 unknowns, so abelian(64) already asks for a 4096-column system.
-MAX_ABELIAN_DIM = 64
+# Largest dimension accepted for an algebra, built-in abelian(n) or loaded
+# from JSON: its derivation systems have n^2 unknowns and up to n^2 rows
+# of that width, so dimension 64 already asks for a 4096-column system.
+MAX_DIM = 64
 
 
 @dataclass(frozen=True, eq=True)
@@ -289,9 +290,9 @@ def builtin(name: str) -> LieAlgebra:
     if match:
         digits = match.group(1)
         # The length test keeps int() away from huge digit strings.
-        if len(digits) > len(str(MAX_ABELIAN_DIM)) or int(digits) > MAX_ABELIAN_DIM:
+        if len(digits) > len(str(MAX_DIM)) or int(digits) > MAX_DIM:
             raise InputError(
-                f"{name} is too large: abelian(n) needs n <= {MAX_ABELIAN_DIM}"
+                f"{name} is too large: abelian(n) needs n <= {MAX_DIM}"
             )
         n = int(digits)
         return with_validation(LieAlgebra(name, n, {}))
@@ -308,6 +309,8 @@ def algebra_from_json_dict(data: dict) -> LieAlgebra:
         raise InputError("algebra object needs name, dim, brackets") from exc
     if not isinstance(dim, int) or dim < 0:
         raise InputError("dim must be a nonnegative integer")
+    if dim > MAX_DIM:
+        raise InputError(f"dim is too large: an algebra needs dim <= {MAX_DIM}")
     if not isinstance(entries, list):
         raise InputError("brackets must be a list")
     structure = {}

@@ -68,7 +68,9 @@ def _read_json(path: str) -> dict:
             return json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, bytes that are not UTF-8, or an integer literal
+        # past Python's int/str digit limit.
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -125,15 +127,9 @@ def _matrix_dict(m: Matrix) -> dict:
     return m.to_json_dict()
 
 
-def _matrix_line(m) -> str:
-    if isinstance(m, dict):
-        rows = m["entries"]
-        return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
-    rows = [
-        "[" + ", ".join(format_rational(a) for a in row) + "]"
-        for row in m.entries
-    ]
-    return "[" + ", ".join(rows) + "]"
+def _matrix_line(m: dict) -> str:
+    rows = m["entries"]
+    return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
 
 
 def _vector_list(vec) -> list:
@@ -377,17 +373,15 @@ def cmd_sl2(args) -> int:
     else:
         family = Sl2Family.symbolic(args.family)
 
-    ideal_report = derivation_ideal(family, args.degree_guard)
     out = {
         "family": args.family,
-        "ideal_generators": [str(p) for p in ideal_report.simplified.generators],
-        "raw_generator_count": len(ideal_report.raw.generators),
         "components": [],
         "containments": None,
         "fixed": None,
     }
 
     if bindings:
+        report = derivation_ideal(family, args.degree_guard)
         fixed = fixed_param_dimension(family)
         out["fixed"] = {
             "params": {
@@ -400,8 +394,8 @@ def cmd_sl2(args) -> int:
             "matches_claim": fixed.matches_claim,
         }
     else:
-        decomposition = verify_decomposition(family, args.degree_guard)
-        for verdict in decomposition.components:
+        report = verify_decomposition(family, args.degree_guard)
+        for verdict in report.components:
             out["components"].append(
                 {
                     "name": verdict.name,
@@ -425,9 +419,11 @@ def cmd_sl2(args) -> int:
                 else None
             )
         out["containments"] = {
-            "product_contained": decomposition.product_contained,
-            "all_verdicts": decomposition.all_verdicts_true,
+            "product_contained": report.product_contained,
+            "all_verdicts": report.all_verdicts_true,
         }
+    out["ideal_generators"] = [str(p) for p in report.simplified.generators]
+    out["raw_generator_count"] = len(report.raw.generators)
 
     def lines(rep):
         body = [f"family {rep['family']}: ideal basis"]

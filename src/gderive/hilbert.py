@@ -53,19 +53,14 @@ def graded_dims(
     if window < 1:
         raise InputError("window must be at least 1")
     order = matrix_order(sigma.matrix, order_bound)
-    solver_kind = "plain" if kind == "plain" else "plus"
-    if order is not None:
-        grades = range(order)
-        dims = {}
-        for k in grades:
-            power = sigma.power(k)
-            dims[k] = derivation_space(g, power, kind=solver_kind).dim
-        return GradedDims(g, sigma, kind, order, dims, order)
+    if order is None:
+        grades = range(-window, window + 1)
+    else:
+        grades, window = range(order), order
     dims = {}
-    for k in range(-window, window + 1):
-        power = sigma.power(k)
-        dims[k] = derivation_space(g, power, kind=solver_kind).dim
-    return GradedDims(g, sigma, kind, window, dims)
+    for k in grades:
+        dims[k] = derivation_space(g, sigma.power(k), kind=kind).dim
+    return GradedDims(g, sigma, kind, window, dims, order)
 
 
 def detect_period(gd: GradedDims):

@@ -378,9 +378,6 @@ class Ideal:
         return Ideal(variables, tuple(gens))
 
 
-_groebner_cache: dict = {}
-
-
 def _spoly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     ef, cf = f.leading_term()
     eg, cg = g.leading_term()
@@ -397,14 +394,9 @@ def groebner(ideal: Ideal, guard: int = DEFAULT_GUARD) -> tuple:
     and the coprime-leading-term criterion; raises DegreeGuardExceeded when
     more than `guard` intermediate polynomials are generated.
     """
-    key = (ideal, guard)
-    if key in _groebner_cache:
-        return _groebner_cache[key]
     basis = [g.monic() for g in ideal.generators if not g.is_zero]
     if not basis:
-        result = ()
-        _groebner_cache[key] = result
-        return result
+        return ()
     pairs = {
         (i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))
     }
@@ -449,16 +441,11 @@ def groebner(ideal: Ideal, guard: int = DEFAULT_GUARD) -> tuple:
     for i, f in enumerate(keep):
         others = keep[:i] + keep[i + 1:]
         reduced.append(remainder(f, others).monic() if others else f.monic())
-    result = tuple(sorted(reduced, key=lambda f: f.terms[0][0], reverse=True))
-    _groebner_cache[key] = result
-    return result
+    return tuple(sorted(reduced, key=lambda f: f.terms[0][0], reverse=True))
 
 
 def member(p: MultiPoly, ideal: Ideal, guard: int = DEFAULT_GUARD) -> bool:
-    basis = groebner(ideal, guard)
-    if not basis:
-        return p.is_zero
-    return remainder(p, basis).is_zero
+    return remainder(p, groebner(ideal, guard)).is_zero
 
 
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
@@ -470,10 +457,16 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
 
 
 def contains(outer: Ideal, inner: Ideal, guard: int = DEFAULT_GUARD) -> bool:
-    """True iff inner is a subset of outer (generator-wise membership)."""
+    """True iff inner is a subset of outer (generator-wise membership).
+
+    The outer basis is completed once and divides every inner generator.
+    """
     if outer.variables != inner.variables:
         raise DimensionMismatch("ideals live in different rings")
-    return all(member(g, outer, guard) for g in inner.generators)
+    if not inner.generators:
+        return True
+    basis = groebner(outer, guard)
+    return all(remainder(g, basis).is_zero for g in inner.generators)
 
 
 @dataclass(frozen=True)

@@ -262,17 +262,9 @@ def _unknown_matrix(ring):
     )
 
 
-def _unit_vectors(ring):
-    one = MultiPoly.const(ring, 1)
-    zero = MultiPoly.zero(ring)
-    return tuple(
-        tuple(one if i == j else zero for j in range(3)) for i in range(3)
-    )
-
-
 def _residual_polynomials(ring, sigma_pm):
     u = _unknown_matrix(ring)
-    units = _unit_vectors(ring)
+    units = _poly_identity(ring)
     columns = [tuple(u[k][j] for k in range(3)) for j in range(3)]
     sigma_cols = [tuple(sigma_pm[k][j] for k in range(3)) for j in range(3)]
     raw = []
@@ -298,6 +290,19 @@ def _residual_polynomials(ring, sigma_pm):
     return raw
 
 
+def _raw_ideal(f: Sl2Family) -> Ideal:
+    """The nonzero residual coordinates over all ordered basis pairs,
+    deduplicated up to scale, with fixed parameter values substituted."""
+    ring = f.ring
+    sigma = family_sigma(Sl2Family.symbolic(f.tag))
+    raw = _residual_polynomials(ring, _lift_matrix(sigma, ring))
+    if f.values is not None:
+        assignment = _parameter_assignment(f.tag, f.values)
+        raw = [p.substitute(assignment) for p in raw]
+        raw = [p for p in raw if not p.is_zero]
+    return Ideal.make(raw[0].variables if raw else X_VARS, raw)
+
+
 def derivation_ideal(
     f: Sl2Family, guard: int = DEFAULT_GUARD
 ) -> DerivationIdealReport:
@@ -309,14 +314,7 @@ def derivation_ideal(
     interreduction cannot reach it, since some simplifications require
     polynomial, parameter-dependent combinations.
     """
-    ring = f.ring
-    sigma = family_sigma(Sl2Family.symbolic(f.tag))
-    raw = _residual_polynomials(ring, _lift_matrix(sigma, ring))
-    if f.values is not None:
-        assignment = _parameter_assignment(f.tag, f.values)
-        raw = [p.substitute(assignment) for p in raw]
-        raw = [p for p in raw if not p.is_zero]
-    ideal = Ideal.make(raw[0].variables if raw else X_VARS, raw)
+    ideal = _raw_ideal(f)
     simplified = Ideal(ideal.variables, groebner(ideal, guard))
     return DerivationIdealReport(f.tag, ideal.variables, ideal, simplified)
 
@@ -557,12 +555,20 @@ def _form_satisfies(raw: Ideal, component: Component) -> bool:
 def verify_decomposition(
     f: Sl2Family, guard: int = DEFAULT_GUARD
 ) -> DecompositionReport:
-    """Certify the two-component decomposition of the residual variety."""
+    """Certify the two-component decomposition of the residual variety.
+
+    Each basis is completed once and its reduced ideal handed on:
+    completing a reduced basis again returns it, every S-pair reducing
+    to zero.
+    """
     report = derivation_ideal(Sl2Family.symbolic(f.tag), guard)
     p1, p2 = known_components(f)
     verdicts = []
     for component in (p1, p2):
-        cert = triangular_prime_check(component.ideal, guard)
+        reduced = Ideal(
+            component.ideal.variables, groebner(component.ideal, guard)
+        )
+        cert = triangular_prime_check(reduced, guard)
         if cert.certified:
             dimension = len(cert.free_vars)
             source = "certified free variables"
@@ -587,13 +593,13 @@ def verify_decomposition(
                 dimension,
                 source,
                 component.claimed_dimension,
-                contains(component.ideal, report.raw, guard),
+                contains(reduced, report.raw, guard),
                 _form_satisfies(report.raw, component),
                 claimed_ok,
             )
         )
     product = ideal_product(p1.ideal, p2.ideal)
-    product_in = contains(report.raw, product, guard)
+    product_in = contains(report.simplified, product, guard)
     return DecompositionReport(
         f.tag, report.raw, report.simplified, tuple(verdicts), product_in
     )
@@ -626,8 +632,7 @@ def fixed_param_dimension(f: Sl2Family, values: dict = None) -> FixedDimensionRe
             raise InputError("fixed parameter values are required")
         values = f.values
     fixed = Sl2Family(f.tag, {k: Fraction(v) for k, v in values.items()})
-    report = derivation_ideal(fixed)
-    gens = report.raw.generators
+    gens = _raw_ideal(fixed).generators
     if gens:
         matrix = linear_coefficient_matrix(gens, X_VARS)
     else:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gderive.algebra import (
-    MAX_ABELIAN_DIM,
+    MAX_DIM,
     Automorphism,
     LieAlgebra,
     ad,
@@ -312,9 +312,9 @@ class TestBuiltins:
             builtin("su3")
 
     def test_abelian_size_bound(self):
-        assert builtin(f"abelian({MAX_ABELIAN_DIM})").dim == MAX_ABELIAN_DIM
+        assert builtin(f"abelian({MAX_DIM})").dim == MAX_DIM
         assert builtin("abelian(007)").dim == 7
-        for n in (str(MAX_ABELIAN_DIM + 1), "1000000", "9" * 5000):
+        for n in (str(MAX_DIM + 1), "1000000", "9" * 5000):
             with pytest.raises(InputError, match="too large"):
                 builtin(f"abelian({n})")
 

@@ -196,6 +196,11 @@ class TestMalformedInput:
             {"rows": 1, "cols": 1, "entries": [5]},
             "error[InvalidInput]: entries must be a list of rows",
         ),
+        (
+            ["check", "--algebra", "{doc}"],
+            {"name": "x", "dim": 65, "brackets": []},
+            "error[InvalidInput]: dim is too large",
+        ),
     ])
     def test_malformed_document(self, capsys, files, argv, doc, message):
         path = files["tmp"] / "malformed.json"
@@ -205,6 +210,19 @@ class TestMalformedInput:
         assert code == 2
         assert out == ""
         assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("content", [
+        b'{"name": "x", "dim": ' + b"9" * 5000 + b', "brackets": []}',
+        b'{"name": "\xff", "dim": 1, "brackets": []}',
+    ], ids=["integer-past-digit-limit", "invalid-utf8"])
+    def test_undecodable_document(self, capsys, files, content):
+        path = files["tmp"] / "undecodable.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "check", "--algebra", str(path))
+        assert code == 2
+        assert out == ""
+        assert "error[InvalidInput]" in err
         assert "Traceback" not in err
 
     def test_oversized_abelian(self, capsys, files):

@@ -261,6 +261,9 @@ class TestBuchberger:
                 assert remainder(_spoly(basis[i], basis[j]), basis).is_zero
         for g in gens:
             assert remainder(g, basis).is_zero
+        # Callers complete a reduced basis again instead of keeping the
+        # original generators; that must give the same basis back.
+        assert list(groebner(Ideal(variables, tuple(basis)), guard=200)) == basis
 
 
 class TestMembership:
@@ -301,6 +304,18 @@ class TestIdealOps:
         assert contains(P1, J)
         assert contains(P2, J)
         assert contains(J, ideal_product(P1, P2))
+
+    def test_contains_completes_the_outer_basis_once(self, monkeypatch):
+        calls = []
+
+        def counting(ideal, *args):
+            calls.append(ideal)
+            return groebner(ideal, *args)
+
+        monkeypatch.setattr("gderive.polynomials.groebner", counting)
+        assert len(J.generators) > 1
+        assert contains(P1, J)
+        assert calls == [P1]
 
     def test_ring_mismatch(self):
         other = Ideal.make(("x", "y"), [xy_poly("x")])

@@ -16,7 +16,13 @@ from gderive.algebra import Automorphism, builtin, make_automorphism
 from gderive.derivations import derivation_space, is_derivation_pair
 from gderive.errors import GDeriveError, InputError, ZeroParameterA
 from gderive.linalg import Matrix, exp_nilpotent, matrix_to_vec
-from gderive.polynomials import Ideal, contains, member, poly_from_string
+from gderive.polynomials import (
+    Ideal,
+    contains,
+    groebner,
+    member,
+    poly_from_string,
+)
 from gderive.sl2 import (
     RING_ONE_PARAM,
     RING_TWO_PARAM,
@@ -143,6 +149,16 @@ def grid_strs(form):
 
 def sigma_for(tag, **values):
     return make_automorphism(SL2, family_sigma(Sl2Family.fixed(tag, **values)))
+
+
+@pytest.fixture(scope="module")
+def decompositions():
+    """One verification report per family, shared by the tests that only
+    read it (the two-parameter one alone takes over a second)."""
+    return {
+        tag: verify_decomposition(Sl2Family.symbolic(tag))
+        for tag in ("b", "c", "ab")
+    }
 
 
 class TestFamilyConstruction:
@@ -349,8 +365,8 @@ class TestComponents:
 
 
 class TestDecompositionFamilyB:
-    def test_report(self):
-        rep = verify_decomposition(Sl2Family.symbolic("b"))
+    def test_report(self, decompositions):
+        rep = decompositions["b"]
         assert rep.all_verdicts_true
         assert rep.product_contained
         p1, p2 = rep.components
@@ -366,8 +382,8 @@ class TestDecompositionFamilyB:
 
 
 class TestDecompositionFamilyC:
-    def test_report(self):
-        rep = verify_decomposition(Sl2Family.symbolic("c"))
+    def test_report(self, decompositions):
+        rep = decompositions["c"]
         assert rep.all_verdicts_true
         assert rep.product_contained
         p1, p2 = rep.components
@@ -378,10 +394,10 @@ class TestDecompositionFamilyC:
         assert p2.dimension == 2 == p2.claimed_dimension
         assert p2.form_satisfies_residuals
 
-    def test_recorded_form_fails_the_identity(self):
+    def test_recorded_form_fails_the_identity(self, decompositions):
         # The recorded alternative parametrization is not a family of
         # twisted derivations; the computed one is kept as primary.
-        rep = verify_decomposition(Sl2Family.symbolic("c"))
+        rep = decompositions["c"]
         _, p2 = rep.components
         assert p2.claimed_form_satisfies_residuals is False
         claimed = grid_strs(known_components(Sl2Family.symbolic("c"))[1].claimed_form)
@@ -393,8 +409,8 @@ class TestDecompositionFamilyC:
 
 
 class TestDecompositionFamilyAB:
-    def test_report(self):
-        rep = verify_decomposition(Sl2Family.symbolic("ab"))
+    def test_report(self, decompositions):
+        rep = decompositions["ab"]
         p1, p2 = rep.components
         assert p1.certificate.certified
         assert p1.certificate.free_vars == ("x23", "x32", "x33", "c")
@@ -415,13 +431,40 @@ class TestDecompositionFamilyAB:
         assert rep.product_contained
         assert rep.all_verdicts_true is False
 
-    def test_scalar_recovery_membership(self):
+    def test_scalar_recovery_membership(self, decompositions):
         # Every raw relation lies in the component generated by the
         # coordinates minus direction-times-recovered-scalar.
-        rep = derivation_ideal(Sl2Family.symbolic("ab"))
+        rep = decompositions["ab"]
         _, p2 = known_components(Sl2Family.symbolic("ab"))
+        reduced = Ideal(p2.ideal.variables, groebner(p2.ideal))
         for g in rep.raw.generators:
-            assert member(g, p2.ideal)
+            assert member(g, reduced)
+
+
+class TestSingleCompletion:
+    """verify_decomposition completes each ideal once and hands the
+    reduced basis on; completing a reduced basis again must return it."""
+
+    def test_raw_ideal_completed_once(self, monkeypatch):
+        seen = []
+
+        def counting(ideal, *args):
+            seen.append(ideal)
+            return groebner(ideal, *args)
+
+        monkeypatch.setattr("gderive.polynomials.groebner", counting)
+        monkeypatch.setattr("gderive.sl2.groebner", counting)
+        rep = verify_decomposition(Sl2Family.symbolic("b"))
+        assert seen.count(rep.raw) == 1
+        for component in known_components(Sl2Family.symbolic("b")):
+            assert seen.count(component.ideal) == 1
+
+    def test_reduced_bases_complete_to_themselves(self, decompositions):
+        for tag, rep in decompositions.items():
+            assert groebner(rep.simplified) == rep.simplified.generators
+            for component in known_components(Sl2Family.symbolic(tag)):
+                basis = groebner(component.ideal)
+                assert groebner(Ideal(component.ideal.variables, basis)) == basis
 
 
 class TestFixedDimensions:
