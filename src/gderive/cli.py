@@ -33,6 +33,8 @@ from .errors import GDeriveError, InputError, NoPeriod, UnknownName
 from .hilbert import (
     DEFAULT_ORDER_BOUND,
     DEFAULT_WINDOW,
+    MAX_ORDER_BOUND,
+    MAX_WINDOW,
     detect_period,
     graded_dims,
     rational_series,
@@ -41,6 +43,7 @@ from .hilbert import (
 from .linalg import Matrix, format_rational, parse_rational
 from .polynomials import (
     DEFAULT_GUARD,
+    MAX_GUARD,
     contains,
     groebner,
     ideal_from_json_dict,
@@ -519,8 +522,8 @@ def _add_guard(sub):
         "--degree-guard",
         type=int,
         default=DEFAULT_GUARD,
-        help="abort polynomial runs after this many generated polynomials "
-        "(default %(default)s)",
+        help="abort polynomial runs after this many generated polynomials, "
+        f"0..{MAX_GUARD} (default %(default)s)",
     )
 
 
@@ -580,13 +583,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--window",
         type=int,
         default=DEFAULT_WINDOW,
-        help="half-width K of the exponent window (default %(default)s)",
+        help=f"half-width K of the exponent window, 1..{MAX_WINDOW} "
+        "(default %(default)s)",
     )
     p.add_argument(
         "--order-bound",
         type=int,
         default=DEFAULT_ORDER_BOUND,
-        help="largest automorphism order searched (default %(default)s)",
+        help=f"largest automorphism order searched, 1..{MAX_ORDER_BOUND} "
+        "(default %(default)s)",
     )
     _add_format(p)
     p.set_defaults(func=cmd_hilbert)

@@ -18,6 +18,8 @@ from gderive.linalg import matrix_order
 
 DEFAULT_WINDOW = 8
 DEFAULT_ORDER_BOUND = 64
+MAX_WINDOW = 64
+MAX_ORDER_BOUND = 1024
 
 
 @dataclass(frozen=True)
@@ -45,13 +47,19 @@ def graded_dims(
     """Solve Der_{sigma^k}(g) for each grade in the window.
 
     kind "plus" additionally requires commuting with sigma^k, which is
-    vacuous at k = 0, so grade 0 always carries dim Der(g).
+    vacuous at k = 0, so grade 0 always carries dim Der(g). The window
+    must lie in 1..MAX_WINDOW and order_bound in 1..MAX_ORDER_BOUND: each
+    grade is one linear solve, each order step one matrix product.
     """
     require_validated(sigma)
     if kind not in ("plain", "plus"):
         raise InputError(f"unknown grading kind {kind!r}")
-    if window < 1:
-        raise InputError("window must be at least 1")
+    if not 1 <= window <= MAX_WINDOW:
+        raise InputError(f"window must be between 1 and {MAX_WINDOW}")
+    if not 1 <= order_bound <= MAX_ORDER_BOUND:
+        raise InputError(
+            f"order bound must be between 1 and {MAX_ORDER_BOUND}"
+        )
     order = matrix_order(sigma.matrix, order_bound)
     if order is None:
         grades = range(-window, window + 1)

@@ -1,14 +1,19 @@
 """Multivariate polynomials over Q with lex order, and polynomial ideals.
 
 The monomial order is lexicographic in the declared variable order, which
-is an explicit part of every polynomial's identity. Ideal calculations go
-through Buchberger completion to the unique reduced basis; primality is
-certified only through the triangular-linear criterion (leading variables
-minus free variables), never decided in general.
+is an explicit part of every polynomial's identity. Ideal calculations
+(membership, containment) divide by the unique reduced basis, which
+`groebner` completes with Buchberger's algorithm: pairs are taken smallest
+lcm first from a heap, and the Gebauer-Moeller criteria drop the pairs
+whose S-polynomials are known to reduce to zero. A degree guard bounds
+the number of new basis elements. Primality is certified only through the
+triangular-linear criterion (leading variables minus free variables),
+never decided in general.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +27,7 @@ from gderive.errors import (
 from gderive.linalg import Matrix, format_rational, parse_rational
 
 DEFAULT_GUARD = 5000
+MAX_GUARD = 10**6
 
 
 def _normalize_terms(terms: dict) -> tuple:
@@ -387,61 +393,115 @@ def _spoly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return mf * f - mg * g
 
 
+def _check_guard(guard: int) -> None:
+    if not 0 <= guard <= MAX_GUARD:
+        raise InputError(f"degree guard must be between 0 and {MAX_GUARD}")
+
+
 def groebner(ideal: Ideal, guard: int = DEFAULT_GUARD) -> tuple:
     """Reduced lex Groebner basis (monic, interreduced, sorted descending).
 
-    Buchberger completion with normal pair selection (smallest lcm first)
-    and the coprime-leading-term criterion; raises DegreeGuardExceeded when
-    more than `guard` intermediate polynomials are generated.
+    Buchberger completion in the Gebauer-Moeller installation (Becker and
+    Weispfenning, *Groebner Bases*, section 5.5, procedure UPDATE). Every
+    generator and every nonzero S-pair remainder enters through one
+    update, which:
+
+    - drops a new pair whose lcm is a multiple of another new pair's lcm
+      (criterion M/F), and one whose leading terms are coprime (product
+      criterion);
+    - drops an open pair whose lcm the new leading term divides, unless
+      the new element shares that lcm with one of its ends (chain
+      criterion B_k);
+    - retires the elements whose leading term the new one divides. Their
+      open pairs stay queued, and S-polynomials are reduced by the
+      elements that are not retired.
+
+    Open pairs wait in a heap keyed by (lcm, i, j), smallest lcm first;
+    pairs cut by the chain criterion are deleted lazily. The surviving
+    elements are minimalized and interreduced. The reduced basis is
+    unique, so the pruning changes the work, never the result.
+
+    Raises DegreeGuardExceeded when more than `guard` S-pair remainders
+    are nonzero, and InputError when `guard` lies outside 0..MAX_GUARD.
     """
-    basis = [g.monic() for g in ideal.generators if not g.is_zero]
+    _check_guard(guard)
+    basis = []   # every element ever added; indices never change
+    leads = []   # leading exponent vector of basis[i]
+    active = []  # indices of the elements that are not retired
+    open_pairs = {}  # (i, j) -> lcm of the leading terms, i < j
+    queue = []   # heap of (lcm, i, j); entries gone from open_pairs are stale
+    reduced = product_skips = chain_skips = 0
+
+    def update(h):
+        nonlocal product_skips, chain_skips
+        k = len(basis)
+        eh = h.terms[0][0]
+        for (i, j), l in list(open_pairs.items()):
+            if (
+                _divides(eh, l)
+                and _exp_lcm(leads[i], eh) != l
+                and _exp_lcm(leads[j], eh) != l
+            ):
+                del open_pairs[(i, j)]
+                chain_skips += 1
+        new = [(i, _exp_lcm(leads[i], eh)) for i in active]
+        kept = []
+        for pos, (i, l) in enumerate(new):
+            coprime = all(a == 0 or b == 0 for a, b in zip(leads[i], eh))
+            if coprime or not (
+                any(_divides(m, l) for _, m in new[pos + 1:])
+                or any(_divides(m, l) for _, m, _ in kept)
+            ):
+                kept.append((i, l, coprime))
+            else:
+                chain_skips += 1
+        for i, l, coprime in kept:
+            if coprime:
+                product_skips += 1
+            else:
+                open_pairs[(i, k)] = l
+                heapq.heappush(queue, (l, i, k))
+        active[:] = [i for i in active if not _divides(eh, leads[i])]
+        active.append(k)
+        basis.append(h)
+        leads.append(eh)
+
+    for g in ideal.generators:
+        if not g.is_zero:
+            update(g.monic())
     if not basis:
         return ()
-    pairs = {
-        (i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))
-    }
     generated = 0
-    while pairs:
-        best = min(
-            pairs,
-            key=lambda ij: (
-                _exp_lcm(basis[ij[0]].terms[0][0], basis[ij[1]].terms[0][0]),
-                ij,
-            ),
-        )
-        pairs.remove(best)
-        f, g = basis[best[0]], basis[best[1]]
-        ef, eg = f.terms[0][0], g.terms[0][0]
-        if all(a == 0 or b == 0 for a, b in zip(ef, eg)):
-            continue  # coprime leading terms: S-polynomial reduces to zero
-        s = remainder(_spoly(f, g), basis)
+    while queue:
+        _, i, j = heapq.heappop(queue)
+        if open_pairs.pop((i, j), None) is None:
+            continue  # cut by the chain criterion after it was queued
+        reduced += 1
+        s = remainder(_spoly(basis[i], basis[j]), [basis[a] for a in active])
         if s.is_zero:
             continue
         generated += 1
         if generated > guard:
             raise DegreeGuardExceeded(
-                f"basis completion exceeded {guard} generated polynomials"
+                f"basis completion exceeded {guard} generated polynomials "
+                f"(pairs reduced: {reduced}, skipped by the product "
+                f"criterion: {product_skips}, skipped by the chain and M "
+                f"criteria: {chain_skips}, still queued: {len(open_pairs)}, "
+                f"basis size: {len(active)})"
             )
-        basis.append(s.monic())
-        new_index = len(basis) - 1
-        pairs.update((i, new_index) for i in range(new_index))
-    # Minimalize: drop elements whose leading term another one divides.
-    keep = []
-    for i, f in enumerate(basis):
-        lead = f.terms[0][0]
-        redundant = any(
-            j != i and _divides(basis[j].terms[0][0], lead)
-            and (basis[j].terms[0][0] != lead or j < i)
-            for j in range(len(basis))
-        )
-        if not redundant:
-            keep.append(f)
+        update(s.monic())
+    # Minimalize: survivors have distinct leading terms, but an input
+    # generator's leading term may be a multiple of an earlier survivor's.
+    keep = [
+        basis[i] for i in active
+        if not any(j != i and _divides(leads[j], leads[i]) for j in active)
+    ]
     # Interreduce tails against the other survivors.
-    reduced = []
+    result = []
     for i, f in enumerate(keep):
         others = keep[:i] + keep[i + 1:]
-        reduced.append(remainder(f, others).monic() if others else f.monic())
-    return tuple(sorted(reduced, key=lambda f: f.terms[0][0], reverse=True))
+        result.append(remainder(f, others).monic() if others else f)
+    return tuple(sorted(result, key=lambda f: f.terms[0][0], reverse=True))
 
 
 def member(p: MultiPoly, ideal: Ideal, guard: int = DEFAULT_GUARD) -> bool:
@@ -463,6 +523,7 @@ def contains(outer: Ideal, inner: Ideal, guard: int = DEFAULT_GUARD) -> bool:
     """
     if outer.variables != inner.variables:
         raise DimensionMismatch("ideals live in different rings")
+    _check_guard(guard)
     if not inner.generators:
         return True
     basis = groebner(outer, guard)

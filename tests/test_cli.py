@@ -298,6 +298,28 @@ class TestHilbert:
         assert report["period"] is None
         assert report["series"] == "3 + t"
 
+    @pytest.mark.parametrize("window", ["0", "65", "1000000"])
+    def test_window_out_of_range(self, capsys, files, window):
+        code, out, err = run(
+            capsys,
+            "hilbert", "--algebra", files["sl2"], "--sigma", files["sigma"],
+            "--window", window,
+        )
+        assert (code, out) == (2, "")
+        assert "error[InvalidInput]: window must be between 1 and 64" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bound", ["0", "-3", "1025"])
+    def test_order_bound_out_of_range(self, capsys, files, bound):
+        code, out, err = run(
+            capsys,
+            "hilbert", "--algebra", files["sl2"], "--sigma", files["flip"],
+            "--order-bound", bound,
+        )
+        assert (code, out) == (2, "")
+        assert "error[InvalidInput]: order bound must be between 1 and 1024" in err
+        assert "Traceback" not in err
+
 
 class TestPolynomialCommands:
     def test_groebner(self, capsys, files):
@@ -340,6 +362,28 @@ class TestPolynomialCommands:
         )
         assert code == 1
         assert "error[DegreeGuardExceeded]" in err
+        assert "exceeded 0 generated polynomials" in err
+        for counter in (
+            "pairs reduced: 1", "skipped by the product criterion: 0",
+            "skipped by the chain and M criteria: 0", "still queued: 0",
+            "basis size: 2",
+        ):
+            assert counter in err
+
+    @pytest.mark.parametrize("argv", [
+        ("groebner", "--ideal", "ideal", "--degree-guard", "-1"),
+        ("groebner", "--ideal", "ideal", "--degree-guard", "1000001"),
+        ("contain", "--outer", "ideal", "--inner", "empty", "--degree-guard", "-1"),
+        ("sl2", "--family", "b", "--degree-guard", "1000001"),
+    ])
+    def test_degree_guard_out_of_range(self, capsys, files, argv):
+        empty = files["tmp"] / "empty.json"
+        empty.write_text(json.dumps({"vars": ["x", "y"], "gens": []}))
+        paths = {"ideal": files["ideal"], "empty": str(empty)}
+        code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+        assert (code, out) == (2, "")
+        assert "error[InvalidInput]: degree guard must be between 0 and 1000000" in err
+        assert "Traceback" not in err
 
     def test_malformed_ideal_file(self, capsys, files):
         path = files["tmp"] / "broken.json"

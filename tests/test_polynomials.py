@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gderive.errors import (
@@ -13,6 +13,7 @@ from gderive.errors import (
     UnknownVariable,
 )
 from gderive.linalg import Matrix, kernel_basis
+from gderive import polynomials
 from gderive.polynomials import (
     Ideal,
     MultiPoly,
@@ -30,6 +31,7 @@ from gderive.polynomials import (
     substitute_ideal,
     triangular_prime_check,
 )
+from gderive.sl2 import Sl2Family, _raw_ideal
 
 # The ten-variable ring of the twisted-derivation ideal study, in its
 # declared lex order.
@@ -264,6 +266,122 @@ class TestBuchberger:
         # Callers complete a reduced basis again instead of keeping the
         # original generators; that must give the same basis back.
         assert list(groebner(Ideal(variables, tuple(basis)), guard=200)) == basis
+
+
+# A term is (exponent of x, of y, of z, integer coefficient).
+_TERMS = st.lists(
+    st.tuples(
+        st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+        st.integers(-3, 3),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+def _poly_from_terms(variables, terms, shift=(0, 0, 0)):
+    return MultiPoly.from_dict(variables, {
+        tuple(e + s for e, s in zip(t[:len(variables)], shift)): Fraction(t[-1])
+        for t in terms
+    })
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _sympy_reduced_basis(sympy, ideal):
+    """sympy's reduced lex basis of the ideal, made monic."""
+    symbols = sympy.symbols(ideal.variables)
+    polys = [
+        sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator) for e, c in g.terms},
+            *symbols, domain="QQ",
+        )
+        for g in ideal.generators
+    ]
+    basis = sympy.groebner(polys, *symbols, order="lex", domain="QQ")
+    monic = [
+        MultiPoly.from_dict(ideal.variables, {
+            e: Fraction(int(c.p), int(c.q)) for e, c in p.monic().terms()
+        })
+        for p in basis.polys
+    ]
+    return tuple(sorted(monic, key=lambda f: f.terms[0][0], reverse=True))
+
+
+def _assert_matches_sympy(sympy, ideal):
+    assume(ideal.generators)
+    try:
+        basis = groebner(ideal, guard=200)
+    except DegreeGuardExceeded:
+        assume(False)
+    assert basis == _sympy_reduced_basis(sympy, ideal)
+
+
+class TestAgainstSympy:
+    @given(
+        st.sampled_from([("x", "y"), ("x", "y", "z")]),
+        st.lists(_TERMS, min_size=1, max_size=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_ideals(self, sympy, variables, gen_terms):
+        ideal = Ideal.make(
+            variables, [_poly_from_terms(variables, t) for t in gen_terms]
+        )
+        _assert_matches_sympy(sympy, ideal)
+
+    # Every generator carries the common monomial factor, so leading terms
+    # share factors and a new leading term often divides the lcm of an
+    # open pair: the chain criterion fires. The explicit example fires it.
+    @given(
+        st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)),
+        st.lists(_TERMS, min_size=2, max_size=3),
+    )
+    @example(
+        common=(0, 0, 1),
+        gen_terms=[
+            [(1, 2, 0, -1), (1, 1, 1, 2)],
+            [(1, 2, 0, -2), (2, 0, 1, -2)],
+            [(2, 1, 0, -2)],
+        ],
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_shared_leading_factors(self, sympy, common, gen_terms):
+        variables = ("x", "y", "z")
+        ideal = Ideal.make(variables, [
+            _poly_from_terms(variables, t, common) for t in gen_terms
+        ])
+        _assert_matches_sympy(sympy, ideal)
+
+
+class TestPairPruning:
+    # S-pair reductions in completing the raw residual ideal of each sl2
+    # family. The bounds are the counts with every criterion on: without
+    # the chain criterion b needs 14 and ab 38, without criterion M ab
+    # needs 114.
+    @pytest.mark.parametrize("tag, bound", [("b", 13), ("c", 16), ("ab", 36)])
+    def test_spair_reductions_bounded(self, monkeypatch, tag, bound):
+        spolys = []
+        reductions = []
+        spoly, reduce = polynomials._spoly, polynomials.remainder
+
+        def recording_spoly(f, g):
+            spolys.append(spoly(f, g))
+            return spolys[-1]
+
+        def counting_remainder(p, divisors):
+            if spolys and p is spolys[-1]:
+                reductions.append(p)
+            return reduce(p, divisors)
+
+        ideal = _raw_ideal(Sl2Family.symbolic(tag))
+        expected = groebner(ideal)
+        monkeypatch.setattr(polynomials, "_spoly", recording_spoly)
+        monkeypatch.setattr(polynomials, "remainder", counting_remainder)
+        assert groebner(ideal) == expected
+        assert len(reductions) == len(spolys)
+        assert len(reductions) <= bound
 
 
 class TestMembership:
