@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from gderive.algebra import Automorphism, LieAlgebra, require_validated
 from gderive.derivations import derivation_space
 from gderive.errors import FiniteOrderInput, InputError, NoPeriod
-from gderive.linalg import matrix_order
+from gderive.linalg import Matrix, inverse, matrix_order
 
 DEFAULT_WINDOW = 8
 DEFAULT_ORDER_BOUND = 64
@@ -49,7 +49,9 @@ def graded_dims(
     kind "plus" additionally requires commuting with sigma^k, which is
     vacuous at k = 0, so grade 0 always carries dim Der(g). The window
     must lie in 1..MAX_WINDOW and order_bound in 1..MAX_ORDER_BOUND: each
-    grade is one linear solve, each order step one matrix product.
+    grade is one linear solve and at most one matrix product (sigma^k is
+    sigma^(k-1) times sigma, or times one shared inverse for k < 0), and
+    each order step is one matrix product.
     """
     require_validated(sigma)
     if kind not in ("plain", "plus"):
@@ -62,13 +64,22 @@ def graded_dims(
         )
     order = matrix_order(sigma.matrix, order_bound)
     if order is None:
-        grades = range(-window, window + 1)
+        steps, top = ((1, sigma.matrix), (-1, inverse(sigma.matrix))), window
     else:
-        grades, window = range(order), order
-    dims = {}
-    for k in grades:
-        dims[k] = derivation_space(g, sigma.power(k), kind=kind).dim
-    return GradedDims(g, sigma, kind, window, dims, order)
+        steps, top, window = ((1, sigma.matrix),), order - 1, order
+
+    def dim(m: Matrix) -> int:
+        power = Automorphism(sigma.algebra, m, sigma.validated)
+        return derivation_space(g, power, kind=kind).dim
+
+    dims = {0: dim(Matrix.identity(sigma.matrix.rows))}
+    for sign, step in steps:
+        power = step
+        for k in range(1, top + 1):
+            if k > 1:
+                power = power @ step
+            dims[sign * k] = dim(power)
+    return GradedDims(g, sigma, kind, window, dict(sorted(dims.items())), order)
 
 
 def detect_period(gd: GradedDims):

@@ -7,6 +7,11 @@ e_j). Row reduction delegates to the sparse integer kernel in
 Fractions are scaled to integers one by one on the way in; the systems
 that the derivation solvers assemble are integer rows already and go to
 the kernel as they are.
+
+Dense products (``@``, ``power``, ``exp_nilpotent``) are formed the same
+way: each factor is scaled to integers by the lcm of its denominators,
+the dot products run over ints, and each output entry becomes one
+Fraction over the common denominator.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from gderive._kernels import rref_int
 from gderive.errors import DimensionMismatch, InputError, NotNilpotent, SingularMatrix
@@ -56,6 +62,8 @@ class Matrix:
 
     Entries are Fractions, except in the linear systems that
     :mod:`gderive.derivations` assembles, whose rows hold Python ints.
+    Products are formed over a common integer denominator and always
+    return Fraction entries, whatever the entries of the factors.
     """
 
     rows: int
@@ -117,11 +125,10 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions differ")
-        cols = [other.col(j) for j in range(other.cols)]
-        return Matrix(self.rows, other.cols, tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.entries
-        ))
+        a, a_scale = _integer_rows(self.entries)
+        b, b_scale = _integer_rows(other.entries)
+        product = _int_product(a, b, other.cols)
+        return _over(product, a_scale * b_scale, other.cols)
 
     def apply(self, vector):
         """Image of a coordinate vector (matrix times column vector)."""
@@ -131,12 +138,16 @@ class Matrix:
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
 
     def power(self, k: int) -> "Matrix":
+        """self^k for k >= 0, by k - 1 products starting from self."""
         if self.rows != self.cols:
             raise DimensionMismatch("power of a non-square matrix")
-        result = Matrix.identity(self.rows)
-        base = self
-        for _ in range(k):
-            result = result @ base
+        if k < 0:
+            raise InputError(f"negative matrix power {k}; invert first")
+        if k == 0:
+            return Matrix.identity(self.rows)
+        result = self
+        for _ in range(k - 1):
+            result = result @ self
         return result
 
     def transpose(self) -> "Matrix":
@@ -148,7 +159,11 @@ class Matrix:
         return all(a == 0 for row in self.entries for a in row)
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and self == Matrix.identity(self.rows)
+        return self.rows == self.cols and all(
+            a == (1 if i == j else 0)
+            for i, row in enumerate(self.entries)
+            for j, a in enumerate(row)
+        )
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
@@ -183,16 +198,35 @@ class Matrix:
         ))
 
 
+def _integer_rows(rows):
+    """(int rows, scale): every entry times scale, the lcm of all the
+    entries' denominators. Ints count as denominator 1."""
+    scale = lcm(*(a.denominator for row in rows for a in row))
+    ints = [[a.numerator * (scale // a.denominator) for a in row] for row in rows]
+    return ints, scale
+
+
+def _int_product(a, b, ncols: int):
+    """Int rows of a @ b, for int rows a (r x n) and b (n x ncols)."""
+    cols = list(zip(*b)) if b else [()] * ncols
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _over(int_rows, den: int, ncols: int) -> Matrix:
+    """The matrix int_rows / den, one Fraction per entry."""
+    return Matrix(len(int_rows), ncols, tuple(
+        tuple(Fraction(p, den) for p in row) for row in int_rows
+    ))
+
+
 def _rows_to_int(entries):
     """Integer rows: each row of Fractions is scaled by the lcm of its
     denominators; a row of ints passes through unchanged."""
     out = []
     for row in entries:
-        if set(map(type, row)) <= {int}:
-            out.append(row)
-            continue
-        scale = lcm(*(a.denominator for a in row))
-        out.append([a.numerator * (scale // a.denominator) for a in row])
+        if not set(map(type, row)) <= {int}:
+            (row,), _ = _integer_rows((row,))
+        out.append(row)
     return out
 
 
@@ -202,12 +236,12 @@ def integer_columns(m: Matrix):
     Returns (columns, scale): columns[j] is {i: scale * m[i, j]} over the
     nonzero entries, and scale is the lcm of the entries' denominators.
     """
-    scale = lcm(*(a.denominator for row in m.entries for a in row))
+    rows, scale = _integer_rows(m.entries)
     columns = [{} for _ in range(m.cols)]
-    for i, row in enumerate(m.entries):
+    for i, row in enumerate(rows):
         for j, a in enumerate(row):
             if a:
-                columns[j][i] = a.numerator * (scale // a.denominator)
+                columns[j][i] = a
     return columns, scale
 
 
@@ -281,22 +315,31 @@ def inverse(m: Matrix) -> Matrix:
 
 
 def exp_nilpotent(m: Matrix) -> Matrix:
-    """Finite exponential sum for nilpotent m: sum of m^k / k! for k < n."""
+    """Finite exponential sum for nilpotent m: sum of m^k / k! for k < n.
+
+    With m = A / d for an int matrix A, the sum is
+    sum_k A^k (n-1)!/k! d^(n-1-k) over the one denominator (n-1)! d^(n-1).
+    """
     if m.rows != m.cols:
         raise DimensionMismatch("exp of a non-square matrix")
     n = m.rows
-    powers = [Matrix.identity(n)]
-    for _ in range(n):
-        powers.append(powers[-1] @ m)
-    if not powers[n].is_zero():
+    if n == 0:
+        return Matrix.identity(0)
+    a, d = _integer_rows(m.entries)
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)], a]
+    for _ in range(n - 1):
+        powers.append(_int_product(powers[-1], a, n))
+    if any(any(row) for row in powers[n]):
         raise NotNilpotent("matrix is not nilpotent")
-    result = Matrix.zero(n, n)
-    factorial = 1
-    for k in range(n):
+    total = [[0] * n for _ in range(n)]
+    weight = 1  # (n-1)!/k! d^(n-1-k), from k = n-1 down to (n-1)! d^(n-1)
+    for k in range(n - 1, -1, -1):
+        for out, row in zip(total, powers[k]):
+            for j, p in enumerate(row):
+                out[j] += weight * p
         if k:
-            factorial *= k
-        result = result + powers[k].scale(Fraction(1, factorial))
-    return result
+            weight *= k * d
+    return _over(total, weight, n)
 
 
 def matrix_order(m: Matrix, max_m: int):

@@ -113,14 +113,16 @@ def classify_derivation(a, b, c) -> DerivationClassification:
     """Nilpotency dichotomy and iterated ranks for the derivation family."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     d = derivation_matrix(a, b, c)
-    nilpotent = d.power(3).is_zero()
+    d2 = d @ d
+    d3 = d2 @ d
+    nilpotent = d3.is_zero()
     if b * c == 0:
         predicted = a == 0
         case = "bc=0" + (", a=0" if a == 0 else ", a!=0")
     else:
         predicted = a * a == 4 * b * c
         case = "bc!=0, " + ("a^2=4bc" if predicted else "a^2!=4bc")
-    ranks = {n: rref(d.power(n))[2] for n in (1, 2, 3)}
+    ranks = {n: rref(m)[2] for n, m in ((1, d), (2, d2), (3, d3))}
     return DerivationClassification(d, nilpotent, predicted, ranks, case)
 
 

@@ -30,6 +30,23 @@ FLIP = make_automorphism(
 SHEAR = make_automorphism(
     HEIS, Matrix.from_rows([[1, -1, 0], [0, 1, 0], [0, 0, 1]])
 )
+SIGMA_LOWER = make_automorphism(
+    SL2,
+    exp_nilpotent(Matrix.from_rows([[0, 0, 0], [-2, 0, 0], [0, 1, 0]]).scale(
+        Fraction(2, 3)
+    )),
+)
+HEIS_SCALING = make_automorphism(
+    HEIS,
+    Matrix.from_rows([[Fraction(1, 2), 0, 0], [0, 3, 0], [0, 0, Fraction(3, 2)]]),
+)
+# Der_{sigma^k} has dim 4 at even and 3 at odd k != 0 (plain kind).
+HEIS_ALTERNATING = make_automorphism(
+    HEIS, Matrix.from_rows([[-1, 0, 0], [0, 2, 0], [0, 0, -2]])
+)
+HEIS_ROTATION = make_automorphism(
+    HEIS, Matrix.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
+)
 
 
 def synthetic(dims, window, finite_order=None):
@@ -81,6 +98,33 @@ class TestGradedDims:
         plain = graded_dims(SL2, SIGMA_UPPER, "plain", 4)
         plus = graded_dims(SL2, SIGMA_UPPER, "plus", 4)
         assert plain.dims == plus.dims
+
+    @pytest.mark.parametrize("kind", ["plain", "plus"])
+    @pytest.mark.parametrize("window", [1, 2, 8])
+    @pytest.mark.parametrize(
+        "g, sigma",
+        [
+            (SL2, SIGMA_UPPER),
+            (SL2, SIGMA_LOWER),
+            (SL2, FLIP),
+            (HEIS, SHEAR),
+            (HEIS, HEIS_SCALING),
+            (HEIS, HEIS_ALTERNATING),
+            (HEIS, HEIS_ROTATION),
+        ],
+        ids=["sl2-upper", "sl2-lower", "sl2-flip", "h3-shear", "h3-scaling",
+             "h3-alternating", "h3-rotation"],
+    )
+    def test_matches_per_grade_powers(self, g, sigma, window, kind):
+        gd = graded_dims(g, sigma, kind, window)
+        if gd.finite_order is None:
+            grades = range(-window, window + 1)
+        else:
+            grades = range(gd.finite_order)
+        assert list(gd.dims) == list(grades)
+        for k in grades:
+            reference = derivation_space(g, sigma.power(k), kind=kind)
+            assert gd.dims[k] == reference.dim
 
     def test_input_guards(self):
         with pytest.raises(InputError):

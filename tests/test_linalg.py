@@ -290,6 +290,156 @@ class TestOrder:
         assert matrix_order(exp_nilpotent(NILPOTENT_B1), 50) is None
 
 
+def reference_product(a, b, ncols):
+    """Entries of a @ b by a plain Fraction triple loop, sharing no code
+    with Matrix: a is r x n, b is n x ncols, both lists of rows."""
+    return [
+        [
+            sum((Fraction(a[i][k]) * Fraction(b[k][j]) for k in range(len(b))),
+                Fraction(0))
+            for j in range(ncols)
+        ]
+        for i in range(len(a))
+    ]
+
+
+def reference_identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+# Ints (small and up to 2^70) and Fractions over distinct prime
+# denominators, so that a dropped or doubled scale factor shows.
+exact_scalars = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2 ** 70), 2 ** 70),
+    st.builds(
+        Fraction,
+        st.integers(-(2 ** 70), 2 ** 70),
+        st.sampled_from([2, 3, 5, 7, 11, 13, 1009]),
+    ),
+    small_fractions,
+)
+
+
+def grids(nrows, ncols, entry=exact_scalars):
+    return st.lists(
+        st.lists(entry, min_size=ncols, max_size=ncols),
+        min_size=nrows,
+        max_size=nrows,
+    )
+
+
+def raw_matrix(grid, ncols):
+    """Matrix over the grid's entries as given, ints left as ints."""
+    return Matrix(len(grid), ncols, tuple(tuple(row) for row in grid))
+
+
+def entries_of(m):
+    return [list(row) for row in m.entries]
+
+
+def all_fractions(m):
+    return all(type(a) is Fraction for row in m.entries for a in row)
+
+
+@st.composite
+def product_pairs(draw):
+    """(a, b, ncols) with a r x n and b n x ncols, any of r, n, ncols 0."""
+    r, n, c = (draw(st.integers(0, 4)) for _ in range(3))
+    return draw(grids(r, n)), draw(grids(n, c)), c
+
+
+@st.composite
+def nilpotent_grids(draw):
+    """Strictly upper (or, transposed, strictly lower) triangular n x n."""
+    n = draw(st.integers(0, 6))
+    grid = [
+        [draw(exact_scalars) if j > i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    if draw(st.booleans()):
+        grid = [list(col) for col in zip(*grid)]
+    return grid
+
+
+class TestExactProducts:
+    """@, power and exp_nilpotent against plain Fraction references."""
+
+    @given(product_pairs())
+    @example(([], [], 3))
+    @example(([[], []], [], 2))
+    @example(([[1, 2]], [[3], [4]], 1))
+    @example(
+        ([[Fraction(1, 3), 2 ** 70]], [[Fraction(3, 7)], [Fraction(1, 5)]], 1)
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matmul_matches_triple_loop(self, pair):
+        a, b, ncols = pair
+        got = raw_matrix(a, len(b)) @ raw_matrix(b, ncols)
+        assert (got.rows, got.cols) == (len(a), ncols)
+        assert entries_of(got) == reference_product(a, b, ncols)
+        assert all_fractions(got)
+
+    @given(st.integers(0, 4).flatmap(lambda n: grids(n, n)), st.integers(0, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_power_matches_repeated_product(self, grid, k):
+        n = len(grid)
+        expected = reference_identity(n)
+        for _ in range(k):
+            expected = reference_product(expected, grid, n)
+        got = Matrix.from_rows(grid).power(k)
+        assert (got.rows, got.cols) == (n, n)
+        assert entries_of(got) == expected
+        assert all_fractions(got)
+
+    @given(nilpotent_grids())
+    @example([])
+    @example([[0]])
+    @example([[0, Fraction(1, 2), 2 ** 70], [0, 0, Fraction(1, 3)], [0, 0, 0]])
+    @settings(max_examples=100, deadline=None)
+    def test_exp_nilpotent_matches_series(self, grid):
+        n = len(grid)
+        expected = reference_identity(n)
+        term = reference_identity(n)
+        for k in range(1, n):
+            term = [[a / k for a in row] for row in reference_product(term, grid, n)]
+            expected = [
+                [x + y for x, y in zip(r, t)] for r, t in zip(expected, term)
+            ]
+        got = exp_nilpotent(raw_matrix(grid, n))
+        assert (got.rows, got.cols) == (n, n)
+        assert entries_of(got) == expected
+        assert all_fractions(got)
+
+    def test_exp_rejects_nonzero_diagonal(self):
+        with pytest.raises(NotNilpotent):
+            exp_nilpotent(Matrix.from_rows([[0, 1], [0, Fraction(1, 3)]]))
+
+    def test_matmul_dimension_check(self):
+        with pytest.raises(DimensionMismatch):
+            Matrix.zero(2, 3) @ Matrix.zero(2, 3)
+
+
+class TestPower:
+    SHEAR = Matrix.from_rows([[1, 1], [0, 1]])
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(InputError):
+            self.SHEAR.power(-1)
+
+    def test_zero_power_is_identity(self):
+        assert self.SHEAR.power(0) == Matrix.identity(2)
+        assert all_fractions(self.SHEAR.power(0))
+
+    def test_positive_powers(self):
+        assert self.SHEAR.power(1) == self.SHEAR
+        assert self.SHEAR.power(5) == Matrix.from_rows([[1, 5], [0, 1]])
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            Matrix.zero(2, 3).power(2)
+
+
 class TestSubspaces:
     def test_intersect_axes(self):
         x_axis = Subspace.span(2, [[1, 0]])

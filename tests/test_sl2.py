@@ -270,6 +270,40 @@ class TestFamilySigma:
         assert specialized == family_sigma(Sl2Family.fixed("ab", a=2, b=1))
 
 
+@pytest.fixture
+def matmul_calls(monkeypatch):
+    """Shapes of every dense Matrix product made while the test runs."""
+    calls = []
+    original = Matrix.__matmul__
+
+    def counting(self, other):
+        calls.append((self.rows, self.cols, other.cols))
+        return original(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    return calls
+
+
+class TestProductCounts:
+    def test_classify_derivation_forms_d2_and_d3_once(self, matmul_calls):
+        for args in ((1, 1, 1), (2, 1, 1), (0, 0, 0), (F(1, 2), F(-3), F(5, 7))):
+            matmul_calls.clear()
+            classify_derivation(*args)
+            assert matmul_calls == [(3, 3, 3), (3, 3, 3)]
+
+    def test_family_exponentials_make_no_matrix_products(self, matmul_calls):
+        b_gen = Matrix.from_rows([[0, 1, 0], [0, 0, -2], [0, 0, 0]])
+        c_gen = Matrix.from_rows([[0, 0, 0], [-2, 0, 0], [0, 1, 0]])
+        for t in (F(1), F(-2), F(3, 5)):
+            assert exp_nilpotent(b_gen.scale(t)) == Matrix.from_rows(
+                [[1, t, -t * t], [0, 1, -2 * t], [0, 0, 1]]
+            )
+            assert exp_nilpotent(c_gen.scale(t)) == Matrix.from_rows(
+                [[1, 0, 0], [-2 * t, 1, 0], [-t * t, t, 1]]
+            )
+        assert matmul_calls == []
+
+
 def _const(p):
     if p.is_zero:
         return F(0)
