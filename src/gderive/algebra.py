@@ -307,7 +307,11 @@ def algebra_from_json_dict(data: dict) -> LieAlgebra:
         entries = data["brackets"]
     except (TypeError, KeyError) as exc:
         raise InputError("algebra object needs name, dim, brackets") from exc
-    if not isinstance(dim, int) or dim < 0:
+    if not isinstance(name, str):
+        raise InputError("name must be a string")
+    # type() rather than isinstance: a JSON true is a bool, and bool is an
+    # int subclass that would otherwise count as 1.
+    if type(dim) is not int or dim < 0:
         raise InputError("dim must be a nonnegative integer")
     if dim > MAX_DIM:
         raise InputError(f"dim is too large: an algebra needs dim <= {MAX_DIM}")
@@ -319,8 +323,10 @@ def algebra_from_json_dict(data: dict) -> LieAlgebra:
             i, j, result = item["left"], item["right"], item["result"]
         except (TypeError, KeyError) as exc:
             raise InputError("bracket entries need left, right, result") from exc
-        if not (isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= dim):
+        if not (type(i) is int and type(j) is int and 1 <= i < j <= dim):
             raise InputError(f"bracket pair ({i},{j}) must satisfy 1 <= i < j <= dim")
+        if (i - 1, j - 1) in structure:
+            raise InputError(f"bracket pair ({i},{j}) is listed twice")
         if not isinstance(result, list) or not all(
             isinstance(term, list) and len(term) == 2 for term in result
         ):
@@ -329,7 +335,7 @@ def algebra_from_json_dict(data: dict) -> LieAlgebra:
             )
         vec = [Fraction(0)] * dim
         for coeff, k in result:
-            if not (isinstance(k, int) and 1 <= k <= dim):
+            if not (type(k) is int and 1 <= k <= dim):
                 raise InputError(f"component index {k} out of range")
             vec[k - 1] += parse_rational(coeff)
         structure[(i - 1, j - 1)] = tuple(vec)

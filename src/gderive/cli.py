@@ -55,7 +55,6 @@ from .sl2 import (
     Sl2Family,
     derivation_ideal,
     fixed_param_dimension,
-    known_components,
     verify_decomposition,
 )
 from . import reproduce as _reproduce
@@ -75,6 +74,8 @@ def _read_json(path: str) -> dict:
         # JSONDecodeError, bytes that are not UTF-8, or an integer literal
         # past Python's int/str digit limit.
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path} nests arrays or objects too deeply") from exc
 
 
 def load_algebra(spec: str, require_valid: bool = True) -> LieAlgebra:
@@ -399,27 +400,27 @@ def cmd_sl2(args) -> int:
     else:
         report = verify_decomposition(family, args.degree_guard)
         for verdict in report.components:
+            component = verdict.component
             out["components"].append(
                 {
-                    "name": verdict.name,
-                    "generators": [str(p) for p in verdict.ideal.generators],
+                    "name": component.name,
+                    "generators": [str(p) for p in component.ideal.generators],
                     "prime_certified": verdict.certificate.certified,
                     "free_vars": list(verdict.certificate.free_vars),
                     "dimension": verdict.dimension,
                     "dimension_source": verdict.dimension_source,
-                    "claimed_dimension": verdict.claimed_dimension,
+                    "claimed_dimension": component.claimed_dimension,
                     "contains_ideal": verdict.contains_residuals,
                     "form_identity": verdict.form_satisfies_residuals,
                     "claimed_form_identity": verdict.claimed_form_satisfies_residuals,
+                    "parametric_form": _form_grid(component.form),
+                    "form_variables": list(component.form_variables),
+                    "claimed_form": (
+                        _form_grid(component.claimed_form)
+                        if component.claimed_form is not None
+                        else None
+                    ),
                 }
-            )
-        for row, component in zip(out["components"], known_components(family)):
-            row["parametric_form"] = _form_grid(component.form)
-            row["form_variables"] = list(component.form_variables)
-            row["claimed_form"] = (
-                _form_grid(component.claimed_form)
-                if component.claimed_form is not None
-                else None
             )
         out["containments"] = {
             "product_contained": report.product_contained,

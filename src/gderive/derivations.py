@@ -61,7 +61,6 @@ class DerivationSpace:
     kind: str
     basis: tuple
     subspace: Subspace
-    generators_for_minus: tuple = ()
 
     @property
     def dim(self) -> int:
@@ -206,7 +205,7 @@ def derivation_space(
     elif kind != "plain":
         raise DimensionMismatch(f"unknown kind {kind!r}")
     matrices, space = _solve_rows(n, rows)
-    return DerivationSpace(g, sigma, tau, kind, matrices, space, tuple(gens))
+    return DerivationSpace(g, sigma, tau, kind, matrices, space)
 
 
 def plus_interior(g: LieAlgebra, sigma: Automorphism) -> DerivationSpace:

@@ -185,7 +185,10 @@ class Matrix:
             entries = data["entries"]
         except (TypeError, KeyError) as exc:
             raise InputError("matrix object needs rows, cols, entries") from exc
-        if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
+        # A JSON true is a bool, an int subclass; it must not count as 1.
+        if type(rows) is not int or type(cols) is not int:
+            raise InputError("rows and cols must be integers")
+        if rows < 0 or cols < 0:
             raise DimensionMismatch("rows and cols must be nonnegative integers")
         if not isinstance(entries, list) or not all(
             isinstance(r, list) for r in entries
@@ -193,6 +196,8 @@ class Matrix:
             raise InputError("entries must be a list of rows")
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise DimensionMismatch("entries grid is not rows x cols")
+        if any(isinstance(v, bool) for row in entries for v in row):
+            raise InputError("matrix entries must be rationals, not booleans")
         return Matrix(rows, cols, tuple(
             tuple(_coerce(v) for v in row) for row in entries
         ))

@@ -92,9 +92,6 @@ class MultiPoly:
                 return c
         return Fraction(0)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e, _ in self.terms), default=0)
-
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_ring(other)
         terms = dict(self.terms)

@@ -44,7 +44,6 @@ from .sl2 import (
     derivation_matrix,
     family_sigma,
     fixed_param_dimension,
-    known_components,
     verify_decomposition,
 )
 
@@ -203,7 +202,7 @@ def _run_thm512():
         and first.contains_residuals
         and first.form_satisfies_residuals
         and first.dimension == 4
-        and first.claimed_dimension == 3
+        and first.component.claimed_dimension == 3
         and second.contains_residuals
         and second.form_satisfies_residuals
         and second.certificate.certified is False

@@ -7,6 +7,11 @@ matching the stacked-image vector convention of the linear layer. The
 polynomial ring for a family lists the nine unknowns first and the
 family parameters last, in lexicographic order.
 
+Each family's automorphism is sigma = exp(G) for a nilpotent derivation
+G = D(a, b, c). At fixed parameters it is exp_nilpotent(G); the symbolic
+families use closed-form grids of exp(G) over the family ring, which the
+test suite proves equal to exp_nilpotent by interpolation.
+
 For each family the module produces the residual ideal J of the twisted
 identity, the two candidate components p1 (untwisted slice) and p2 (the
 parametric line family), and a verification report: containments, prime
@@ -128,38 +133,42 @@ def classify_derivation(a, b, c) -> DerivationClassification:
 
 def _generator_matrix(tag: str, values: dict) -> Matrix:
     if tag == "b":
-        b = values["b"]
-        return Matrix.from_rows([[0, b, 0], [0, 0, -2 * b], [0, 0, 0]])
+        return derivation_matrix(0, values["b"], 0)
     if tag == "c":
-        c = values["c"]
-        return Matrix.from_rows([[0, 0, 0], [-2 * c, 0, 0], [0, c, 0]])
+        return derivation_matrix(0, 0, values["c"])
     a, b = values["a"], values["b"]
     return derivation_matrix(a, b, a * a / (4 * b))
 
 
+# exp(G) = I + G + G^2/2 for each family's nilpotent generator G, as
+# polynomials in the family parameters: G = D(0, y, 0), D(0, 0, y) and
+# D(2bc, b, bc^2), the last being D(a, b, a^2/4b) at c = a/2b.
+SYMBOLIC_SIGMA = {
+    "b": (
+        ("1", "y", "-y^2"),
+        ("0", "1", "-2*y"),
+        ("0", "0", "1"),
+    ),
+    "c": (
+        ("1", "0", "0"),
+        ("-2*y", "1", "0"),
+        ("-y^2", "y", "1"),
+    ),
+    "ab": (
+        ("b^2*c^2 + 2*b*c + 1", "b^2*c + b", "-b^2"),
+        ("-2*b^2*c^3 - 2*b*c^2", "-2*b^2*c^2 + 1", "2*b^2*c - 2*b"),
+        ("-b^2*c^4", "-b^2*c^3 + b*c^2", "b^2*c^2 - 2*b*c + 1"),
+    ),
+}
+
+
 def family_sigma(f: Sl2Family):
-    """The automorphism of the family: exact matrix when fixed, a grid of
-    parameter polynomials when symbolic."""
+    """The automorphism of the family: exp_nilpotent of its generator when
+    fixed; when symbolic, the closed-form grid of exp(G) over the family
+    ring, which the test suite proves equal to exp_nilpotent."""
     if f.values is not None:
         return exp_nilpotent(_generator_matrix(f.tag, f.values))
-    if f.tag == "b":
-        return _matrix_of_strings(
-            ("y",), [["1", "y", "-1*y^2"], ["0", "1", "-2*y"], ["0", "0", "1"]]
-        )
-    if f.tag == "c":
-        return _matrix_of_strings(
-            ("y",), [["1", "0", "0"], ["-2*y", "1", "0"], ["-1*y^2", "y", "1"]]
-        )
-    ring = ("b", "c")
-    generator = _matrix_of_strings(
-        ring,
-        [
-            ["2*b*c", "b", "0"],
-            ["-2*b*c^2", "0", "-2*b"],
-            ["0", "b*c^2", "-2*b*c"],
-        ],
-    )
-    return _poly_exp_unipotent(ring, generator)
+    return _matrix_of_strings(f.ring, SYMBOLIC_SIGMA[f.tag])
 
 
 # -- polynomial-matrix helpers ------------------------------------------------
@@ -175,56 +184,6 @@ def _poly_identity(ring, n=3):
     zero = MultiPoly.zero(ring)
     return tuple(
         tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
-
-
-def _pm_add(a, b):
-    return tuple(
-        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
-def _pm_scale(a, k):
-    return tuple(tuple(x.scale(k) for x in row) for row in a)
-
-
-def _pm_mul(a, b):
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = MultiPoly.zero(a[0][0].variables)
-            for m in range(n):
-                acc = acc + a[i][m] * b[m][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _pm_is_zero(a):
-    return all(e.is_zero for row in a for e in row)
-
-
-def _poly_exp_unipotent(ring, d):
-    """I + d + d^2/2 + ... for a nilpotent polynomial matrix."""
-    total = _poly_identity(ring)
-    power = _poly_identity(ring)
-    factorial = 1
-    for k in range(1, 4):
-        power = _pm_mul(power, d)
-        if _pm_is_zero(power):
-            return total
-        factorial *= k
-        total = _pm_add(total, _pm_scale(power, Fraction(1, factorial)))
-    if not _pm_is_zero(_pm_mul(power, d)):
-        raise InputError("family generator is not nilpotent")
-    return total
-
-
-def _lift_matrix(pm, ring):
-    return tuple(
-        tuple(e.substitute_polys(ring, {}) for e in row) for row in pm
     )
 
 
@@ -295,9 +254,8 @@ def _residual_polynomials(ring, sigma_pm):
 def _raw_ideal(f: Sl2Family) -> Ideal:
     """The nonzero residual coordinates over all ordered basis pairs,
     deduplicated up to scale, with fixed parameter values substituted."""
-    ring = f.ring
     sigma = family_sigma(Sl2Family.symbolic(f.tag))
-    raw = _residual_polynomials(ring, _lift_matrix(sigma, ring))
+    raw = _residual_polynomials(f.ring, sigma)
     if f.values is not None:
         assignment = _parameter_assignment(f.tag, f.values)
         raw = [p.substitute(assignment) for p in raw]
@@ -442,42 +400,36 @@ def _untwisted_component(ring, gens, param_names, claimed=3):
 
 def known_components(f: Sl2Family) -> tuple:
     """(p1, p2) with their certified generator lists and parametrizations."""
-    if f.tag == "b":
+    if f.tag != "ab":
         p1 = _untwisted_component(RING_ONE_PARAM, P1_ONE_PARAM, ("y",))
         form_vars = ("t", "y")
         t = MultiPoly.var(form_vars, "t")
         y = MultiPoly.var(form_vars, "y")
         zero = MultiPoly.zero(form_vars)
-        form = (
-            (zero, t.scale(Fraction(-1, 2)), (t * y).scale(Fraction(1, 2))),
-            (zero, zero, t),
-            (zero, zero, zero),
-        )
+        half = Fraction(1, 2)
+        if f.tag == "b":
+            gens = P2_FAMILY_B
+            form = claimed = (
+                (zero, t.scale(-half), (t * y).scale(half)),
+                (zero, zero, t),
+                (zero, zero, zero),
+            )
+        else:
+            # The recorded form of family c fails the identity.
+            gens = P2_FAMILY_C
+            form = (
+                (zero, zero, zero),
+                (t.scale(-1), zero, zero),
+                ((t * y).scale(-half), t.scale(half), zero),
+            )
+            claimed = (
+                (zero, zero, zero),
+                (t.scale(-2), zero, t),
+                ((t * y).scale(-2), zero, zero),
+            )
         p2 = Component(
             "p2",
-            Ideal.make(RING_ONE_PARAM, _strings(RING_ONE_PARAM, P2_FAMILY_B)),
-            form, form_vars, {"y": y}, 2, claimed_form=form,
-        )
-        return p1, p2
-    if f.tag == "c":
-        p1 = _untwisted_component(RING_ONE_PARAM, P1_ONE_PARAM, ("y",))
-        form_vars = ("t", "y")
-        t = MultiPoly.var(form_vars, "t")
-        y = MultiPoly.var(form_vars, "y")
-        zero = MultiPoly.zero(form_vars)
-        form = (
-            (zero, zero, zero),
-            (t.scale(-1), zero, zero),
-            ((t * y).scale(Fraction(-1, 2)), t.scale(Fraction(1, 2)), zero),
-        )
-        claimed = (
-            (zero, zero, zero),
-            (t.scale(-2), zero, t),
-            ((t * y).scale(-2), zero, zero),
-        )
-        p2 = Component(
-            "p2",
-            Ideal.make(RING_ONE_PARAM, _strings(RING_ONE_PARAM, P2_FAMILY_C)),
+            Ideal.make(RING_ONE_PARAM, _strings(RING_ONE_PARAM, gens)),
             form, form_vars, {"y": y}, 2, claimed_form=claimed,
         )
         return p1, p2
@@ -510,15 +462,13 @@ def known_components(f: Sl2Family) -> tuple:
 
 @dataclass(frozen=True)
 class ComponentVerdict:
-    name: str
-    ideal: Ideal
+    component: Component
     certificate: PrimeCertificate
     dimension: int
     dimension_source: str
-    claimed_dimension: int
     contains_residuals: bool
     form_satisfies_residuals: bool
-    claimed_form_satisfies_residuals: bool = None
+    claimed_form_satisfies_residuals: bool
 
 
 @dataclass(frozen=True)
@@ -541,11 +491,12 @@ class DecompositionReport:
         return all(checks)
 
 
-def _form_satisfies(raw: Ideal, component: Component) -> bool:
+def _form_satisfies(raw: Ideal, form: tuple, component: Component) -> bool:
+    """True when `form` zeroes every raw generator of the family."""
     mapping = {}
     for j in range(3):
         for k in range(3):
-            mapping[f"x{j + 1}{k + 1}"] = component.form[k][j]
+            mapping[f"x{j + 1}{k + 1}"] = form[k][j]
     mapping.update(component.parameter_values)
     for gen in raw.generators:
         image = gen.substitute_polys(component.form_variables, mapping)
@@ -577,26 +528,18 @@ def verify_decomposition(
         else:
             dimension = len(component.form_variables)
             source = "parametrization coordinates"
+        claimed = component.claimed_form
         claimed_ok = None
-        if component.claimed_form is not None and not isinstance(
-            component.claimed_form[0][0], str
-        ):
-            claimed_component = Component(
-                component.name, component.ideal, component.claimed_form,
-                component.form_variables, component.parameter_values,
-                component.claimed_dimension,
-            )
-            claimed_ok = _form_satisfies(report.raw, claimed_component)
+        if claimed is not None and not isinstance(claimed[0][0], str):
+            claimed_ok = _form_satisfies(report.raw, claimed, component)
         verdicts.append(
             ComponentVerdict(
-                component.name,
-                component.ideal,
+                component,
                 cert,
                 dimension,
                 source,
-                component.claimed_dimension,
                 contains(reduced, report.raw, guard),
-                _form_satisfies(report.raw, component),
+                _form_satisfies(report.raw, component.form, component),
                 claimed_ok,
             )
         )

@@ -5,16 +5,23 @@ frozen oracles from the engine test files, so any drift between the CLI
 plumbing and the engines shows up here.
 """
 
+import contextlib
+import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gderive
+from gderive import errors
 from gderive.algebra import algebra_to_json_dict, builtin
 from gderive.cli import main
 from gderive.linalg import Matrix
@@ -82,6 +89,115 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+# -- malformed documents for the fuzz test ------------------------------------
+
+_SCALARS = (
+    st.none() | st.booleans() | st.floats(allow_nan=False, allow_infinity=False)
+)
+_LEAVES = _SCALARS | st.integers() | st.text(max_size=3)
+# Object keys have at most three characters, so a garbage object never
+# carries a field name such as "left" or "vars".
+_NESTED = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_LISTS = st.lists(_NESTED, max_size=3)
+_DICTS = st.dictionaries(st.text(max_size=3), _NESTED, max_size=3)
+# Values that no slot of the given type accepts.
+_NOT_INT = _SCALARS | st.text(max_size=3) | _LISTS | _DICTS
+_NOT_STR = _SCALARS | st.integers() | _LISTS | _DICTS
+_NOT_LIST = _SCALARS | st.integers() | st.text(max_size=3) | _DICTS
+_NOT_RATIONAL = _SCALARS | _LISTS | _DICTS
+_NOT_OBJECT = _LEAVES | _LISTS
+
+_DOCUMENTS = {
+    "algebra": (
+        ["check", "--algebra", "{doc}"],
+        {
+            "name": "h",
+            "dim": 3,
+            "brackets": [{"left": 1, "right": 2, "result": [["1", 3]]}],
+        },
+    ),
+    "matrix": (
+        ["derive", "--algebra", "sl2", "--sigma", "{doc}"],
+        Matrix.identity(3).to_json_dict(),
+    ),
+    "ideal": (
+        ["groebner", "--ideal", "{doc}"],
+        {"vars": ["x", "y"], "gens": ["x^2 - y"]},
+    ),
+}
+
+# (document, path of the slot to overwrite, values invalid in that slot)
+_BAD_SLOTS = [
+    ("algebra", (), _NOT_OBJECT),
+    ("algebra", ("name",), _NOT_STR),
+    ("algebra", ("dim",), _NOT_INT),
+    ("algebra", ("brackets",), _NOT_LIST),
+    ("algebra", ("brackets", 0), _NOT_OBJECT | _DICTS),
+    ("algebra", ("brackets", 0, "left"), _NOT_INT),
+    ("algebra", ("brackets", 0, "right"), _NOT_INT),
+    ("algebra", ("brackets", 0, "result"), _NOT_LIST),
+    ("algebra", ("brackets", 0, "result", 0), _NOT_LIST),
+    ("algebra", ("brackets", 0, "result", 0, 0), _NOT_STR),
+    ("algebra", ("brackets", 0, "result", 0, 1), _NOT_INT),
+    ("matrix", (), _NOT_OBJECT),
+    ("matrix", ("rows",), _NOT_INT),
+    ("matrix", ("cols",), _NOT_INT),
+    ("matrix", ("entries",), _NOT_LIST),
+    ("matrix", ("entries", 1), _NOT_LIST),
+    ("matrix", ("entries", 1, 2), _NOT_RATIONAL),
+    ("ideal", (), _NOT_OBJECT),
+    ("ideal", ("vars",), _NOT_LIST),
+    ("ideal", ("vars", 0), _NOT_STR),
+    ("ideal", ("gens",), _NOT_LIST),
+    ("ideal", ("gens", 0), _NOT_STR),
+]
+
+
+@st.composite
+def _malformed_document(draw):
+    """(argv template, document) with exactly one defect."""
+    if draw(st.booleans()):
+        kind, path, values = draw(st.sampled_from(_BAD_SLOTS))
+        argv, doc = _DOCUMENTS[kind]
+        doc = json.loads(json.dumps(doc))
+        value = draw(values)
+        if not path:
+            return argv, value
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return argv, doc
+    if draw(st.booleans()):
+        argv, _ = _DOCUMENTS["ideal"]
+        names = draw(st.lists(st.sampled_from("xyz"), min_size=1, max_size=3))
+        return argv, {"vars": names + names[:1], "gens": []}
+    argv, _ = _DOCUMENTS["algebra"]
+    left = draw(st.integers(1, 2))
+    right = draw(st.integers(left + 1, 3))
+    entries = [
+        {
+            "left": left,
+            "right": right,
+            "result": [[draw(st.sampled_from(["1", "-2", "1/3"])), k]],
+        }
+        for k in draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    ]
+    return argv, {"name": "h", "dim": 3, "brackets": entries}
+
+
+_ERROR_CODES = {
+    cls.code
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.GDeriveError)
+}
 
 
 class TestCheck:
@@ -201,6 +317,58 @@ class TestMalformedInput:
             {"name": "x", "dim": 65, "brackets": []},
             "error[InvalidInput]: dim is too large",
         ),
+        (
+            ["check", "--algebra", "{doc}"],
+            {"name": "x", "dim": True, "brackets": []},
+            "error[InvalidInput]: dim must be a nonnegative integer",
+        ),
+        (
+            ["check", "--algebra", "{doc}"],
+            {
+                "name": "x",
+                "dim": 2,
+                "brackets": [{"left": True, "right": 2, "result": []}],
+            },
+            "error[InvalidInput]: bracket pair (True,2) must satisfy",
+        ),
+        (
+            ["check", "--algebra", "{doc}"],
+            {
+                "name": "x",
+                "dim": 2,
+                "brackets": [{"left": 1, "right": 2, "result": [["1", True]]}],
+            },
+            "error[InvalidInput]: component index True out of range",
+        ),
+        (
+            ["check", "--algebra", "{doc}"],
+            {
+                "name": "x",
+                "dim": 2,
+                "brackets": [
+                    {"left": 1, "right": 2, "result": [["1", 1]]},
+                    {"left": 1, "right": 2, "result": [["1", 2]]},
+                ],
+            },
+            "error[InvalidInput]: bracket pair (1,2) is listed twice",
+        ),
+        (
+            ["check", "--algebra", "{doc}"],
+            {"name": ["x"], "dim": 1, "brackets": []},
+            "error[InvalidInput]: name must be a string",
+        ),
+        (
+            ["derive", "--algebra", "sl2", "--sigma", "{doc}"],
+            {"rows": True, "cols": 1, "entries": [["1"]]},
+            "error[InvalidInput]: rows and cols must be integers",
+        ),
+        (
+            ["derive", "--algebra", "sl2", "--sigma", "{doc}"],
+            {"rows": 3, "cols": 3, "entries": [
+                [True, "0", "0"], ["0", "1", "0"], ["0", "0", "1"],
+            ]},
+            "error[InvalidInput]: matrix entries must be rationals",
+        ),
     ])
     def test_malformed_document(self, capsys, files, argv, doc, message):
         path = files["tmp"] / "malformed.json"
@@ -215,7 +383,8 @@ class TestMalformedInput:
     @pytest.mark.parametrize("content", [
         b'{"name": "x", "dim": ' + b"9" * 5000 + b', "brackets": []}',
         b'{"name": "\xff", "dim": 1, "brackets": []}',
-    ], ids=["integer-past-digit-limit", "invalid-utf8"])
+        b"[" * 100000,
+    ], ids=["integer-past-digit-limit", "invalid-utf8", "nested-too-deep"])
     def test_undecodable_document(self, capsys, files, content):
         path = files["tmp"] / "undecodable.json"
         path.write_bytes(content)
@@ -235,6 +404,22 @@ class TestMalformedInput:
         assert out == ""
         assert "error[InvalidInput]: abelian(1000000) is too large" in err
         assert "Traceback" not in err
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_malformed_document())
+    def test_malformed_document_fuzz(self, tmp_path_factory, case):
+        argv, doc = case
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(json.dumps(doc))
+        argv = [str(path) if a == "{doc}" else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 2
+        assert out.getvalue() == ""
+        match = re.match(r"gderive: error\[(\w+)\]: ", err.getvalue())
+        assert match and match.group(1) in _ERROR_CODES
+        assert "Traceback" not in err.getvalue()
 
 
 class TestSmallSolvers:
@@ -525,6 +710,41 @@ class TestReproduce:
         )
         assert code == 0
         assert "rem3.7" in out and "pass" in out
+
+
+# sha256 of stdout for the sl2 case study and the reproduce table. The
+# bytes are the specification: a refactor keeps them, and a change that
+# alters them on purpose records the new digests here.
+PINNED_STDOUT = {
+    ("sl2", "--family", "b"):
+        "66d8f462145dfd47aad577d8d516eb4783b3c23b30e3db622c1b48e3fa46130f",
+    ("sl2", "--family", "b", "--report", "text"):
+        "e1379482914881d283cd32992c6904088b42562b9abcf71129b5b99a0f3d8b51",
+    ("sl2", "--family", "c"):
+        "c96a6d7eb3275113ea3c1a18b847c5bd54d51bb59d6b49aa97d6ad76969dbea5",
+    ("sl2", "--family", "c", "--report", "text"):
+        "3a159f7f11afbd644c1f9c4389a4570c70dd39c23c83183baeeb64e79dd2c80b",
+    ("sl2", "--family", "ab"):
+        "702889c8e25546d6178f844ebdd5218f1f047dfd76f16212025df65fb106c61d",
+    ("sl2", "--family", "ab", "--report", "text"):
+        "0f748b374b140b934e8dda265e8b37636895e1ae03d5a122ed0021cd733634a0",
+    ("sl2", "--family", "b", "--fix", "b=1"):
+        "cf097a6d9c7bd227ae0785f99538e9e014fd7667e8e92cccab9a687f61a0c56d",
+    ("sl2", "--family", "ab", "--fix", "a=2,b=1", "--report", "text"):
+        "cbf0b532279d1500a86cf64fc7acf958bf8817c164d757395e718e52d2b562e8",
+    ("reproduce",):
+        "f0c09c8ab1c52aa2c38753d0988358fe87fbe5ba16d1535f4989a69dd2461116",
+    ("reproduce", "--format", "text"):
+        "a5cbdd79442aef301323a7d55216aa2e680a3cd8196405f12d0fa60eafaa9ee3",
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("argv", list(PINNED_STDOUT), ids=" ".join)
+    def test_stdout_digest(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
 
 
 class TestParsing:

@@ -254,6 +254,41 @@ class TestFamilySigma:
                 Sl2Family.fixed("ab", a=a, b=b)
             ) == exp_nilpotent(derivation_matrix(a, b, c))
 
+    @pytest.mark.parametrize("tag, points", [
+        ("b", [{"y": F(v)} for v in (1, -2, F(3, 5))]),
+        ("c", [{"y": F(v)} for v in (1, -2, F(3, 5))]),
+        ("ab", [
+            {"b": F(b), "c": F(c)}
+            for b in (1, -2, F(1, 3))
+            for c in (1, -1, 2, F(1, 2), -3)
+        ]),
+    ])
+    def test_symbolic_grid_is_the_exponential(self, tag, points):
+        # Each generator is G = p*M(q) with G^3 = 0: p is y (or b), M is
+        # constant (or of degree 2 in c). So exp(G) = I + G + G^2/2 has
+        # degree at most 2 in p and 4 in q, and so has the grid, as checked
+        # first. A difference of such polynomials that vanishes on 3 values
+        # of p (by 5 of q) vanishes identically: the grid is exp(G) exactly.
+        bounds = {"y": 2} if tag != "ab" else {"b": 2, "c": 4}
+        grid = family_sigma(Sl2Family.symbolic(tag))
+        for row in grid:
+            for entry in row:
+                for exps, _ in entry.terms:
+                    for name, e in zip(entry.variables, exps):
+                        assert e <= bounds.get(name, 0)
+        for point in points:
+            if tag == "b":
+                generator = derivation_matrix(0, point["y"], 0)
+            elif tag == "c":
+                generator = derivation_matrix(0, 0, point["y"])
+            else:
+                b, c = point["b"], point["c"]
+                generator = derivation_matrix(2 * b * c, b, b * c * c)
+            value = Matrix.from_rows(
+                [[_const(e.substitute(point)) for e in row] for row in grid]
+            )
+            assert value == exp_nilpotent(generator)
+
     def test_symbolic_specializes_to_fixed(self):
         grid = family_sigma(Sl2Family.symbolic("b"))
         val = {"y": F(3, 5)}
@@ -406,11 +441,11 @@ class TestDecompositionFamilyB:
         p1, p2 = rep.components
         assert p1.certificate.certified
         assert p1.certificate.free_vars == ("x23", "x32", "x33")
-        assert p1.dimension == 3 == p1.claimed_dimension
+        assert p1.dimension == 3 == p1.component.claimed_dimension
         assert p1.contains_residuals and p1.form_satisfies_residuals
         assert p2.certificate.certified
         assert p2.certificate.free_vars == ("x32", "y")
-        assert p2.dimension == 2 == p2.claimed_dimension
+        assert p2.dimension == 2 == p2.component.claimed_dimension
         assert p2.contains_residuals and p2.form_satisfies_residuals
         assert p2.claimed_form_satisfies_residuals is True
 
@@ -422,10 +457,10 @@ class TestDecompositionFamilyC:
         assert rep.product_contained
         p1, p2 = rep.components
         assert p1.certificate.free_vars == ("x23", "x32", "x33")
-        assert p1.dimension == 3 == p1.claimed_dimension
+        assert p1.dimension == 3 == p1.component.claimed_dimension
         assert p2.certificate.certified
         assert p2.certificate.free_vars == ("x23", "y")
-        assert p2.dimension == 2 == p2.claimed_dimension
+        assert p2.dimension == 2 == p2.component.claimed_dimension
         assert p2.form_satisfies_residuals
 
     def test_recorded_form_fails_the_identity(self, decompositions):
@@ -449,15 +484,15 @@ class TestDecompositionFamilyAB:
         assert p1.certificate.certified
         assert p1.certificate.free_vars == ("x23", "x32", "x33", "c")
         assert p1.dimension == 4
-        assert p1.claimed_dimension == 3
-        assert p1.dimension != p1.claimed_dimension
+        assert p1.component.claimed_dimension == 3
+        assert p1.dimension != p1.component.claimed_dimension
         assert p1.contains_residuals and p1.form_satisfies_residuals
 
         # The scalar-recovery component is prime but carries no
         # triangular certificate; the dimension falls back to the
         # parametrization coordinate count.
         assert p2.certificate.certified is False
-        assert p2.dimension == 3 == p2.claimed_dimension
+        assert p2.dimension == 3 == p2.component.claimed_dimension
         assert p2.dimension_source == "parametrization coordinates"
         assert p2.contains_residuals
         assert p2.form_satisfies_residuals
