@@ -12,13 +12,14 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
+from gderive._kernels import rref_int
 from gderive.errors import (
     DimensionMismatch,
     InputError,
-    SingularMatrix,
     UnknownName,
     UnvalidatedAutomorphism,
 )
+from gderive.limits import MAX_DIM
 from gderive.linalg import (
     Matrix,
     Subspace,
@@ -30,11 +31,6 @@ from gderive.linalg import (
 )
 
 _ABELIAN_RE = re.compile(r"^abelian\(0*([0-9]+)\)$")
-
-# Largest dimension accepted for an algebra, built-in abelian(n) or loaded
-# from JSON: its derivation systems have n^2 unknowns and up to n^2 rows
-# of that width, so dimension 64 already asks for a 4096-column system.
-MAX_DIM = 64
 
 
 @dataclass(frozen=True, eq=True)
@@ -204,17 +200,16 @@ def is_abelian(g: LieAlgebra) -> bool:
 
 def is_automorphism(g: LieAlgebra, m: Matrix) -> bool:
     """Invertible and multiplicative on all basis pairs i < j."""
-    if m.rows != g.dim or m.cols != g.dim:
+    n = g.dim
+    if m.rows != n or m.cols != n:
         return False
-    try:
-        inverse(m)
-    except SingularMatrix:
+    columns, scale = integer_columns(m)
+    # Invertible means rank n; the rank of the columns is the rank of m.
+    if len(rref_int([[c.get(i, 0) for i in range(n)] for c in columns])[1]) < n:
         return False
     table, _ = structure_table(g)
-    columns, scale = integer_columns(m)
     # images[j][p] is [e_p, m e_j], so [m e_i, m e_j] = sum_p m_pi images[j][p].
     images = bracket_images(table, columns, 1)
-    n = g.dim
     for i in range(n):
         for j in range(i + 1, n):
             # Both sides carry the table's scale times scale^2.

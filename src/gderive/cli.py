@@ -8,66 +8,47 @@ always produce byte-identical output.
 Exit codes: 0 success, 2 invalid input, 1 internal guard tripped.
 """
 
+from __future__ import annotations
+
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from .algebra import (
-    Automorphism,
-    LieAlgebra,
-    algebra_from_json_dict,
-    builtin,
-    make_automorphism,
-    validate_lie,
-    with_validation,
-)
-from .derivations import (
-    abg_space,
-    centroid,
-    derivation_space,
-    intersection_report,
-    quasiderivation_witness,
-)
-from .errors import GDeriveError, InputError, NoPeriod, UnknownName
-from .hilbert import (
+from .errors import GDeriveError, InputError, UnknownName
+from .limits import (
+    DEFAULT_GUARD,
     DEFAULT_ORDER_BOUND,
     DEFAULT_WINDOW,
+    MAX_GUARD,
     MAX_ORDER_BOUND,
     MAX_WINDOW,
-    detect_period,
-    graded_dims,
-    rational_series,
-    render_series,
 )
-from .linalg import Matrix, format_rational, parse_rational
-from .polynomials import (
-    DEFAULT_GUARD,
-    MAX_GUARD,
-    contains,
-    groebner,
-    ideal_from_json_dict,
-    member,
-    poly_from_string,
-    triangular_prime_check,
-)
-from .sl2 import (
-    Sl2Family,
-    derivation_ideal,
-    fixed_param_dimension,
-    verify_decomposition,
-)
-from . import reproduce as _reproduce
+
+# Each handler and loader imports the engine names it uses when it runs,
+# so building the parser (and --help) loads no engine, and a subcommand
+# loads only the engines it needs. The engine types named in signatures
+# are never evaluated.
 
 
 # ---------------------------------------------------------------------------
 # input loading
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; a key given twice is an error, where
+    json.load would keep the last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise InputError(f"key {key!r} appears twice in one JSON object")
+        out[key] = value
+    return out
+
+
 def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:
@@ -80,6 +61,8 @@ def _read_json(path: str) -> dict:
 
 def load_algebra(spec: str, require_valid: bool = True) -> LieAlgebra:
     """An algebra from a JSON file, or a built-in by name."""
+    from .algebra import algebra_from_json_dict, builtin, with_validation
+
     try:
         g = builtin(spec)
     except UnknownName:
@@ -92,14 +75,20 @@ def load_algebra(spec: str, require_valid: bool = True) -> LieAlgebra:
 
 
 def load_matrix(path: str) -> Matrix:
+    from .linalg import Matrix
+
     return Matrix.from_json_dict(_read_json(path))
 
 
 def load_automorphism(g: LieAlgebra, path: str) -> Automorphism:
+    from .algebra import make_automorphism
+
     return make_automorphism(g, load_matrix(path))
 
 
 def _parse_bindings(items) -> dict:
+    from .linalg import parse_rational
+
     out = {}
     for item in items or []:
         for piece in item.split(","):
@@ -113,6 +102,8 @@ def _parse_bindings(items) -> dict:
 
 
 def _parse_vector(text: str) -> tuple:
+    from .linalg import parse_rational
+
     return tuple(parse_rational(piece.strip()) for piece in text.split(","))
 
 
@@ -137,6 +128,8 @@ def _matrix_line(m: dict) -> str:
 
 
 def _vector_list(vec) -> list:
+    from .linalg import format_rational
+
     return [format_rational(a) for a in vec]
 
 
@@ -164,6 +157,8 @@ def _space_lines(report: dict) -> list:
 
 
 def cmd_check(args) -> int:
+    from .algebra import validate_lie
+
     g = load_algebra(args.algebra, require_valid=False)
     report = validate_lie(g)
     out = {
@@ -193,6 +188,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_derive(args) -> int:
+    from .derivations import derivation_space
+
     g = load_algebra(args.algebra)
     sigma = load_automorphism(g, args.sigma)
     tau = load_automorphism(g, args.tau) if args.tau else None
@@ -205,6 +202,8 @@ def cmd_derive(args) -> int:
 
 
 def cmd_centroid(args) -> int:
+    from .derivations import centroid
+
     g = load_algebra(args.algebra)
     space = centroid(g)
     _emit(_space_report(space), args.format, _space_lines)
@@ -212,6 +211,8 @@ def cmd_centroid(args) -> int:
 
 
 def cmd_quasider(args) -> int:
+    from .derivations import quasiderivation_witness
+
     g = load_algebra(args.algebra)
     mapping = load_matrix(args.map)
     witness = quasiderivation_witness(g, mapping)
@@ -230,6 +231,9 @@ def cmd_quasider(args) -> int:
 
 
 def cmd_abg(args) -> int:
+    from .derivations import abg_space
+    from .linalg import format_rational, parse_rational
+
     g = load_algebra(args.algebra)
     alpha = parse_rational(args.alpha)
     beta = parse_rational(args.beta)
@@ -246,6 +250,8 @@ def cmd_abg(args) -> int:
 
 
 def cmd_intersect(args) -> int:
+    from .derivations import intersection_report
+
     g = load_algebra(args.algebra)
     sigma = load_automorphism(g, args.sigma)
     tau = load_automorphism(g, args.tau)
@@ -273,6 +279,8 @@ def cmd_intersect(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
+    from .hilbert import detect_period, graded_dims, rational_series, render_series
+
     g = load_algebra(args.algebra)
     sigma = load_automorphism(g, args.sigma)
     gd = graded_dims(
@@ -317,6 +325,8 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_groebner(args) -> int:
+    from .polynomials import groebner, ideal_from_json_dict
+
     ideal = ideal_from_json_dict(_read_json(args.ideal))
     basis = groebner(ideal, args.degree_guard)
     out = {
@@ -328,6 +338,8 @@ def cmd_groebner(args) -> int:
 
 
 def cmd_member(args) -> int:
+    from .polynomials import ideal_from_json_dict, member, poly_from_string
+
     ideal = ideal_from_json_dict(_read_json(args.ideal))
     p = poly_from_string(ideal.variables, args.poly)
     verdict = member(p, ideal, args.degree_guard)
@@ -337,6 +349,8 @@ def cmd_member(args) -> int:
 
 
 def cmd_contain(args) -> int:
+    from .polynomials import contains, ideal_from_json_dict
+
     outer = ideal_from_json_dict(_read_json(args.outer))
     inner = ideal_from_json_dict(_read_json(args.inner))
     verdict = contains(outer, inner, args.degree_guard)
@@ -346,6 +360,8 @@ def cmd_contain(args) -> int:
 
 
 def cmd_prime_check(args) -> int:
+    from .polynomials import ideal_from_json_dict, triangular_prime_check
+
     ideal = ideal_from_json_dict(_read_json(args.ideal))
     cert = triangular_prime_check(ideal, args.degree_guard)
     out = {
@@ -371,6 +387,14 @@ def _form_grid(form) -> list:
 
 
 def cmd_sl2(args) -> int:
+    from .linalg import format_rational
+    from .sl2 import (
+        Sl2Family,
+        derivation_ideal,
+        fixed_param_dimension,
+        verify_decomposition,
+    )
+
     bindings = _parse_bindings(args.fix)
     if bindings:
         family = Sl2Family.fixed(args.family, **bindings)
@@ -468,12 +492,14 @@ def cmd_sl2(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    from .reproduce import run
+
     keys = None
     if args.only:
         keys = []
         for item in args.only:
             keys.extend(piece.strip() for piece in item.split(",") if piece.strip())
-    rows = _reproduce.run(keys)
+    rows = run(keys)
     out = {
         "rows": [
             {

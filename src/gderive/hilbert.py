@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from gderive.algebra import Automorphism, LieAlgebra, require_validated
 from gderive.derivations import derivation_space
 from gderive.errors import FiniteOrderInput, InputError, NoPeriod
+from gderive.limits import (
+    DEFAULT_ORDER_BOUND,
+    DEFAULT_WINDOW,
+    MAX_ORDER_BOUND,
+    MAX_WINDOW,
+)
 from gderive.linalg import Matrix, inverse, matrix_order
-
-DEFAULT_WINDOW = 8
-DEFAULT_ORDER_BOUND = 64
-MAX_WINDOW = 64
-MAX_ORDER_BOUND = 1024
 
 
 @dataclass(frozen=True)

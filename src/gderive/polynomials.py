@@ -24,10 +24,8 @@ from gderive.errors import (
     InputError,
     UnknownVariable,
 )
+from gderive.limits import DEFAULT_GUARD, MAX_GUARD
 from gderive.linalg import Matrix, format_rational, parse_rational
-
-DEFAULT_GUARD = 5000
-MAX_GUARD = 10**6
 
 
 def _normalize_terms(terms: dict) -> tuple:
@@ -183,9 +181,9 @@ class MultiPoly:
         return f"MultiPoly({poly_to_string(self)!r})"
 
 
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<rat>-?[0-9]+(?:/[0-9]+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*^]))"
+    rf"\s*(?:(?P<rat>-?[0-9]+(?:/[0-9]+)?)|(?P<name>{_NAME})|(?P<op>[-+*^]))"
 )
 
 
@@ -612,6 +610,11 @@ def ideal_from_json_dict(data: dict) -> Ideal:
         isinstance(v, str) for v in variables
     ):
         raise InputError("vars must be a list of names")
+    for name in variables:
+        # The parser must read each name whole: "1" would read as the
+        # constant, "x-1" as a difference.
+        if not re.fullmatch(_NAME, name):
+            raise InputError(f"variable name {name!r} is not an identifier")
     if len(set(variables)) != len(variables):
         raise InputError("vars must be distinct")
     if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):

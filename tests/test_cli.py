@@ -394,6 +394,41 @@ class TestMalformedInput:
         assert "error[InvalidInput]" in err
         assert "Traceback" not in err
 
+    # json.dumps cannot repeat a key, so these documents are raw text.
+    @pytest.mark.parametrize("argv, content, key", [
+        (
+            ["check", "--algebra", "{doc}"],
+            '{"name": "x", "dim": 3, "dim": 2, "brackets": []}',
+            "dim",
+        ),
+        (
+            ["check", "--algebra", "{doc}"],
+            '{"name": "x", "dim": 2, "brackets": '
+            '[{"left": 1, "right": 2, "left": 2, "result": []}]}',
+            "left",
+        ),
+        (
+            ["derive", "--algebra", "sl2", "--sigma", "{doc}"],
+            '{"rows": 2, "cols": 3, "rows": 3, '
+            '"entries": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}',
+            "rows",
+        ),
+        (
+            ["groebner", "--ideal", "{doc}"],
+            '{"vars": ["x", "y"], "gens": ["x^2 - y"], "gens": []}',
+            "gens",
+        ),
+    ], ids=["algebra", "algebra-bracket", "matrix", "ideal"])
+    def test_repeated_key(self, capsys, files, argv, content, key):
+        path = files["tmp"] / "repeated.json"
+        path.write_text(content)
+        argv = [str(path) if a == "{doc}" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"error[InvalidInput]: key {key!r} appears twice" in err
+        assert "Traceback" not in err
+
     def test_oversized_abelian(self, capsys, files):
         code, out, err = run(
             capsys,
@@ -580,6 +615,10 @@ class TestPolynomialCommands:
     @pytest.mark.parametrize("doc, message", [
         ({"vars": ["x", "x"], "gens": ["x"]}, "vars must be distinct"),
         ({"vars": ["x"], "gens": 5}, "gens must be a list"),
+        ({"vars": ["1", "x"], "gens": ["x - 1"]}, "variable name '1' is not"),
+        ({"vars": ["", "x"], "gens": ["x - 1"]}, "variable name '' is not"),
+        ({"vars": ["x y", "x"], "gens": ["x"]}, "variable name 'x y' is not"),
+        ({"vars": ["x-1", "x"], "gens": ["x"]}, "variable name 'x-1' is not"),
     ])
     def test_ideal_rejected_like_the_library(self, capsys, files, doc, message):
         path = files["tmp"] / "rejected.json"
@@ -755,16 +794,88 @@ class TestParsing:
         assert run(capsys, "check", "--algebra", "sl2", "--bogus")[0] == 2
 
     def test_console_script_installed(self):
-        # The child imports the same gderive as this process, installed or
-        # found through pytest's pythonpath setting.
-        package_root = str(Path(gderive.__file__).resolve().parents[1])
-        paths = [package_root, os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
         proc = subprocess.run(
             [sys.executable, "-m", "gderive.cli", "check", "--algebra", "sl2"],
             capture_output=True,
             text=True,
-            env=env,
+            env=_child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["valid"] is True
+
+
+def _child_env(**extra) -> dict:
+    """Environment for a fresh interpreter that imports the same gderive as
+    this process, installed or found through pytest's pythonpath setting."""
+    package_root = str(Path(gderive.__file__).resolve().parents[1])
+    paths = [package_root, os.environ.get("PYTHONPATH")]
+    pythonpath = os.pathsep.join(filter(None, paths))
+    return dict(os.environ, PYTHONPATH=pythonpath, **extra)
+
+
+def _modules_after(code: str) -> set:
+    """The modules loaded in a fresh interpreter after running `code`."""
+    script = code + "\nimport sys\nsys.stderr.write('\\n' + ' '.join(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+# sha256 of the help text at 80 columns, as Python 3.11's argparse lays it
+# out; the defaults and bounds shown come from gderive.limits.
+PINNED_HELP = {
+    ("--help",):
+        "524ff151a27772e72080dd067c1f6828397b99ff746f2393a2a16164a2acd7f6",
+    ("hilbert", "--help"):
+        "054bf9f962f9c6c1c6a08e96e9a5c1e4e85480eba5fa0ffb0adfcdc9d15304a0",
+    ("groebner", "--help"):
+        "582d4e8c0fa99f39f364d85a4163e29d5da6ed8fb01a3464c51243a94d9bab7e",
+    ("sl2", "--help"):
+        "19d800287057f12a696382267fe92a080ce41ef0d8391439c2240ee258507813",
+}
+
+
+class TestStartup:
+    """Building the parser loads no engine, and a subcommand loads only
+    the engines it runs."""
+
+    def test_parser_loads_no_engine(self):
+        loaded = _modules_after("import gderive.cli; gderive.cli.build_parser()")
+        assert {m for m in loaded if m.partition(".")[0] == "gderive"} == {
+            "gderive", "gderive.cli", "gderive.errors", "gderive.limits",
+        }
+        assert not loaded & {"fractions", "dataclasses"}
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--algebra", "sl2"],
+        ["derive", "--algebra", "sl2", "--sigma", "{sigma}"],
+    ], ids=["check", "derive"])
+    def test_linear_subcommand_footprint(self, files, argv):
+        argv = [files["sigma"] if a == "{sigma}" else a for a in argv]
+        loaded = _modules_after(
+            f"from gderive.cli import main\nassert main({argv!r}) == 0"
+        )
+        assert "gderive.algebra" in loaded
+        assert not loaded & {
+            "gderive.polynomials", "gderive.sl2", "gderive.hilbert",
+            "gderive.reproduce",
+        }
+
+    @pytest.mark.skipif(
+        sys.version_info[:2] != (3, 11),
+        reason="argparse lays out help differently in other Python versions",
+    )
+    @pytest.mark.parametrize("argv", list(PINNED_HELP), ids=" ".join)
+    def test_help_digest(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gderive.cli", *argv],
+            capture_output=True,
+            env=_child_env(COLUMNS="80"),
+        )
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout).hexdigest() == PINNED_HELP[argv]

@@ -486,3 +486,10 @@ class TestJson:
     def test_rejects_missing_keys(self):
         with pytest.raises(InputError):
             ideal_from_json_dict({"vars": ["x"]})
+
+    @pytest.mark.parametrize("name", ["1", "", "x y", "x-1"])
+    def test_rejects_names_that_are_not_identifiers(self, name):
+        # The tokenizer reads none of these as one whole name: "1" would
+        # read as the constant, "x-1" as a difference.
+        with pytest.raises(InputError, match="is not an identifier"):
+            ideal_from_json_dict({"vars": [name, "x"], "gens": ["x - 1"]})
