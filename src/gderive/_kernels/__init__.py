@@ -1,14 +1,13 @@
 """Integer fraction-free reduced row echelon kernel.
 
-Rows come in and go out dense, but elimination runs on sparse rows
-(dicts of the nonzero entries), since the derivation systems are mostly
-zeros. ``BACKEND`` names the row-reduction implementation; there is one,
-in pure Python.
+Rows are sparse: a dict {column: int} of the nonzero entries, since the
+derivation systems are mostly zeros. ``BACKEND`` names the row-reduction
+implementation; there is one, in pure Python.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from heapq import heappop, heappush
 from math import gcd
 
 BACKEND = "python"
@@ -43,56 +42,57 @@ def _eliminate(row: dict, pivot: dict, c: int) -> dict:
 
 
 def rref_int(rows):
-    """Fully reduce integer rows; the input is not modified.
+    """Fully reduce sparse integer rows; the input is not modified.
 
     Args:
-        rows: list of equal-length lists of Python ints.
+        rows: iterable of dicts {column: int}. Zero entries and empty
+            rows are allowed and ignored.
 
     Returns:
-        (pivot_rows, pivot_cols): the nonzero reduced rows as dense lists,
-        each scaled to coprime integer entries with a positive pivot, and
-        the pivot column of each. Dividing row i by its pivot entry yields
-        the leading-1 rational reduced form.
+        (pivot_rows, pivot_cols): the nonzero reduced rows as new dicts
+        without zero entries, in pivot order, each scaled to coprime
+        integer entries with a positive pivot, and the pivot column of
+        each. Dividing row i by its pivot entry yields the leading-1
+        rational reduced form.
 
     Columns are cleared left to right. A row whose leading column is c
     can only meet the other rows leading at c, so rows wait in buckets
     keyed by leading column, and the shortest row of a bucket becomes its
-    pivot. Back substitution then clears each pivot column upwards. The
-    reduced echelon form is unique, so the result does not depend on
-    these choices.
+    pivot. Back substitution then clears each row's entries at later
+    pivot columns, from the last row up. The reduced echelon form is
+    unique, so the result does not depend on these choices.
     """
-    ncols = len(rows[0]) if rows else 0
-    columns = range(ncols)
     buckets = {}
     for row in rows:
-        nonzero = list(compress(columns, row))
-        if nonzero:
-            sparse = _primitive({c: row[c] for c in nonzero})
-            buckets.setdefault(nonzero[0], []).append(sparse)
+        sparse = {c: a for c, a in row.items() if a}
+        if sparse:
+            buckets.setdefault(min(sparse), []).append(_primitive(sparse))
+    # A heap of the leading columns still to clear (a sorted list is one);
+    # eliminating at c only adds later ones.
+    leads = sorted(buckets)
     pivots = []
-    for c in columns:
-        group = buckets.pop(c, None)
-        if group is None:
-            continue
+    while leads:
+        c = heappop(leads)
+        group = buckets.pop(c)
         pivot = min(group, key=len)
         for row in group:
             if row is not pivot:
                 reduced = _eliminate(row, pivot, c)
                 if reduced:
-                    buckets.setdefault(min(reduced), []).append(reduced)
+                    lead = min(reduced)
+                    if lead not in buckets:
+                        buckets[lead] = []
+                        heappush(leads, lead)
+                    buckets[lead].append(reduced)
         if pivot[c] < 0:
             pivot = {j: -a for j, a in pivot.items()}
         pivots.append((c, pivot))
-    for k in range(len(pivots) - 1, 0, -1):
-        c, pivot = pivots[k]
-        for i in range(k):
-            above = pivots[i][1]
-            if c in above:
-                pivots[i] = (pivots[i][0], _eliminate(above, pivot, c))
-    pivot_rows = []
-    for _, row in pivots:
-        dense = [0] * ncols
-        for j, a in row.items():
-            dense[j] = a
-        pivot_rows.append(dense)
-    return pivot_rows, [c for c, _ in pivots]
+    # Bottom up, every row below is already zero at the other pivot
+    # columns, so clearing a row's later pivot columns adds none back.
+    reduced = {}
+    for c, row in reversed(pivots):
+        for j in [j for j in row if j != c and j in reduced]:
+            row = _eliminate(row, reduced[j], j)
+        reduced[c] = row
+    pivot_cols = [c for c, _ in pivots]
+    return [reduced[c] for c in pivot_cols], pivot_cols

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from gderive._kernels import rref_int
@@ -205,7 +206,7 @@ def is_automorphism(g: LieAlgebra, m: Matrix) -> bool:
         return False
     columns, scale = integer_columns(m)
     # Invertible means rank n; the rank of the columns is the rank of m.
-    if len(rref_int([[c.get(i, 0) for i in range(n)] for c in columns])[1]) < n:
+    if len(rref_int(columns)[1]) < n:
         return False
     table, _ = structure_table(g)
     # images[j][p] is [e_p, m e_j], so [m e_i, m e_j] = sum_p m_pi images[j][p].
@@ -238,11 +239,16 @@ class Automorphism:
     def identity(g: LieAlgebra) -> "Automorphism":
         return Automorphism(g, Matrix.identity(g.dim), True)
 
+    @cached_property
+    def inverse_matrix(self) -> Matrix:
+        """The inverse of the matrix, computed once per automorphism."""
+        return inverse(self.matrix)
+
     def inverse(self) -> "Automorphism":
-        return Automorphism(self.algebra, inverse(self.matrix), self.validated)
+        return Automorphism(self.algebra, self.inverse_matrix, self.validated)
 
     def power(self, k: int) -> "Automorphism":
-        base = self.matrix if k >= 0 else inverse(self.matrix)
+        base = self.matrix if k >= 0 else self.inverse_matrix
         return Automorphism(self.algebra, base.power(abs(k)), self.validated)
 
 

@@ -10,8 +10,8 @@ assembled from the sparse structure-constant table by ``_identity_rows``.
 Its residual is antisymmetric in (x,y) and vanishes on the diagonal
 exactly when beta = gamma and sigma = tau; then the identity is imposed on
 basis pairs i < j only, and otherwise on every ordered pair including the
-diagonal. Every system is a list of integer rows, handed to the kernel
-without a detour through Fractions.
+diagonal. Every system is a list of sparse integer rows {column: int},
+handed to ``kernel_of_rows`` or ``solve_rows`` without a dense grid.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ from gderive.linalg import (
     integer_columns,
     inverse,
     kernel_basis,
+    kernel_of_rows,
     matrix_order,
-    matrix_to_vec,
-    solve,
+    solve_rows,
     subspace_intersect,
     vec_to_matrix,
 )
@@ -84,11 +84,11 @@ def _identity_pairs(n: int, beta, gamma, sigma: Matrix, tau: Matrix):
 
 
 def _identity_rows(g: LieAlgebra, alpha, beta, gamma, sigma: Matrix, tau: Matrix):
-    """Integer rows of the scaled identity's residual,
+    """Sparse integer rows of the scaled identity's residual,
     alpha D[e_i,e_j] - beta [D e_i, sigma e_j] - gamma [tau e_i, D e_j].
 
-    One row per coordinate r of each pair from ``_identity_pairs``; the
-    unknown D[k][m] sits at flat index m*n + k (stacked images). All rows
+    One row per coordinate r of each pair from ``_identity_pairs``, empty
+    rows left out; the unknown D[k][m] sits at flat column m*n + k. All rows
     are scaled by one positive integer that clears the denominators of the
     structure constants, sigma, tau and the three coefficients; it depends
     on the coefficients only through their denominators.
@@ -108,34 +108,35 @@ def _identity_rows(g: LieAlgebra, alpha, beta, gamma, sigma: Matrix, tau: Matrix
     right = bracket_images(table, ta, int(gamma * den) * (dst // dt))
     rows = []
     for i, j in _identity_pairs(n, beta, gamma, sigma, tau):
-        pair_rows = [[0] * (n * n) for _ in range(n)]
+        pair_rows = [{} for _ in range(n)]
         if a:
             for m, x in table[i].get(j, {}).items():
                 x *= a
                 for r in range(n):
-                    pair_rows[r][m * n + r] += x
-        for m, image in enumerate(left[j]):
-            for r, x in image.items():
-                pair_rows[r][i * n + m] += x
-        for m, image in enumerate(right[i]):
-            for r, x in image.items():
-                pair_rows[r][j * n + m] += x
-        rows.extend(pair_rows)
+                    pair_rows[r][m * n + r] = x
+        for offset, images in ((i * n, left[j]), (j * n, right[i])):
+            for m, image in enumerate(images):
+                k = offset + m
+                for r, x in image.items():
+                    row = pair_rows[r]
+                    row[k] = row.get(k, 0) + x
+        rows.extend(row for row in pair_rows if row)
     return rows
 
 
-def _integer_row(width: int, entries: dict) -> list:
-    """Dense integer row of the rational {column: value} entries, scaled
-    by the lcm of their denominators."""
+def _integer_row(entries: dict) -> dict:
+    """Sparse integer row of the nonzero rational {column: value} entries,
+    scaled by the lcm of their denominators."""
     scale = math.lcm(*(a.denominator for a in entries.values()))
-    row = [0] * width
-    for c, a in entries.items():
-        row[c] = a.numerator * (scale // a.denominator)
-    return row
+    return {
+        c: a.numerator * (scale // a.denominator)
+        for c, a in entries.items() if a
+    }
 
 
 def _commutation_rows(n: int, sigma: Matrix):
-    """Integer rows of D*sigma - sigma*D = 0 in the flattened unknowns."""
+    """Sparse integer rows of D*sigma - sigma*D = 0 in the flattened
+    unknowns, empty rows left out."""
     rows = []
     for r in range(n):
         for c in range(n):
@@ -143,12 +144,12 @@ def _commutation_rows(n: int, sigma: Matrix):
             for m in range(n):
                 entries[m * n + r] = entries.get(m * n + r, 0) + sigma[m, c]
                 entries[c * n + m] = entries.get(c * n + m, 0) - sigma[r, m]
-            rows.append(_integer_row(n * n, entries))
-    return rows
+            rows.append(_integer_row(entries))
+    return [row for row in rows if row]
 
 
 def _solve_rows(n: int, rows) -> tuple:
-    space = kernel_basis(Matrix(len(rows), n * n, tuple(rows)))
+    space = kernel_of_rows(rows, n * n)
     matrices = tuple(vec_to_matrix(v, n, n) for v in space.basis)
     return matrices, space
 
@@ -233,12 +234,12 @@ def centroid(g: LieAlgebra) -> DerivationSpace:
 
 def twist(d: Matrix, tau: Automorphism) -> Matrix:
     """Compose with the inverse of tau: D -> tau^{-1} D."""
-    return inverse(tau.matrix) @ d
+    return tau.inverse_matrix @ d
 
 
 def sigma_bracket(d: Matrix, t: Matrix, sigma: Automorphism) -> Matrix:
     """sigma [sigma^{-1} D, sigma^{-1} T], the transported commutator."""
-    inv = inverse(sigma.matrix)
+    inv = sigma.inverse_matrix
     a, b = inv @ d, inv @ t
     return sigma.matrix @ (a @ b - b @ a)
 
@@ -272,7 +273,7 @@ def phi_x_sigma(
     g: LieAlgebra, d: Matrix, sigma: Automorphism, x
 ) -> Matrix:
     """The map D -> ad(sigma^{-1} D(x)) underlying the rank bound."""
-    return ad(g, inverse(sigma.matrix).apply(d.apply(x)))
+    return ad(g, sigma.inverse_matrix.apply(d.apply(x)))
 
 
 def _functionals_vanishing_on(space: Subspace) -> tuple:
@@ -283,7 +284,8 @@ def _functionals_vanishing_on(space: Subspace) -> tuple:
 
 
 def _image_constraint_rows(n: int, x, target: Subspace):
-    """Integer rows forcing D(x) into the target subspace."""
+    """Sparse integer rows forcing D(x) into the target subspace, empty
+    rows left out."""
     rows = []
     for f in _functionals_vanishing_on(target):
         entries = {}
@@ -292,8 +294,8 @@ def _image_constraint_rows(n: int, x, target: Subspace):
                 for m in range(n):
                     if x[m]:
                         entries[m * n + r] = f[r] * x[m]
-        rows.append(_integer_row(n * n, entries))
-    return rows
+        rows.append(_integer_row(entries))
+    return [row for row in rows if row]
 
 
 def kernel_phi(g: LieAlgebra, sigma: Automorphism, x) -> DerivationSpace:
@@ -312,23 +314,25 @@ def quasiderivation_witness(g: LieAlgebra, d: Matrix):
     """A map T with [D(x),y] + [x,D(y)] = T([x,y]), or None.
 
     Both sides are antisymmetric bilinear, so basis pairs i < j suffice.
+    Row (i, j, r) holds sum_m c_ij^m T[r][m], with the r-th coordinate of
+    [D e_i, e_j] + [e_i, D e_j] in column n^2 as its right-hand side.
     """
     _check_shape(g, d)
     n = g.dim
-    ident = Matrix.identity(n)
-    rows = _identity_rows(g, 1, 0, 0, ident, ident)
-    flat = matrix_to_vec(d)
-    # Both calls scale their rows alike: integer coefficients, same twists.
-    rhs = [
-        sum((a * b for a, b in zip(row, flat) if a), Fraction(0))
-        for row in _identity_rows(g, 0, -1, -1, ident, ident)
-    ]
-    if not rows:
-        return Matrix.zero(n, n)
-    solution = solve(Matrix(len(rows), n * n, tuple(rows)), rhs)
-    if solution is None:
-        return None
-    return vec_to_matrix(solution, n, n)
+    table, _ = structure_table(g)
+    columns, scale = integer_columns(d)
+    # images[j][p] is [e_p, D e_j]; both sides carry both scales.
+    images = bracket_images(table, columns, 1)
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            pair = table[i].get(j, {})
+            for r in range(n):
+                row = {m * n + r: scale * x for m, x in pair.items()}
+                row[n * n] = images[j][i].get(r, 0) - images[i][j].get(r, 0)
+                rows.append(row)
+    solution = solve_rows(rows, n * n)
+    return None if solution is None else vec_to_matrix(solution, n, n)
 
 
 def abg_space(g: LieAlgebra, alpha, beta, gamma) -> DerivationSpace:
@@ -456,7 +460,7 @@ def intersection_report(
     witness_ok = None
     if witness is not None:
         witness = tuple(Fraction(a) if isinstance(a, int) else a for a in witness)
-        moved = inverse(sigma.matrix).apply(tau.matrix.apply(witness))
+        moved = sigma.inverse_matrix.apply(tau.matrix.apply(witness))
         witness_ok = all(a == 0 for a in bracket(g, witness, moved))
     return IntersectionReport(inter.dim, inter, witness, witness_ok)
 

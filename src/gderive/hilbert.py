@@ -20,7 +20,7 @@ from gderive.limits import (
     MAX_ORDER_BOUND,
     MAX_WINDOW,
 )
-from gderive.linalg import Matrix, inverse, matrix_order
+from gderive.linalg import Matrix, matrix_order
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def graded_dims(
         )
     order = matrix_order(sigma.matrix, order_bound)
     if order is None:
-        steps, top = ((1, sigma.matrix), (-1, inverse(sigma.matrix))), window
+        steps, top = ((1, sigma.matrix), (-1, sigma.inverse_matrix)), window
     else:
         steps, top, window = ((1, sigma.matrix),), order - 1, order
 

@@ -3,10 +3,11 @@
 Scalars are :class:`fractions.Fraction`; matrices use the column-as-image
 convention (column j holds the coordinates of the image of basis vector
 e_j). Row reduction delegates to the sparse integer kernel in
-:mod:`gderive._kernels`, so every result is exact and canonical. Rows of
-Fractions are scaled to integers one by one on the way in; the systems
-that the derivation solvers assemble are integer rows already and go to
-the kernel as they are.
+:mod:`gderive._kernels`, so every result is exact and canonical. A
+``Matrix`` is converted at the boundary: each row of Fractions becomes a
+sparse integer row, scaled by the lcm of its denominators. The systems
+that the derivation solvers assemble are sparse integer rows already and
+go to :func:`kernel_of_rows` and :func:`solve_rows` as they are.
 
 Dense products (``@``, ``power``, ``exp_nilpotent``) are formed the same
 way: each factor is scaled to integers by the lcm of its denominators,
@@ -58,12 +59,10 @@ def _coerce(value) -> Fraction:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix, row-major.
+    """Immutable dense matrix of Fractions, row-major.
 
-    Entries are Fractions, except in the linear systems that
-    :mod:`gderive.derivations` assembles, whose rows hold Python ints.
     Products are formed over a common integer denominator and always
-    return Fraction entries, whatever the entries of the factors.
+    return Fraction entries, even for factors built with int entries.
     """
 
     rows: int
@@ -225,13 +224,15 @@ def _over(int_rows, den: int, ncols: int) -> Matrix:
 
 
 def _rows_to_int(entries):
-    """Integer rows: each row of Fractions is scaled by the lcm of its
-    denominators; a row of ints passes through unchanged."""
+    """Sparse integer rows {column: int} of a grid of exact scalars: each
+    row is scaled by the lcm of its denominators, zeros left out."""
     out = []
     for row in entries:
-        if not set(map(type, row)) <= {int}:
-            (row,), _ = _integer_rows((row,))
-        out.append(row)
+        scale = lcm(*(a.denominator for a in row))
+        out.append({
+            c: a.numerator * (scale // a.denominator)
+            for c, a in enumerate(row) if a
+        })
     return out
 
 
@@ -241,13 +242,8 @@ def integer_columns(m: Matrix):
     Returns (columns, scale): columns[j] is {i: scale * m[i, j]} over the
     nonzero entries, and scale is the lcm of the entries' denominators.
     """
-    rows, scale = _integer_rows(m.entries)
-    columns = [{} for _ in range(m.cols)]
-    for i, row in enumerate(rows):
-        for j, a in enumerate(row):
-            if a:
-                columns[j][i] = a
-    return columns, scale
+    columns, scale = _integer_rows(m.transpose().entries)
+    return [{i: a for i, a in enumerate(col) if a} for col in columns], scale
 
 
 def _reduced_rows(entries):
@@ -255,8 +251,10 @@ def _reduced_rows(entries):
     pivot_rows, pivot_cols = rref_int(_rows_to_int(entries))
     reduced = []
     for row, c in zip(pivot_rows, pivot_cols):
-        p = row[c]
-        reduced.append(tuple(Fraction(a, p) for a in row))
+        dense = [Fraction(0)] * len(entries[0])
+        for j, a in row.items():
+            dense[j] = Fraction(a, row[c])
+        reduced.append(tuple(dense))
     return reduced, pivot_cols
 
 
@@ -273,36 +271,53 @@ def rref(m: Matrix):
     return Matrix(m.rows, m.cols, grid), tuple(pivot_cols), rank
 
 
+def kernel_of_rows(rows, ncols: int) -> "Subspace":
+    """Canonical basis of {v in Q^ncols : row . v = 0 for every row}.
+
+    ``rows`` are sparse integer rows {column: int}, as ``rref_int`` takes
+    them, reduced here with the columns in reverse order. A pivot row then
+    ends at its pivot p, so e_f - sum_p (row_p[f] / row_p[p]) e_p for a
+    free column f leads at f and vanishes at the other free columns: these
+    vectors are the canonical basis with no second reduction.
+    """
+    last = ncols - 1
+    pivot_rows, pivot_cols = rref_int(
+        {last - c: a for c, a in row.items()} for row in rows
+    )
+    pivots = {last - p for p in pivot_cols}
+    basis = {f: [Fraction(0)] * ncols for f in range(ncols) if f not in pivots}
+    for f, v in basis.items():
+        v[f] = Fraction(1)
+    for row, p in zip(pivot_rows, pivot_cols):
+        for j, a in row.items():
+            if j != p:
+                basis[last - j][last - p] = Fraction(-a, row[p])
+    return Subspace(ncols, tuple(tuple(v) for v in basis.values()))
+
+
 def kernel_basis(m: Matrix) -> "Subspace":
     """Canonical basis of the right kernel {v : m v = 0}."""
-    pivot_rows, pivot_cols = rref_int(_rows_to_int(m.entries))
-    pivots = set(pivot_cols)
-    free_cols = [c for c in range(m.cols) if c not in pivots]
-    zero = Fraction(0)
-    vectors = []
-    for f in free_cols:
-        v = [zero] * m.cols
-        v[f] = Fraction(1)
-        for row, p in zip(pivot_rows, pivot_cols):
-            if row[f]:
-                v[p] = Fraction(-row[f], row[p])
-        vectors.append(v)
-    return Subspace.span(m.cols, vectors)
+    return kernel_of_rows(_rows_to_int(m.entries), m.cols)
+
+
+def solve_rows(rows, ncols: int):
+    """One solution x in Q^ncols of the sparse integer system whose
+    right-hand side sits in column ncols, or None when inconsistent."""
+    pivot_rows, pivot_cols = rref_int(rows)
+    x = [Fraction(0)] * ncols
+    for row, p in zip(pivot_rows, pivot_cols):
+        if p == ncols:
+            return None
+        x[p] = Fraction(row.get(ncols, 0), row[p])
+    return tuple(x)
 
 
 def solve(m: Matrix, rhs):
     """One solution of m x = rhs, or None when inconsistent."""
     if len(rhs) != m.rows:
         raise DimensionMismatch("right-hand side length differs from rows")
-    rhs = tuple(_coerce(v) for v in rhs)
-    augmented = [[*row, rhs[i]] for i, row in enumerate(m.entries)]
-    reduced, pivot_cols = _reduced_rows(augmented)
-    x = [Fraction(0)] * m.cols
-    for row, p in zip(reduced, pivot_cols):
-        if p == m.cols:
-            return None
-        x[p] = row[-1]
-    return tuple(x)
+    augmented = [(*row, _coerce(b)) for row, b in zip(m.entries, rhs)]
+    return solve_rows(_rows_to_int(augmented), m.cols)
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -33,7 +33,6 @@ from .linalg import (
     Matrix,
     Subspace,
     exp_nilpotent,
-    inverse,
     matrix_to_vec,
     rref,
     subspace_intersect,
@@ -283,7 +282,7 @@ def _run_prop21():
         sigma = make_automorphism(g, sample())
         tau = make_automorphism(g, sample())
         left = derivation_space(g, sigma, tau)
-        moved = make_automorphism(g, inverse(tau.matrix) @ sigma.matrix)
+        moved = make_automorphism(g, tau.inverse_matrix @ sigma.matrix)
         right = derivation_space(g, moved)
         if left.dim != right.dim:
             return False, "confirmed", "twist changed a dimension"
@@ -318,7 +317,7 @@ def _run_thm13():
                     + sigma_bracket(c, sigma_bracket(a, b, sigma), sigma)
                 )
                 ok = ok and jac.is_zero()
-    inv = inverse(sigma.matrix)
+    inv = sigma.inverse_matrix
     moved = [inv @ d for d in basis]
     untwisted = derivation_space(g, Automorphism.identity(g))
     target = _span_of(untwisted.basis)

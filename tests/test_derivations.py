@@ -5,6 +5,8 @@ the defining identities by hand on the small algebras used here; each
 frozen value is annotated with the elimination that produced it.
 """
 
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,8 +19,10 @@ from gderive.algebra import (
     ad,
     bracket,
     builtin,
+    center,
     is_automorphism,
     make_automorphism,
+    with_validation,
 )
 from gderive.derivations import (
     DerivationSpace,
@@ -57,6 +61,7 @@ from gderive.linalg import (
     inverse,
     kernel_basis,
     matrix_to_vec,
+    solve,
     subspace_intersect,
     vec_to_matrix,
 )
@@ -257,6 +262,31 @@ class TestTwistTransport:
                 lhs = inv @ sigma_bracket(x, y, SIGMA_UPPER)
                 a, b = inv @ x, inv @ y
                 assert lhs == a @ b - b @ a
+
+
+class TestInverseOnce:
+    def test_thm13_row_inverts_sigma_once(self, monkeypatch):
+        import gderive.linalg
+        from gderive.reproduce import run
+
+        original = gderive.linalg.inverse
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return original(m)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("gderive") and vars(module).get("inverse") is original:
+                monkeypatch.setattr(module, "inverse", counting)
+        (row,) = run(["thm1.3"])
+        assert row.ok
+        assert len(calls) == 1
+
+    def test_inverse_matrix_is_cached(self):
+        assert SIGMA_UPPER.inverse_matrix is SIGMA_UPPER.inverse_matrix
+        assert SIGMA_UPPER.inverse_matrix == inverse(SIGMA_UPPER.matrix)
+        assert SIGMA_UPPER.inverse().matrix == inverse(SIGMA_UPPER.matrix)
 
 
 class TestCentroid:
@@ -466,8 +496,8 @@ def inner_automorphisms(draw, g):
     return make_automorphism(g, exp_nilpotent(ad(g, x)))
 
 
-def elementary_reference(g, alpha, beta, gamma, sigma, tau):
-    """Solutions of alpha D[x,y] = beta [Dx, sigma y] + gamma [tau x, Dy].
+def elementary_grid(g, alpha, beta, gamma, sigma, tau):
+    """Dense Fraction rows of alpha D[x,y] = beta [Dx, sigma y] + gamma [tau x, Dy].
 
     Column c of the system is the residual of the elementary matrix with
     flat index c, evaluated with ``bracket`` on every ordered basis pair.
@@ -488,7 +518,23 @@ def elementary_reference(g, alpha, beta, gamma, sigma, tau):
                     for a, b, r in zip(lhs, left, right)
                 )
         columns.append(column)
-    return kernel_basis(Matrix.from_rows(list(zip(*columns))))
+    return [list(row) for row in zip(*columns)]
+
+
+def elementary_reference(g, alpha, beta, gamma, sigma, tau):
+    """Solutions of alpha D[x,y] = beta [Dx, sigma y] + gamma [tau x, Dy]."""
+    grid = elementary_grid(g, alpha, beta, gamma, sigma, tau)
+    return kernel_basis(Matrix.from_rows(grid))
+
+
+def elementary_rows(n, condition):
+    """Dense rows, over the n^2 flat unknowns, of the linear condition
+    ``condition(D) == 0``, whose value is a tuple of scalars."""
+    columns = [
+        condition(vec_to_matrix([int(k == c) for k in range(n * n)], n, n))
+        for c in range(n * n)
+    ]
+    return [list(row) for row in zip(*columns)]
 
 
 class TestAssemblerAgainstElementaryMatrices:
@@ -508,6 +554,154 @@ class TestAssemblerAgainstElementaryMatrices:
         ]
         for space, identity in cases:
             assert space.subspace == elementary_reference(g, *identity)
+
+
+small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+sparse_rationals = st.one_of(st.just(Fraction(0)), small_rationals)
+
+
+@st.composite
+def random_brackets(draw):
+    """Antisymmetric structure constants on 1 to 3 basis vectors, often
+    zero; the Jacobi identity is not required."""
+    n = draw(st.integers(1, 3))
+    structure = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            vec = tuple(draw(sparse_rationals) for _ in range(n))
+            if any(vec):
+                structure[(i, j)] = vec
+    return LieAlgebra("random", n, structure)
+
+
+@st.composite
+def unipotent_maps(draw, g):
+    """Upper unitriangular sigma. The systems are linear in D for any
+    invertible sigma, and random brackets rarely admit sigma as an
+    automorphism, so the validation flag is set directly."""
+    n = g.dim
+    m = Matrix.from_rows([
+        [1 if r == c else draw(sparse_rationals) if c > r else 0 for c in range(n)]
+        for r in range(n)
+    ])
+    return Automorphism(g, m, True)
+
+
+class TestSolversAgainstDenseGrids:
+    """Each solver against kernel_basis (or solve) on a dense Fraction grid
+    assembled from ``bracket`` alone."""
+
+    @given(random_brackets(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_every_solver_matches_its_dense_grid(self, g, data):
+        n = g.dim
+        sigma = data.draw(unipotent_maps(g))
+        tau = data.draw(unipotent_maps(g))
+        one = Automorphism.identity(g).matrix
+        s, t = sigma.matrix, tau.matrix
+
+        def reference(*blocks):
+            return kernel_basis(Matrix.from_rows([r for b in blocks for r in b]))
+
+        twisted = elementary_grid(g, 1, 1, 1, s, one)
+        commutes = {
+            m: elementary_rows(n, lambda d, m=m: matrix_to_vec(d @ m - m @ d))
+            for m in (s, t)
+        }
+        assert derivation_space(g, sigma, tau).subspace == reference(
+            elementary_grid(g, 1, 1, 1, s, t)
+        )
+        assert derivation_space(g, sigma, sigma).subspace == reference(
+            elementary_grid(g, 1, 1, 1, s, s)
+        )
+        assert plus_interior(g, sigma).subspace == reference(twisted, commutes[s])
+        assert minus_interior(g, sigma, [sigma, tau]).subspace == reference(
+            twisted, commutes[s], commutes[t]
+        )
+        assert centroid(g).subspace == reference(elementary_grid(g, 1, 1, 0, one, one))
+        abg = data.draw(st.tuples(*[st.integers(-2, 2)] * 3))
+        assert abg_space(g, *abg).subspace == reference(
+            elementary_grid(g, *abg, one, one)
+        )
+
+        x = tuple(data.draw(sparse_rationals) for _ in range(n))
+        z = center(g)
+        annihilator = (
+            kernel_basis(Matrix.from_rows(z.basis)).basis if z.basis else one.entries
+        )
+        in_center = elementary_rows(n, lambda d: tuple(
+            sum(a * b for a, b in zip(f, d.apply(x))) for f in annihilator
+        ))
+        assert kernel_phi(g, sigma, x).subspace == reference(twisted, in_center)
+
+        # sigma is upper triangular, so it preserves span(e_1, ..., e_k).
+        k = data.draw(st.integers(0, n))
+        h = Subspace.span(n, one.entries[:k])
+        into_h = elementary_rows(n, lambda d: tuple(
+            d.apply(v)[r] for v in h.basis for r in range(k, n)
+        ))
+        assert stabilized_space(g, sigma, h).subspace == reference(twisted, into_h)
+
+        d = Matrix.from_rows([[data.draw(sparse_rationals) for _ in range(n)]
+                              for _ in range(n)])
+        basis = one.entries
+        rhs = [
+            a + b
+            for i in range(n)
+            for j in range(n)
+            for a, b in zip(bracket(g, d.apply(basis[i]), basis[j]),
+                            bracket(g, basis[i], d.apply(basis[j])))
+        ]
+        solution = solve(Matrix.from_rows(elementary_grid(g, 1, 0, 0, one, one)), rhs)
+        expected = None if solution is None else vec_to_matrix(solution, n, n)
+        assert quasiderivation_witness(g, d) == expected
+
+
+def gl_algebra(n):
+    """gl_n on the units E_ij (flat index i*n + j), with
+    [E_ij, E_kl] = delta_jk E_il - delta_li E_kj."""
+    dim = n * n
+    structure = {}
+    for a in range(dim):
+        i, j = divmod(a, n)
+        for b in range(a + 1, dim):
+            k, l = divmod(b, n)
+            vec = [Fraction(0)] * dim
+            if j == k:
+                vec[i * n + l] += 1
+            if l == i:
+                vec[k * n + j] -= 1
+            if any(vec):
+                structure[(a, b)] = tuple(vec)
+    return with_validation(LieAlgebra(f"gl{n}", dim, structure))
+
+
+class TestSparseSystemMemory:
+    def test_twisted_gl4_solve_peaks_below_3_mib(self):
+        # sigma = Ad P for an upper unitriangular P: column (k, l) holds
+        # P E_kl P^-1. The system has 4096 rows over 256 unknowns; a dense
+        # grid of it alone needs more than 8 MiB of list slots.
+        n = 4
+        g = gl_algebra(n)
+        p = Matrix.from_rows([
+            [1 if r == c else (-1) ** (r + c) if c > r else 0 for c in range(n)]
+            for r in range(n)
+        ])
+        q = inverse(p)
+        sigma = make_automorphism(g, Matrix.from_rows([
+            [p[i, k] * q[l, j] for k in range(n) for l in range(n)]
+            for i in range(n)
+            for j in range(n)
+        ]))
+        tracemalloc.start()
+        try:
+            space = derivation_space(g, sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
+        # The dense Fraction assembly finds the same two-dimensional space.
+        assert space.dim == 2
 
 
 class TestStabilizedAndRestrict:

@@ -176,27 +176,51 @@ def integer_grids(draw):
     return rows
 
 
+def sparse_rows(rows, keep_zeros=False):
+    """The kernel's input form of a dense integer grid: one dict per row,
+    zero entries kept only when asked for."""
+    return [{c: a for c, a in enumerate(row) if a or keep_zeros} for row in rows]
+
+
 class TestRrefInt:
-    @given(integer_grids())
-    @example([])
-    @example([[]])
-    @example([[0, 0, 0], [0, 0, 0]])
-    @example([[2 ** 70, 3, 0], [2 ** 70, 3, 0], [0, 0, -(2 ** 69)]])
+    @given(integer_grids(), st.booleans())
+    @example([], False)
+    @example([[]], False)
+    @example([[0, 0, 0], [0, 0, 0]], True)
+    @example([[2 ** 70, 3, 0], [2 ** 70, 3, 0], [0, 0, -(2 ** 69)]], True)
     @settings(max_examples=200, deadline=None)
-    def test_matches_fraction_gauss_jordan(self, rows):
-        before = [list(row) for row in rows]
-        pivot_rows, pivot_cols = rref_int(rows)
-        assert rows == before
+    def test_matches_fraction_gauss_jordan(self, rows, keep_zeros):
+        sparse = sparse_rows(rows, keep_zeros)
+        before = [dict(row) for row in sparse]
+        pivot_rows, pivot_cols = rref_int(sparse)
+        assert sparse == before
         expected_rows, expected_cols = reference_rref(rows)
         assert pivot_cols == expected_cols
         ncols = len(rows[0]) if rows else 0
         assert len(pivot_rows) == len(expected_rows)
         for row, c, expected in zip(pivot_rows, pivot_cols, expected_rows):
-            assert len(row) == ncols
-            assert all(type(a) is int for a in row)
+            assert all(0 <= j < ncols for j in row)
+            assert all(type(a) is int for a in row.values())
+            assert all(row.values())
             assert row[c] > 0
-            assert gcd(*row) == 1
-            assert [Fraction(a, row[c]) for a in row] == expected
+            assert gcd(*row.values()) == 1
+            assert [Fraction(row.get(j, 0), row[c]) for j in range(ncols)] == expected
+            assert all(row is not r for r in sparse)
+
+    def test_empty_and_zero_rows_are_skipped(self):
+        rows = [{}, {0: 0, 3: 0}, {2: 4, 5: 0, 7: -6}, {}]
+        before = [dict(row) for row in rows]
+        assert rref_int(rows) == ([{2: 2, 7: -3}], [2])
+        assert rows == before
+        assert rref_int([{}, {1: 0}]) == ([], [])
+        assert rref_int([]) == ([], [])
+
+    def test_output_rows_are_not_the_input_dicts(self):
+        rows = [{0: 1, 2: 3}, {1: 1}]
+        pivot_rows, _ = rref_int(rows)
+        for row in pivot_rows:
+            row.clear()
+        assert rows == [{0: 1, 2: 3}, {1: 1}]
 
 
 class TestKernel:
