@@ -2,17 +2,19 @@
 
 Scalars are :class:`fractions.Fraction`; matrices use the column-as-image
 convention (column j holds the coordinates of the image of basis vector
-e_j). Row reduction delegates to the sparse integer kernel in
-:mod:`gderive._kernels`, so every result is exact and canonical. A
-``Matrix`` is converted at the boundary: each row of Fractions becomes a
-sparse integer row, scaled by the lcm of its denominators. The systems
-that the derivation solvers assemble are sparse integer rows already and
-go to :func:`kernel_of_rows` and :func:`solve_rows` as they are.
+e_j). A ``Matrix`` holds one integer grid ``num`` over one positive
+denominator ``den``, in canonical form: the gcd of ``den`` and every
+entry of ``num`` is 1, so ``den`` is the lcm of the entries'
+denominators and equal matrices have equal grids. Products, sums,
+powers, the nilpotent exponential and the row reductions (``rref``,
+``kernel_basis``, ``solve``, ``inverse``) run on the integers; Fractions
+are made only where a caller reads ``entries``, built once and cached.
 
-Dense products (``@``, ``power``, ``exp_nilpotent``) are formed the same
-way: each factor is scaled to integers by the lcm of its denominators,
-the dot products run over ints, and each output entry becomes one
-Fraction over the common denominator.
+Row reduction delegates to the sparse integer kernel in
+:mod:`gderive._kernels`, so every result is exact and canonical. The
+systems that the derivation solvers assemble are sparse integer rows
+already and go to :func:`kernel_of_rows` and :func:`solve_rows` as they
+are. A :class:`Subspace` keeps its canonical basis as Fraction vectors.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from itertools import chain
+from math import gcd, lcm
+from operator import add, mul, sub
 
 from gderive._kernels import rref_int
 from gderive.errors import DimensionMismatch, InputError, NotNilpotent, SingularMatrix
@@ -57,39 +60,80 @@ def _coerce(value) -> Fraction:
     raise InputError(f"not an exact scalar: {value!r}")
 
 
-@dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix of Fractions, row-major.
+    """Immutable dense rational matrix, row-major: the integer grid ``num``
+    over the positive denominator ``den``, in canonical form.
 
-    Products are formed over a common integer denominator and always
-    return Fraction entries, even for factors built with int entries.
+    ``Matrix(rows, cols, entries)`` and ``Matrix.from_rows`` take exact
+    scalars (ints, Fractions, rational strings); ``entries`` are always
+    Fractions.
     """
 
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = ("rows", "cols", "num", "den", "_entries")
+
+    def __init__(self, rows: int, cols: int, entries):
+        _init_grid(self, rows, cols, tuple(
+            tuple(map(_coerce, row)) for row in entries
+        ))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Matrix is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Matrix is immutable; cannot delete {name!r}")
+
+    @property
+    def entries(self) -> tuple:
+        """The grid of Fractions num / den, built on first access."""
+        grid = self._entries
+        if grid is None:
+            den = self.den
+            if den == 1:
+                grid = tuple(tuple(map(Fraction, row)) for row in self.num)
+            else:
+                grid = tuple(
+                    tuple(Fraction(a, den) for a in row) for row in self.num
+                )
+            _set(self, "_entries", grid)
+        return grid
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (
+            self.rows == other.rows and self.cols == other.cols
+            and self.den == other.den and self.num == other.num
+        )
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.num, self.den))
+
+    def __repr__(self) -> str:
+        return (
+            f"Matrix(rows={self.rows}, cols={self.cols}, "
+            f"entries={self.entries!r})"
+        )
 
     @staticmethod
     def from_rows(rows) -> "Matrix":
-        grid = tuple(tuple(_coerce(v) for v in row) for row in rows)
-        nrows = len(grid)
-        ncols = len(grid[0]) if nrows else 0
+        grid = tuple(tuple(map(_coerce, row)) for row in rows)
+        ncols = len(grid[0]) if grid else 0
         for row in grid:
             if len(row) != ncols:
                 raise DimensionMismatch("ragged matrix rows")
-        return Matrix(nrows, ncols, grid)
+        m = object.__new__(Matrix)
+        _init_grid(m, len(grid), ncols, grid)
+        return m
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        one, zero = Fraction(1), Fraction(0)
-        return Matrix(n, n, tuple(
-            tuple(one if i == j else zero for j in range(n)) for i in range(n)
-        ))
+        return _make(n, n, tuple(
+            tuple(int(i == j) for j in range(n)) for i in range(n)
+        ), 1)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        z = Fraction(0)
-        return Matrix(rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        return _make(rows, cols, ((0,) * cols,) * rows, 1)
 
     def __getitem__(self, pair):
         i, j = pair
@@ -99,75 +143,85 @@ class Matrix:
         return self.entries[i]
 
     def col(self, j: int):
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        return tuple(row[j] for row in self.entries)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix shapes differ")
-        return Matrix(self.rows, self.cols, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        ))
+        return self._combine(other, add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        return self._combine(other, sub)
+
+    def _combine(self, other: "Matrix", op) -> "Matrix":
+        """self op other over the lcm of the two denominators."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionMismatch("matrix shapes differ")
+        den = lcm(self.den, other.den)
+        a, b = self.num, other.num
+        if self.den != den:
+            a = _scaled(a, den // self.den)
+        if other.den != den:
+            b = _scaled(b, den // other.den)
+        return _make(self.rows, self.cols, tuple(
+            tuple(map(op, ra, rb)) for ra, rb in zip(a, b)
+        ), den)
 
     def __neg__(self) -> "Matrix":
-        return self.scale(Fraction(-1))
+        return _make(self.rows, self.cols, _scaled(self.num, -1), self.den)
 
     def scale(self, k) -> "Matrix":
         k = _coerce(k)
-        return Matrix(self.rows, self.cols, tuple(
-            tuple(k * a for a in row) for row in self.entries
-        ))
+        return _make(
+            self.rows, self.cols, _scaled(self.num, k.numerator),
+            self.den * k.denominator,
+        )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions differ")
-        a, a_scale = _integer_rows(self.entries)
-        b, b_scale = _integer_rows(other.entries)
-        product = _int_product(a, b, other.cols)
-        return _over(product, a_scale * b_scale, other.cols)
+        product = _int_product(self.num, other.num, other.cols)
+        return _make(self.rows, other.cols, product, self.den * other.den)
 
     def apply(self, vector):
         """Image of a coordinate vector (matrix times column vector)."""
         if len(vector) != self.cols:
             raise DimensionMismatch("vector length differs from cols")
-        vec = tuple(_coerce(v) for v in vector)
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
+        vec = [_coerce(v) for v in vector]
+        scale = lcm(*(v.denominator for v in vec))
+        ints = [v.numerator * (scale // v.denominator) for v in vec]
+        den = self.den * scale
+        return tuple(Fraction(sum(map(mul, row, ints)), den) for row in self.num)
 
     def power(self, k: int) -> "Matrix":
-        """self^k for k >= 0, by k - 1 products starting from self."""
+        """self^k for k >= 0: k - 1 integer products over den^k."""
         if self.rows != self.cols:
             raise DimensionMismatch("power of a non-square matrix")
         if k < 0:
             raise InputError(f"negative matrix power {k}; invert first")
         if k == 0:
             return Matrix.identity(self.rows)
-        result = self
+        result = self.num
         for _ in range(k - 1):
-            result = result @ self
-        return result
+            result = _int_product(result, self.num, self.cols)
+        return _make(self.rows, self.cols, result, self.den ** k)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, tuple(
-            self.col(j) for j in range(self.cols)
-        ))
+        num = tuple(zip(*self.num)) if self.rows else ((),) * self.cols
+        return _make(self.cols, self.rows, num, self.den)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for row in self.entries for a in row)
+        return not any(map(any, self.num))
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and all(
-            a == (1 if i == j else 0)
-            for i, row in enumerate(self.entries)
+        return self.rows == self.cols and self.den == 1 and all(
+            a == (i == j)
+            for i, row in enumerate(self.num)
             for j, a in enumerate(row)
         )
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise DimensionMismatch("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
+        return Fraction(sum(self.num[i][i] for i in range(self.rows)), self.den)
 
     def to_json_dict(self) -> dict:
         return {
@@ -197,43 +251,73 @@ class Matrix:
             raise DimensionMismatch("entries grid is not rows x cols")
         if any(isinstance(v, bool) for row in entries for v in row):
             raise InputError("matrix entries must be rationals, not booleans")
-        return Matrix(rows, cols, tuple(
-            tuple(_coerce(v) for v in row) for row in entries
-        ))
+        return Matrix(rows, cols, entries)
 
 
-def _integer_rows(rows):
-    """(int rows, scale): every entry times scale, the lcm of all the
-    entries' denominators. Ints count as denominator 1."""
-    scale = lcm(*(a.denominator for row in rows for a in row))
-    ints = [[a.numerator * (scale // a.denominator) for a in row] for row in rows]
-    return ints, scale
+_set = object.__setattr__
+
+
+def _init(m: Matrix, rows: int, cols: int, num: tuple, den: int, grid) -> None:
+    """Fill the slots of a new Matrix, past its guard on assignment."""
+    _set(m, "rows", rows)
+    _set(m, "cols", cols)
+    _set(m, "num", num)
+    _set(m, "den", den)
+    _set(m, "_entries", grid)
+
+
+def _init_grid(m: Matrix, rows: int, cols: int, grid: tuple) -> None:
+    """Set m to the grid of Fractions, which it keeps as its entries."""
+    den = lcm(*[a.denominator for row in grid for a in row])
+    # With den the lcm of the denominators the grid is already canonical.
+    if den == 1:
+        num = tuple(tuple([a.numerator for a in row]) for row in grid)
+    else:
+        num = tuple(
+            tuple([a.numerator * (den // a.denominator) for a in row])
+            for row in grid
+        )
+    _init(m, rows, cols, num, den, grid)
+
+
+def _make(rows: int, cols: int, num, den: int) -> Matrix:
+    """The matrix num / den, for a tuple of int rows and den > 0, brought
+    to canonical form."""
+    g = gcd(den, *chain.from_iterable(num))
+    if g > 1:
+        num = tuple(tuple(a // g for a in row) for row in num)
+        den //= g
+    m = object.__new__(Matrix)
+    _init(m, rows, cols, num, den, None)
+    return m
+
+
+def _scaled(num, k: int):
+    return tuple(tuple(k * a for a in row) for row in num)
 
 
 def _int_product(a, b, ncols: int):
     """Int rows of a @ b, for int rows a (r x n) and b (n x ncols)."""
-    cols = list(zip(*b)) if b else [()] * ncols
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+    cols = tuple(zip(*b)) if b else ((),) * ncols
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
-def _over(int_rows, den: int, ncols: int) -> Matrix:
-    """The matrix int_rows / den, one Fraction per entry."""
-    return Matrix(len(int_rows), ncols, tuple(
-        tuple(Fraction(p, den) for p in row) for row in int_rows
-    ))
+def _sparse(row) -> dict:
+    """The nonzero entries {column: value} of a dense row."""
+    return {c: a for c, a in enumerate(row) if a}
 
 
-def _rows_to_int(entries):
-    """Sparse integer rows {column: int} of a grid of exact scalars: each
-    row is scaled by the lcm of its denominators, zeros left out."""
-    out = []
-    for row in entries:
-        scale = lcm(*(a.denominator for a in row))
-        out.append({
-            c: a.numerator * (scale // a.denominator)
-            for c, a in enumerate(row) if a
-        })
-    return out
+def _from_pivots(nrows: int, ncols: int, pivot_rows, pivot_cols, offset=0):
+    """The leading-1 rows row / row[c] of ``rref_int`` output, columns
+    ``offset`` onward, padded with zero rows to ``nrows``: a canonical
+    Matrix over the lcm of the pivot entries."""
+    den = lcm(*(row[c] for row, c in zip(pivot_rows, pivot_cols)))
+    num = [
+        tuple(row.get(j, 0) * (den // row[c]) for j in range(offset, ncols))
+        for row, c in zip(pivot_rows, pivot_cols)
+    ]
+    num.extend([(0,) * (ncols - offset)] * (nrows - len(num)))
+    return _make(nrows, ncols - offset, tuple(num), den)
 
 
 def integer_columns(m: Matrix):
@@ -242,20 +326,8 @@ def integer_columns(m: Matrix):
     Returns (columns, scale): columns[j] is {i: scale * m[i, j]} over the
     nonzero entries, and scale is the lcm of the entries' denominators.
     """
-    columns, scale = _integer_rows(m.transpose().entries)
-    return [{i: a for i, a in enumerate(col) if a} for col in columns], scale
-
-
-def _reduced_rows(entries):
-    """Leading-1 reduced rows (and pivot columns) of a grid of Fractions."""
-    pivot_rows, pivot_cols = rref_int(_rows_to_int(entries))
-    reduced = []
-    for row, c in zip(pivot_rows, pivot_cols):
-        dense = [Fraction(0)] * len(entries[0])
-        for j, a in row.items():
-            dense[j] = Fraction(a, row[c])
-        reduced.append(tuple(dense))
-    return reduced, pivot_cols
+    columns = zip(*m.num) if m.rows else ((),) * m.cols
+    return [_sparse(col) for col in columns], m.den
 
 
 def rref(m: Matrix):
@@ -264,11 +336,9 @@ def rref(m: Matrix):
     Returns:
         (reduced matrix of the same shape, pivot column tuple, rank).
     """
-    reduced, pivot_cols = _reduced_rows(m.entries)
-    rank = len(reduced)
-    zero_row = tuple(Fraction(0) for _ in range(m.cols))
-    grid = tuple(reduced) + tuple(zero_row for _ in range(m.rows - rank))
-    return Matrix(m.rows, m.cols, grid), tuple(pivot_cols), rank
+    pivot_rows, pivot_cols = rref_int([_sparse(row) for row in m.num])
+    reduced = _from_pivots(m.rows, m.cols, pivot_rows, pivot_cols)
+    return reduced, tuple(pivot_cols), len(pivot_cols)
 
 
 def kernel_of_rows(rows, ncols: int) -> "Subspace":
@@ -297,7 +367,7 @@ def kernel_of_rows(rows, ncols: int) -> "Subspace":
 
 def kernel_basis(m: Matrix) -> "Subspace":
     """Canonical basis of the right kernel {v : m v = 0}."""
-    return kernel_of_rows(_rows_to_int(m.entries), m.cols)
+    return kernel_of_rows([_sparse(row) for row in m.num], m.cols)
 
 
 def solve_rows(rows, ncols: int):
@@ -316,28 +386,38 @@ def solve(m: Matrix, rhs):
     """One solution of m x = rhs, or None when inconsistent."""
     if len(rhs) != m.rows:
         raise DimensionMismatch("right-hand side length differs from rows")
-    augmented = [(*row, _coerce(b)) for row, b in zip(m.entries, rhs)]
-    return solve_rows(_rows_to_int(augmented), m.cols)
+    # num x = den * rhs, row i scaled by the denominator of rhs[i].
+    rows = []
+    for row, b in zip(m.num, rhs):
+        b = _coerce(b)
+        q = b.denominator
+        sparse = {c: q * a for c, a in enumerate(row) if a}
+        if b:
+            sparse[m.cols] = m.den * b.numerator
+        rows.append(sparse)
+    return solve_rows(rows, m.cols)
 
 
 def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise DimensionMismatch("inverse of a non-square matrix")
     n = m.rows
-    ident = Matrix.identity(n)
-    augmented = tuple(
-        row + ident.entries[i] for i, row in enumerate(m.entries)
-    )
-    reduced, pivot_cols = _reduced_rows(augmented)
-    if list(pivot_cols[:n]) != list(range(n)) or len(pivot_cols) < n:
+    # [num | den I] reduces to [I | den num^-1], the inverse of num / den.
+    augmented = []
+    for i, row in enumerate(m.num):
+        sparse = _sparse(row)
+        sparse[n + i] = m.den
+        augmented.append(sparse)
+    pivot_rows, pivot_cols = rref_int(augmented)
+    if pivot_cols[:n] != list(range(n)):
         raise SingularMatrix("matrix is singular")
-    return Matrix(n, n, tuple(row[n:] for row in reduced))
+    return _from_pivots(n, 2 * n, pivot_rows, pivot_cols, offset=n)
 
 
 def exp_nilpotent(m: Matrix) -> Matrix:
     """Finite exponential sum for nilpotent m: sum of m^k / k! for k < n.
 
-    With m = A / d for an int matrix A, the sum is
+    With m = A / d for the int grid A, the sum is
     sum_k A^k (n-1)!/k! d^(n-1-k) over the one denominator (n-1)! d^(n-1).
     """
     if m.rows != m.cols:
@@ -345,11 +425,11 @@ def exp_nilpotent(m: Matrix) -> Matrix:
     n = m.rows
     if n == 0:
         return Matrix.identity(0)
-    a, d = _integer_rows(m.entries)
-    powers = [[[int(i == j) for j in range(n)] for i in range(n)], a]
+    a, d = m.num, m.den
+    powers = [Matrix.identity(n).num, a]
     for _ in range(n - 1):
         powers.append(_int_product(powers[-1], a, n))
-    if any(any(row) for row in powers[n]):
+    if any(map(any, powers[n])):
         raise NotNilpotent("matrix is not nilpotent")
     total = [[0] * n for _ in range(n)]
     weight = 1  # (n-1)!/k! d^(n-1-k), from k = n-1 down to (n-1)! d^(n-1)
@@ -359,7 +439,7 @@ def exp_nilpotent(m: Matrix) -> Matrix:
                 out[j] += weight * p
         if k:
             weight *= k * d
-    return _over(total, weight, n)
+    return _make(n, n, tuple(map(tuple, total)), weight)
 
 
 def matrix_order(m: Matrix, max_m: int):
@@ -387,14 +467,25 @@ class Subspace:
 
     @staticmethod
     def span(ambient_dim: int, vectors) -> "Subspace":
-        grid = []
+        rows = []
         for v in vectors:
-            row = tuple(_coerce(a) for a in v)
+            row = [_coerce(a) for a in v]
             if len(row) != ambient_dim:
                 raise DimensionMismatch("vector length differs from ambient dim")
-            grid.append(row)
-        reduced, _ = _reduced_rows(grid)
-        return Subspace(ambient_dim, tuple(reduced))
+            # A sparse integer row: row times the lcm of its denominators.
+            scale = lcm(*(a.denominator for a in row))
+            rows.append({
+                c: a.numerator * (scale // a.denominator)
+                for c, a in enumerate(row) if a
+            })
+        pivot_rows, pivot_cols = rref_int(rows)
+        basis = []
+        for row, c in zip(pivot_rows, pivot_cols):
+            vec = [Fraction(0)] * ambient_dim
+            for j, a in row.items():
+                vec[j] = Fraction(a, row[c])
+            basis.append(tuple(vec))
+        return Subspace(ambient_dim, tuple(basis))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":

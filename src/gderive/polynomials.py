@@ -1,22 +1,30 @@
 """Multivariate polynomials over Q with lex order, and polynomial ideals.
 
 The monomial order is lexicographic in the declared variable order, which
-is an explicit part of every polynomial's identity. Ideal calculations
-(membership, containment) divide by the unique reduced basis, which
-`groebner` completes with Buchberger's algorithm: pairs are taken smallest
-lcm first from a heap, and the Gebauer-Moeller criteria drop the pairs
-whose S-polynomials are known to reduce to zero. A degree guard bounds
-the number of new basis elements. Primality is certified only through the
-triangular-linear criterion (leading variables minus free variables),
-never decided in general.
+is an explicit part of every polynomial's identity. Coefficients are
+Fractions. Division runs in an integer frame instead: the polynomial being
+reduced is integer coefficients over one denominator, each divisor a
+primitive integer polynomial, and only the remainder's terms (and the
+quotients, when `divide` is asked for them) come back as Fractions.
+
+Ideal calculations (membership, containment) divide by the unique reduced
+basis, which `groebner` completes with Buchberger's algorithm: pairs are
+taken smallest lcm first from a heap, and the Gebauer-Moeller criteria
+drop the pairs whose S-polynomials are known to reduce to zero. A degree
+guard bounds the number of new basis elements. Primality is certified
+only through the triangular-linear criterion (leading variables minus free
+variables), never decided in general.
 """
 
 from __future__ import annotations
 
-import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import add, neg, sub
 
 from gderive.errors import (
     DegreeGuardExceeded,
@@ -121,6 +129,8 @@ class MultiPoly:
         return MultiPoly(self.variables, _normalize_terms(terms))
 
     def __pow__(self, k: int) -> "MultiPoly":
+        if k < 0:
+            raise InputError(f"negative polynomial power {k}")
         result = MultiPoly.const(self.variables, 1)
         for _ in range(k):
             result = result * self
@@ -173,6 +183,24 @@ class MultiPoly:
                     term = term * image ** e
             result = result + term
         return result
+
+    @cached_property
+    def _divisor_frame(self):
+        """(support, lead, l, tail) for :func:`_reduce`: this polynomial
+        made primitive over the integers with a positive leading
+        coefficient l, its negated exponent vectors, and the (index,
+        negated exponent) pairs of the leading monomial's own variables."""
+        ints, _ = _integer_terms(self.terms)
+        content = gcd(*(c for _, c in ints))
+        if ints[0][1] < 0:
+            content = -content
+        lead = ints[0][0]
+        return (
+            tuple((k, a) for k, a in enumerate(lead) if a),
+            lead,
+            ints[0][1] // content,
+            [(e, c // content) for e, c in ints[1:]],
+        )
 
     def __str__(self) -> str:
         return poly_to_string(self)
@@ -316,6 +344,84 @@ def _exp_lcm(e1, e2):
     return tuple(max(a, b) for a, b in zip(e1, e2))
 
 
+def _integer_terms(terms):
+    """(negated exponents, int) pairs and the denominator d of the
+    polynomial they make over d: d is the lcm of the coefficients'
+    denominators."""
+    d = lcm(*(c.denominator for _, c in terms))
+    return [
+        (tuple(map(neg, e)), c.numerator * (d // c.denominator))
+        for e, c in terms
+    ], d
+
+
+def _reduce(p: MultiPoly, divisors, with_quotients: bool):
+    """Division of p by the divisors in one integer frame.
+
+    The work polynomial is W / d for integer coefficients W and one
+    denominator d. Each divisor enters as a primitive integer polynomial
+    with a positive leading coefficient l. Reducing a leading term w x^e
+    by x^a times that divisor replaces W by (l W - w x^a G) / gcd(w, l),
+    with d scaled alike, so every update is an integer operation.
+    Exponent vectors are held negated, so that the heap pops the
+    lex-largest term first. The remainder's terms leave the frame as
+    Fractions when they are popped; the quotients are built only when
+    ``with_quotients`` is set.
+    """
+    divisors = list(divisors)
+    for g in divisors:
+        p._check_ring(g)
+        if g.is_zero:
+            raise DimensionMismatch("zero divisor in division")
+    frames = [g._divisor_frame for g in divisors]
+    work, d = _integer_terms(p.terms)
+    heap = [e for e, _ in work]
+    heapify(heap)
+    work = dict(work)
+    quotients = [[] for _ in divisors] if with_quotients else None
+    rest = []
+    while heap:
+        e = heappop(heap)
+        w = work.pop(e, 0)
+        if not w:
+            continue  # cancelled after it was pushed
+        for i, (support, lead, l, tail) in enumerate(frames):
+            for k, a in support:
+                if e[k] > a:
+                    break
+            else:
+                shift = tuple(map(sub, e, lead))
+                if with_quotients:
+                    quotients[i].append((
+                        tuple(map(neg, shift)),
+                        Fraction(w, d) / divisors[i].terms[0][1],
+                    ))
+                g = gcd(w, l)
+                if g != l:
+                    s = l // g
+                    work = {t: s * c for t, c in work.items()}
+                    d *= s
+                m = w // g
+                for te, c in tail:
+                    t = tuple(map(add, shift, te))
+                    c *= m
+                    v = work.get(t)
+                    if v is None:
+                        work[t] = -c
+                        heappush(heap, t)
+                    elif v == c:
+                        del work[t]
+                    else:
+                        work[t] = v - c
+                break
+        else:
+            rest.append((tuple(map(neg, e)), Fraction(w, d)))
+    r = MultiPoly(p.variables, tuple(rest))
+    if not with_quotients:
+        return None, r
+    return [MultiPoly(p.variables, tuple(q)) for q in quotients], r
+
+
 def divide(p: MultiPoly, divisors) -> tuple:
     """Multivariate division: p = sum(q_i * g_i) + r.
 
@@ -323,43 +429,12 @@ def divide(p: MultiPoly, divisors) -> tuple:
     divisor whose leading term divides is always chosen, so the result is
     deterministic for a fixed divisor list.
     """
-    divisors = list(divisors)
-    leads = []
-    for g in divisors:
-        p._check_ring(g)
-        if g.is_zero:
-            raise DimensionMismatch("zero divisor in division")
-        leads.append(g.leading_term())
-    quotients = [dict() for _ in divisors]
-    remainder = {}
-    work = dict(p.terms)
-    while work:
-        exps = max(work)
-        coeff = work.pop(exps)
-        if coeff == 0:
-            continue
-        for i, (lead_exps, lead_coeff) in enumerate(leads):
-            if _divides(lead_exps, exps):
-                factor_exps = _exp_sub(exps, lead_exps)
-                factor_coeff = coeff / lead_coeff
-                quotients[i][factor_exps] = quotients[i].get(
-                    factor_exps, Fraction(0)
-                ) + factor_coeff
-                for g_exps, g_coeff in divisors[i].terms[1:]:
-                    t = tuple(a + b for a, b in zip(factor_exps, g_exps))
-                    work[t] = work.get(t, Fraction(0)) - factor_coeff * g_coeff
-                    if work[t] == 0:
-                        del work[t]
-                break
-        else:
-            remainder[exps] = remainder.get(exps, Fraction(0)) + coeff
-    qs = [MultiPoly(p.variables, _normalize_terms(q)) for q in quotients]
-    r = MultiPoly(p.variables, _normalize_terms(remainder))
-    return qs, r
+    return _reduce(p, divisors, True)
 
 
 def remainder(p: MultiPoly, divisors) -> MultiPoly:
-    return divide(p, divisors)[1]
+    """The remainder of :func:`divide`, without building the quotients."""
+    return _reduce(p, divisors, False)[1]
 
 
 @dataclass(frozen=True)
@@ -455,7 +530,7 @@ def groebner(ideal: Ideal, guard: int = DEFAULT_GUARD) -> tuple:
                 product_skips += 1
             else:
                 open_pairs[(i, k)] = l
-                heapq.heappush(queue, (l, i, k))
+                heappush(queue, (l, i, k))
         active[:] = [i for i in active if not _divides(eh, leads[i])]
         active.append(k)
         basis.append(h)
@@ -468,7 +543,7 @@ def groebner(ideal: Ideal, guard: int = DEFAULT_GUARD) -> tuple:
         return ()
     generated = 0
     while queue:
-        _, i, j = heapq.heappop(queue)
+        _, i, j = heappop(queue)
         if open_pairs.pop((i, j), None) is None:
             continue  # cut by the chain criterion after it was queued
         reduced += 1

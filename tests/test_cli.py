@@ -778,12 +778,67 @@ PINNED_STDOUT = {
 }
 
 
+# The linear commands on built-in algebras. "@name" stands for a sigma file
+# written from the literal grid in PINNED_SIGMAS, so no library code makes
+# the input.
+PINNED_SIGMAS = {
+    "sl2_b1": [["1", "1", "-1"], ["0", "1", "-2"], ["0", "0", "1"]],
+    "sl2_c2": [["1", "0", "0"], ["-4", "1", "0"], ["-4", "2", "1"]],
+    "heis_shear": [["1", "-1", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+}
+
+PINNED_LINEAR_STDOUT = {
+    ("centroid", "--algebra", "sl2"):
+        "c9eabca67b25ce81e029e2a183a5f2ea7418500cbd36d0abd9c881cb0809453c",
+    ("centroid", "--algebra", "heisenberg"):
+        "b6de82c1eeafd5509b5ad94661ecc9fee3a7917a8e0806e63426aefc8e8b8fbb",
+    ("centroid", "--algebra", "example_4_6", "--format", "text"):
+        "b793452ce042816cd9dfbeb8c221d908f7cdcb6ae9e8b78a9d95c0bb83513131",
+    ("abg", "--algebra", "heisenberg", "--alpha", "2", "--beta", "1",
+     "--gamma", "1"):
+        "22b3b41b31c978b59a723618c091828c68d6e79c25eff0c05f71af41210fe403",
+    ("abg", "--algebra", "sl2", "--alpha", "1/2", "--beta", "1",
+     "--gamma=-1", "--format", "text"):
+        "61d07ed8440b8ca06b24f264eee2ddd4436065d778fdcd260f41359651a3fc26",
+    ("abg", "--algebra", "example_4_6", "--alpha", "2", "--beta", "1",
+     "--gamma", "1"):
+        "c20434488dfca2c7c034f320b99d73ce8a981fff7acecffa032f8aa464fa5c18",
+    ("abg", "--algebra", "sl2", "--alpha", "1", "--beta", "1", "--gamma",
+     "1", "--format", "text"):
+        "d52f4469ed23b4ad5c690d529ca319a7630f7ec6da377eeb0d237915c9ae6056",
+    ("derive", "--algebra", "sl2", "--sigma", "@sl2_b1", "--kind", "plus"):
+        "43bc4f378315196e6228cd81328b4707a2f6aba28e4c7887dcc6f115e5c9ff8a",
+    ("derive", "--algebra", "heisenberg", "--sigma", "@heis_shear", "--kind",
+     "plus", "--format", "text"):
+        "aaad95102e5d535831f294fe54a58c675f0f7e12e57e72decc9c31530746d10b",
+    ("hilbert", "--algebra", "sl2", "--sigma", "@sl2_b1"):
+        "5ddb3d857ab0d05195d96ea35e9f80c74308290946a768862bd3ce43c197c3ce",
+    ("hilbert", "--algebra", "sl2", "--sigma", "@sl2_c2", "--kind", "plus",
+     "--format", "text"):
+        "d2cb46d4cc30cf11b1df06e410501fc7f37187bea2429dceea2e3fdb3535ce1a",
+    ("hilbert", "--algebra", "heisenberg", "--sigma", "@heis_shear"):
+        "36ae98680b55b8305bb349f90a48e2665e0b484d89091fd6c1a61aad4f535d4b",
+}
+
+
 class TestPinnedOutput:
     @pytest.mark.parametrize("argv", list(PINNED_STDOUT), ids=" ".join)
     def test_stdout_digest(self, capsys, argv):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
+
+    @pytest.mark.parametrize("argv", list(PINNED_LINEAR_STDOUT), ids=" ".join)
+    def test_linear_stdout_digest(self, capsys, tmp_path, argv):
+        paths = {}
+        for name, grid in PINNED_SIGMAS.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"rows": 3, "cols": 3, "entries": grid}))
+            paths[f"@{name}"] = str(path)
+        code, out, _ = run(capsys, *(paths.get(a, a) for a in argv))
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == PINNED_LINEAR_STDOUT[argv]
 
 
 class TestParsing:

@@ -656,6 +656,25 @@ class TestSolversAgainstDenseGrids:
         expected = None if solution is None else vec_to_matrix(solution, n, n)
         assert quasiderivation_witness(g, d) == expected
 
+    @given(random_brackets(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_derivation_pair_check_agrees_with_the_space(self, g, data):
+        # sigma and tau carry denominators, so every scale of the
+        # integer-column check is exercised.
+        n = g.dim
+        sigma = data.draw(unipotent_maps(g))
+        tau = data.draw(unipotent_maps(g))
+        space = derivation_space(g, sigma, tau)
+        member = Matrix.zero(n, n)
+        for d in space.basis:
+            member = member + d.scale(data.draw(small_rationals))
+        other = Matrix.from_rows([[data.draw(sparse_rationals) for _ in range(n)]
+                                  for _ in range(n)])
+        for m in (member, other, member + other):
+            assert is_derivation_pair(g, m, sigma, tau) == space.subspace.contains(
+                matrix_to_vec(m)
+            )
+
 
 def gl_algebra(n):
     """gl_n on the units E_ij (flat index i*n + j), with
@@ -702,6 +721,13 @@ class TestSparseSystemMemory:
         assert peak < 3 * 2 ** 20
         # The dense Fraction assembly finds the same two-dimensional space.
         assert space.dim == 2
+        # Each basis map satisfies the identity, checked apart from the
+        # assembler; adding the identity map, which is no twisted
+        # derivation of gl_4, breaks it.
+        ident = Automorphism.identity(g)
+        for d in space.basis:
+            assert is_derivation_pair(g, d, sigma, ident)
+            assert not is_derivation_pair(g, d + Matrix.identity(n * n), sigma, ident)
 
 
 class TestStabilizedAndRestrict:

@@ -444,6 +444,96 @@ class TestExactProducts:
             Matrix.zero(2, 3) @ Matrix.zero(2, 3)
 
 
+@st.composite
+def grid_pairs(draw):
+    """Two r x c grids: the second a copy of the first, or the first with
+    one entry redrawn (which may leave it equal)."""
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    a = draw(grids(r, c))
+    b = [list(row) for row in a]
+    if r and c and draw(st.booleans()):
+        b[draw(st.integers(0, r - 1))][draw(st.integers(0, c - 1))] = draw(
+            exact_scalars
+        )
+    return a, b, c
+
+
+def built_alike(grid, ncols):
+    """The same matrix built every way the library builds one."""
+    nrows = len(grid)
+    raw = raw_matrix(grid, ncols)
+    k = Fraction(7, 3)
+    return [
+        Matrix.from_rows([[Fraction(a) for a in row] for row in grid])
+        if nrows else Matrix.zero(0, ncols),
+        raw,
+        Matrix.identity(nrows) @ raw,
+        raw.scale(k) @ Matrix.identity(ncols).scale(1 / k),
+        (raw + raw) - raw,
+        Matrix.from_json_dict(raw.to_json_dict()),
+        raw.transpose().transpose(),
+    ]
+
+
+def canonical(m):
+    return m.den > 0 and gcd(m.den, *(a for row in m.num for a in row)) == 1
+
+
+class TestIntegerBackedMatrix:
+    """Equality, hashing and entries of the integer form."""
+
+    @given(grid_pairs())
+    @example(([], [], 3))
+    @example(([[2 ** 70, Fraction(1, 3)]], [[2 ** 70, Fraction(2, 6)]], 2))
+    @settings(max_examples=150, deadline=None)
+    def test_equal_and_hash_exactly_when_entries_equal(self, triple):
+        a, b, ncols = triple
+        for m in built_alike(a, ncols) + built_alike(b, ncols):
+            assert all_fractions(m)
+            assert canonical(m)
+        for x in built_alike(a, ncols):
+            assert entries_of(x) == [[Fraction(v) for v in row] for row in a]
+            for y in built_alike(b, ncols):
+                assert (x == y) == (entries_of(x) == entries_of(y))
+                if x == y:
+                    assert hash(x) == hash(y)
+
+    @given(matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_rref_matrix_equals_its_entries(self, m):
+        reduced = rref(m)[0]
+        again = Matrix.from_rows(reduced.entries)
+        assert all_fractions(reduced) and canonical(reduced)
+        assert reduced == again and hash(reduced) == hash(again)
+        rows, _ = reference_rref(entries_of(m))
+        rows += [[0] * m.cols] * (m.rows - len(rows))
+        assert reduced == raw_matrix(rows, m.cols)
+
+    @given(nilpotent_grids())
+    @settings(max_examples=80, deadline=None)
+    def test_exp_nilpotent_equals_its_entries(self, grid):
+        n = len(grid)
+        e = exp_nilpotent(raw_matrix(grid, n))
+        again = raw_matrix(entries_of(e), n)
+        assert all_fractions(e) and canonical(e)
+        assert e == again and hash(e) == hash(again)
+
+    def test_distinct_shapes_differ(self):
+        assert Matrix.zero(0, 2) != Matrix.zero(0, 3)
+        assert Matrix.zero(2, 0) != Matrix.zero(3, 0)
+        assert Matrix.zero(1, 2) != Matrix.zero(2, 1)
+
+    def test_attributes_cannot_be_assigned(self):
+        m = Matrix.from_rows([[1, Fraction(1, 2)]])
+        m.entries  # the cache is filled once, from inside the class
+        for name in ("rows", "cols", "entries", "num", "den", "_entries", "x"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(m, name)
+        assert m == Matrix.from_rows([["1", "1/2"]])
+
+
 class TestPower:
     SHEAR = Matrix.from_rows([[1, 1], [0, 1]])
 

@@ -141,6 +141,16 @@ class TestArithmetic:
         with pytest.raises(UnknownVariable):
             xy_poly("x").substitute({"q": 1})
 
+    def test_powers(self):
+        x_plus_y = xy_poly("x + y")
+        assert x_plus_y ** 0 == xy_poly("1")
+        assert x_plus_y ** 3 == x_plus_y * x_plus_y * x_plus_y
+
+    @pytest.mark.parametrize("k", [-1, -3])
+    def test_negative_power_rejected(self, k):
+        with pytest.raises(InputError):
+            xy_poly("x + y") ** k
+
     def test_poly_substitution_ring_map(self):
         p = xy_poly("x^2 + y")
         target = ("a", "b")
@@ -199,6 +209,83 @@ class TestDivision:
         lead = g.leading_term()[0]
         for exps, _ in r.terms:
             assert not all(a <= b for a, b in zip(lead, exps))
+
+
+def reference_divide(p, divisors):
+    """Plain Fraction division: pop the lex-largest term and reduce it by
+    the first divisor whose leading term divides it, else move it to the
+    remainder. Shares no code with the library's integer-frame division."""
+    quotients = [{} for _ in divisors]
+    rest = {}
+    work = dict(p.terms)
+    while work:
+        exps = max(work)
+        coeff = work.pop(exps)
+        for q, g in zip(quotients, divisors):
+            lead, lead_coeff = g.terms[0]
+            if all(a <= b for a, b in zip(lead, exps)):
+                shift = tuple(b - a for a, b in zip(lead, exps))
+                factor = coeff / lead_coeff
+                q[shift] = q.get(shift, 0) + factor
+                for e, c in g.terms[1:]:
+                    t = tuple(a + b for a, b in zip(shift, e))
+                    work[t] = work.get(t, 0) - factor * c
+                    if not work[t]:
+                        del work[t]
+                break
+        else:
+            rest[exps] = rest.get(exps, 0) + coeff
+    return (
+        [MultiPoly.from_dict(p.variables, q) for q in quotients],
+        MultiPoly.from_dict(p.variables, rest),
+    )
+
+
+# Polynomials in x, y, z with exponents up to 3 and rational coefficients:
+# leading coefficients are as a rule neither 1 nor integers, and may be
+# negative.
+_rational_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    min_size=1, max_size=5,
+).map(lambda terms: MultiPoly.from_dict(("x", "y", "z"), terms))
+
+
+class TestIntegerFrameDivision:
+    @given(
+        _rational_polys,
+        st.lists(_rational_polys.filter(lambda g: not g.is_zero),
+                 min_size=1, max_size=4),
+    )
+    @example(xy_poly("x^2 + y"), [xy_poly("-2/3*x + 5/7*y")])
+    @example(xy_poly("0"), [xy_poly("3*x")])
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_reference(self, p, divisors):
+        expected_qs, expected_r = reference_divide(p, divisors)
+        qs, r = divide(p, divisors)
+        assert (qs, r) == (expected_qs, expected_r)
+        assert remainder(p, divisors) == expected_r
+        total = r
+        for q, g in zip(qs, divisors):
+            total = total + q * g
+        assert total == p
+        for _, c in r.terms + tuple(t for q in qs for t in q.terms):
+            assert type(c) is Fraction
+
+    @given(
+        st.lists(_rational_polys, min_size=1, max_size=3),
+        _rational_polys,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_remainder_by_random_basis_matches_reference(self, gens, p):
+        gens = [g for g in gens if not g.is_zero]
+        assume(gens and not p.is_zero)
+        try:
+            basis = list(groebner(Ideal.make(gens[0].variables, gens), guard=30))
+        except DegreeGuardExceeded:
+            assume(False)
+        assume(basis)
+        assert remainder(p, basis) == reference_divide(p, basis)[1]
 
 
 class TestBuchberger:
