@@ -8,7 +8,6 @@ the other half of the table is implied by antisymmetry. All indices are
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -30,12 +29,12 @@ from gderive.linalg import (
     kernel_basis,
     parse_rational,
 )
+from gderive.record import Record, replace
 
 _ABELIAN_RE = re.compile(r"^abelian\(0*([0-9]+)\)$")
 
 
-@dataclass(frozen=True, eq=True)
-class LieAlgebra:
+class LieAlgebra(Record):
     """Bilinear antisymmetric product given by structure constants."""
 
     name: str
@@ -117,8 +116,7 @@ def bracket_images(table, columns, coeff):
     return out
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     violations: tuple
 
     @property
@@ -229,8 +227,7 @@ def is_automorphism(g: LieAlgebra, m: Matrix) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Automorphism:
+class Automorphism(Record):
     algebra: LieAlgebra
     matrix: Matrix
     validated: bool = False

@@ -17,7 +17,6 @@ handed to ``kernel_of_rows`` or ``solve_rows`` without a dense grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from gderive.algebra import (
@@ -51,10 +50,10 @@ from gderive.linalg import (
     subspace_intersect,
     vec_to_matrix,
 )
+from gderive.record import Record
 
 
-@dataclass(frozen=True)
-class DerivationSpace:
+class DerivationSpace(Record):
     algebra: LieAlgebra
     sigma: Automorphism
     tau: Automorphism
@@ -462,8 +461,7 @@ def derived_in_kernel(g: LieAlgebra, d: Matrix, sigma: Automorphism) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class IntersectionReport:
+class IntersectionReport(Record):
     dimension: int
     intersection: Subspace
     witness: tuple = None
@@ -541,8 +539,7 @@ def _divisors(value: int):
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class PeriodicReport:
+class PeriodicReport(Record):
     nonabelian: bool
     in_der_sigma: bool
     order: int

@@ -9,8 +9,6 @@ or an eventually periodic pattern detected inside the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from gderive.algebra import Automorphism, LieAlgebra, require_validated
 from gderive.derivations import derivation_space
 from gderive.errors import FiniteOrderInput, InputError, NoPeriod
@@ -21,10 +19,10 @@ from gderive.limits import (
     MAX_WINDOW,
 )
 from gderive.linalg import Matrix, matrix_order
+from gderive.record import Record
 
 
-@dataclass(frozen=True)
-class GradedDims:
+class GradedDims(Record):
     algebra: LieAlgebra
     sigma: Automorphism
     kind: str
@@ -109,8 +107,7 @@ def detect_period(gd: GradedDims):
     return None
 
 
-@dataclass(frozen=True)
-class RationalSeries:
+class RationalSeries(Record):
     """Closed form: Laurent polynomial plus two geometric tails.
 
     polynomial_part: tuple of (exponent, coefficient) pairs.

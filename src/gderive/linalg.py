@@ -20,7 +20,6 @@ are. A :class:`Subspace` keeps its canonical basis as Fraction vectors.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -28,6 +27,7 @@ from operator import add, mul, sub
 
 from gderive._kernels import rref_int
 from gderive.errors import DimensionMismatch, InputError, NotNilpotent, SingularMatrix
+from gderive.record import Record
 
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
 
@@ -454,8 +454,7 @@ def matrix_order(m: Matrix, max_m: int):
     return None
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """Subspace of Q^n held in canonical form.
 
     The stacked basis is in reduced row echelon form, so two subspaces are

@@ -19,7 +19,6 @@ variables), never decided in general.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -34,6 +33,7 @@ from gderive.errors import (
 )
 from gderive.limits import DEFAULT_GUARD, MAX_GUARD
 from gderive.linalg import Matrix, format_rational, parse_rational
+from gderive.record import Record
 
 
 def _normalize_terms(terms: dict) -> tuple:
@@ -42,12 +42,26 @@ def _normalize_terms(terms: dict) -> tuple:
     ))
 
 
-@dataclass(frozen=True)
-class MultiPoly:
+class MultiPoly(Record):
     """Polynomial as a map exponent-vector -> coefficient, sorted descending."""
 
     variables: tuple
     terms: tuple
+
+    # Built and compared in bulk by the Groebner engine, so the record
+    # methods are written out for the two fields.
+    def __init__(self, variables: tuple, terms: tuple):
+        d = self.__dict__
+        d["variables"] = variables
+        d["terms"] = terms
+
+    def __eq__(self, other):
+        if other.__class__ is not MultiPoly:
+            return NotImplemented
+        return self.variables == other.variables and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.variables, self.terms))
 
     @staticmethod
     def from_dict(variables, terms: dict) -> "MultiPoly":
@@ -175,12 +189,16 @@ class MultiPoly:
             else:
                 image = MultiPoly.var(target_variables, name)
             images.append(image)
+        # powers[i][e - 1] is images[i] ** e, extended as the terms need it.
+        powers = [[image] for image in images]
         result = MultiPoly.zero(target_variables)
         for exps, coeff in self.terms:
             term = MultiPoly.const(target_variables, coeff)
-            for image, e in zip(images, exps):
+            for image, known, e in zip(images, powers, exps):
                 if e:
-                    term = term * image ** e
+                    while len(known) < e:
+                        known.append(known[-1] * image)
+                    term = term * known[e - 1]
             result = result + term
         return result
 
@@ -437,8 +455,7 @@ def remainder(p: MultiPoly, divisors) -> MultiPoly:
     return _reduce(p, divisors, False)[1]
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(Record):
     variables: tuple
     generators: tuple
 
@@ -446,10 +463,12 @@ class Ideal:
     def make(variables, generators) -> "Ideal":
         variables = tuple(variables)
         gens = []
+        seen = set()
         for g in generators:
             if g.variables != variables:
                 raise DimensionMismatch("generator lives in the wrong ring")
-            if not g.is_zero and g not in gens:
+            if not g.is_zero and g not in seen:
+                seen.add(g)
                 gens.append(g)
         return Ideal(variables, tuple(gens))
 
@@ -600,8 +619,7 @@ def contains(outer: Ideal, inner: Ideal, guard: int = DEFAULT_GUARD) -> bool:
     return all(remainder(g, basis).is_zero for g in inner.generators)
 
 
-@dataclass(frozen=True)
-class PrimeCertificate:
+class PrimeCertificate(Record):
     certified: bool
     leading_vars: tuple
     free_vars: tuple

@@ -1,0 +1,91 @@
+"""Frozen value records.
+
+A record class lists its fields as class annotations, in order, with an
+optional default as the class attribute; :class:`Record` reads them once,
+when the class is made. Instances take their fields positionally or by
+keyword, compare equal only to instances of the same class with equal
+fields, hash as the tuple of their fields, print as ``Name(field=value,
+...)`` and refuse assignment and deletion. They keep a ``__dict__``, so a
+``functools.cached_property`` member (which writes to the instance dict
+directly) still works.
+
+The base generates no code: it reads the field list once per class and
+runs the same few methods for every record, so defining the records
+costs no start-up time in a command-line run.
+"""
+
+from __future__ import annotations
+
+
+class Record:
+    """Base of the immutable records; subclasses only annotate fields."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", {}))
+        cls._defaults = {
+            name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__
+        }
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(fields)} fields, "
+                f"got {len(args)} positional arguments"
+            )
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(f"{type(self).__name__} has no field {name!r}")
+            if name in values:
+                raise TypeError(f"{type(self).__name__} got {name!r} twice")
+            values[name] = value
+        if len(values) < len(fields):
+            defaults = self._defaults
+            for name in fields:
+                if name not in values:
+                    if name not in defaults:
+                        raise TypeError(
+                            f"{type(self).__name__} is missing field {name!r}"
+                        )
+                    values[name] = defaults[name]
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Checks a subclass runs on a new instance; none by default."""
+
+    def _values(self) -> tuple:
+        get = self.__dict__.__getitem__
+        return tuple(map(get, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self._values())
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"{type(self).__name__} is immutable; cannot set {name!r}"
+        )
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"{type(self).__name__} is immutable; cannot delete {name!r}"
+        )
+
+
+def replace(record: Record, **changes) -> Record:
+    """A copy of the record with the given fields changed."""
+    values = dict(zip(record._fields, record._values()))
+    values.update(changes)
+    return type(record)(**values)

@@ -8,7 +8,6 @@ when the computed values, not the displayed ones, come out again.
 """
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Automorphism, builtin, is_automorphism, make_automorphism
@@ -37,6 +36,7 @@ from .linalg import (
     rref,
     subspace_intersect,
 )
+from .record import Record
 from .sl2 import (
     Sl2Family,
     classify_derivation,
@@ -49,8 +49,7 @@ from .sl2 import (
 F = Fraction
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(Record):
     key: str
     title: str
     ok: bool

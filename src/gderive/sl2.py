@@ -23,7 +23,6 @@ silently substituted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from gderive.algebra import builtin
@@ -47,6 +46,7 @@ from gderive.polynomials import (
     poly_from_string,
     triangular_prime_check,
 )
+from gderive.record import Record
 
 SL2 = builtin("sl2")
 
@@ -57,8 +57,7 @@ RING_TWO_PARAM = X_VARS + ("b", "c")
 FAMILY_PARAMS = {"b": ("b",), "c": ("c",), "ab": ("a", "b")}
 
 
-@dataclass(frozen=True)
-class Sl2Family:
+class Sl2Family(Record):
     """One of the three automorphism families, symbolic or fixed."""
 
     tag: str
@@ -101,8 +100,7 @@ def derivation_matrix(a, b, c) -> Matrix:
     return Matrix.from_rows([[a, b, 0], [-2 * c, 0, -2 * b], [0, c, -a]])
 
 
-@dataclass(frozen=True)
-class DerivationClassification:
+class DerivationClassification(Record):
     matrix: Matrix
     nilpotent: bool
     predicted_nilpotent: bool
@@ -207,8 +205,7 @@ ORDERED_PAIRS = (
 )
 
 
-@dataclass(frozen=True)
-class DerivationIdealReport:
+class DerivationIdealReport(Record):
     family: str
     ring: tuple
     raw: Ideal
@@ -290,8 +287,7 @@ def _parameter_assignment(tag: str, values: dict) -> dict:
 
 # -- known components ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class Component:
+class Component(Record):
     """One candidate irreducible component of the residual variety.
 
     form: 3x3 grid of polynomials in form_variables giving the general
@@ -460,8 +456,7 @@ def known_components(f: Sl2Family) -> tuple:
 
 # -- decomposition verification ----------------------------------------------
 
-@dataclass(frozen=True)
-class ComponentVerdict:
+class ComponentVerdict(Record):
     component: Component
     certificate: PrimeCertificate
     dimension: int
@@ -471,8 +466,7 @@ class ComponentVerdict:
     claimed_form_satisfies_residuals: bool
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(Record):
     family: str
     raw: Ideal
     simplified: Ideal
@@ -552,8 +546,7 @@ def verify_decomposition(
 
 # -- fixed-parameter reports --------------------------------------------------
 
-@dataclass(frozen=True)
-class FixedDimensionReport:
+class FixedDimensionReport(Record):
     family: str
     values: dict
     dimension: int

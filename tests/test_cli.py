@@ -896,15 +896,17 @@ PINNED_HELP = {
 
 
 class TestStartup:
-    """Building the parser loads no engine, and a subcommand loads only
-    the engines it runs."""
+    """Building the parser loads no engine, a subcommand loads only the
+    engines it runs, and no run loads `dataclasses` or `inspect`."""
 
     def test_parser_loads_no_engine(self):
         loaded = _modules_after("import gderive.cli; gderive.cli.build_parser()")
         assert {m for m in loaded if m.partition(".")[0] == "gderive"} == {
             "gderive", "gderive.cli", "gderive.errors", "gderive.limits",
         }
-        assert not loaded & {"fractions", "dataclasses"}
+        assert not loaded & {
+            "fractions", "dataclasses", "inspect", "gderive.record",
+        }
 
     @pytest.mark.parametrize("argv", [
         ["check", "--algebra", "sl2"],
@@ -918,8 +920,15 @@ class TestStartup:
         assert "gderive.algebra" in loaded
         assert not loaded & {
             "gderive.polynomials", "gderive.sl2", "gderive.hilbert",
-            "gderive.reproduce",
+            "gderive.reproduce", "dataclasses", "inspect",
         }
+
+    def test_reproduce_footprint(self):
+        loaded = _modules_after(
+            "from gderive.cli import main\nassert main(['reproduce']) == 0"
+        )
+        assert "gderive.reproduce" in loaded
+        assert not loaded & {"dataclasses", "inspect"}
 
     @pytest.mark.skipif(
         sys.version_info[:2] != (3, 11),

@@ -251,6 +251,42 @@ _rational_polys = st.dictionaries(
 ).map(lambda terms: MultiPoly.from_dict(("x", "y", "z"), terms))
 
 
+_ab_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    max_size=3,
+).map(lambda terms: MultiPoly.from_dict(("a", "b"), terms))
+
+
+def reference_substitute_polys(p, target, images):
+    """The ring map term by term, each power taken afresh with ``**``."""
+    result = MultiPoly.zero(target)
+    for exps, coeff in p.terms:
+        term = MultiPoly.const(target, coeff)
+        for image, e in zip(images, exps):
+            if e:
+                term = term * image ** e
+        result = result + term
+    return result
+
+
+class TestRingMapAndGenerators:
+    @given(_rational_polys, st.lists(_ab_polys, min_size=3, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_substitute_polys_matches_fresh_powers(self, p, images):
+        target = ("a", "b")
+        mapping = dict(zip(p.variables, images))
+        image = p.substitute_polys(target, mapping)
+        assert image == reference_substitute_polys(p, target, images)
+
+    def test_make_drops_zero_and_repeated_generators_in_order(self):
+        x, y, xy = xy_poly("x"), xy_poly("y"), xy_poly("x*y - 1")
+        ideal = Ideal.make(
+            ("x", "y"), [xy, xy_poly("0"), x, xy_poly("x*y - 1"), y, x]
+        )
+        assert ideal.generators == (xy, x, y)
+
+
 class TestIntegerFrameDivision:
     @given(
         _rational_polys,
