@@ -7,8 +7,9 @@ denominator ``den``, in canonical form: the gcd of ``den`` and every
 entry of ``num`` is 1, so ``den`` is the lcm of the entries'
 denominators and equal matrices have equal grids. Products, sums,
 powers, the nilpotent exponential and the row reductions (``rref``,
-``kernel_basis``, ``solve``, ``inverse``) run on the integers; Fractions
-are made only where a caller reads ``entries``, built once and cached.
+``rank``, ``kernel_basis``, ``solve``, ``inverse``) run on the integers;
+Fractions are made only where a caller reads ``entries``, built once and
+cached.
 
 Row reduction delegates to the sparse integer kernel in
 :mod:`gderive._kernels`, so every result is exact and canonical. The
@@ -339,6 +340,12 @@ def rref(m: Matrix):
     pivot_rows, pivot_cols = rref_int([_sparse(row) for row in m.num])
     reduced = _from_pivots(m.rows, m.cols, pivot_rows, pivot_cols)
     return reduced, tuple(pivot_cols), len(pivot_cols)
+
+
+def rank(m: Matrix) -> int:
+    """The rank of m: the pivot count of its integer row reduction, with
+    no reduced matrix built."""
+    return len(rref_int([_sparse(row) for row in m.num])[1])
 
 
 def kernel_of_rows(rows, ncols: int) -> "Subspace":

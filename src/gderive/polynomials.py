@@ -1,11 +1,13 @@
 """Multivariate polynomials over Q with lex order, and polynomial ideals.
 
 The monomial order is lexicographic in the declared variable order, which
-is an explicit part of every polynomial's identity. Coefficients are
-Fractions. Division runs in an integer frame instead: the polynomial being
-reduced is integer coefficients over one denominator, each divisor a
-primitive integer polynomial, and only the remainder's terms (and the
-quotients, when `divide` is asked for them) come back as Fractions.
+is an explicit part of every polynomial's identity. A polynomial holds
+integer coefficients over one positive denominator, in canonical form, as
+a ``linalg.Matrix`` does: sums, products, powers, scaling, ring maps and
+S-polynomials run on the integers, and division runs in one integer frame
+(the polynomial being reduced is integer coefficients over one
+denominator, each divisor a primitive integer polynomial). Fractions are
+made only where a caller reads ``terms`` or a coefficient.
 
 Ideal calculations (membership, containment) divide by the unique reduced
 basis, which `groebner` completes with Buchberger's algorithm: pairs are
@@ -22,8 +24,8 @@ import re
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
-from operator import add, neg, sub
+from math import gcd, lcm, prod
+from operator import add, itemgetter, le, mul, neg, sub
 
 from gderive.errors import (
     DegreeGuardExceeded,
@@ -32,57 +34,88 @@ from gderive.errors import (
     UnknownVariable,
 )
 from gderive.limits import DEFAULT_GUARD, MAX_GUARD
-from gderive.linalg import Matrix, format_rational, parse_rational
+from gderive.linalg import Matrix, _coerce, format_rational, parse_rational
 from gderive.record import Record
 
 
-def _normalize_terms(terms: dict) -> tuple:
-    return tuple(sorted(
-        ((e, c) for e, c in terms.items() if c != 0), reverse=True
-    ))
-
-
 class MultiPoly(Record):
-    """Polynomial as a map exponent-vector -> coefficient, sorted descending."""
+    """The polynomial sum(c x^e) / den: ``num`` holds the (exponent
+    vector, int c) terms sorted descending, without zeros, over one
+    ``den`` > 0, in canonical form: the gcd of ``den`` and every
+    coefficient is 1, so equal polynomials have equal fields.
+
+    ``from_terms`` and ``from_dict`` take exact scalars (ints, Fractions,
+    rational strings); ``terms``, the (exponent vector, Fraction) pairs,
+    is built on first read and cached.
+    """
 
     variables: tuple
-    terms: tuple
+    num: tuple
+    den: int
 
     # Built and compared in bulk by the Groebner engine, so the record
-    # methods are written out for the two fields.
-    def __init__(self, variables: tuple, terms: tuple):
+    # methods are written out for the three fields.
+    def __init__(self, variables: tuple, num: tuple, den: int):
         d = self.__dict__
         d["variables"] = variables
-        d["terms"] = terms
+        d["num"] = num
+        d["den"] = den
 
     def __eq__(self, other):
         if other.__class__ is not MultiPoly:
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return (
+            self.variables == other.variables and self.den == other.den
+            and self.num == other.num
+        )
 
     def __hash__(self):
-        return hash((self.variables, self.terms))
+        return hash((self.variables, self.num, self.den))
+
+    @cached_property
+    def terms(self) -> tuple:
+        """(exponent vector, Fraction) pairs, sorted descending."""
+        den = self.den
+        if den == 1:
+            return tuple((e, Fraction(c)) for e, c in self.num)
+        return tuple((e, Fraction(c, den)) for e, c in self.num)
+
+    @staticmethod
+    def from_terms(variables, terms) -> "MultiPoly":
+        """The sum of (exponent vector, exact scalar) pairs; repeated
+        exponent vectors add up."""
+        variables = tuple(variables)
+        pairs = []
+        for exps, c in terms:
+            if len(exps) != len(variables):
+                raise DimensionMismatch("exponent vector length differs")
+            pairs.append((exps, _coerce(c)))
+        den = lcm(*(c.denominator for _, c in pairs))
+        coeffs = {}
+        for exps, c in pairs:
+            coeffs[exps] = (
+                coeffs.get(exps, 0) + c.numerator * (den // c.denominator)
+            )
+        return _from_ints(variables, coeffs, den)
 
     @staticmethod
     def from_dict(variables, terms: dict) -> "MultiPoly":
-        variables = tuple(variables)
-        for exps in terms:
-            if len(exps) != len(variables):
-                raise DimensionMismatch("exponent vector length differs")
-        return MultiPoly(variables, _normalize_terms(terms))
+        return MultiPoly.from_terms(variables, terms.items())
 
     @staticmethod
     def zero(variables) -> "MultiPoly":
-        return MultiPoly(tuple(variables), ())
+        return MultiPoly(tuple(variables), (), 1)
 
     @staticmethod
     def const(variables, value) -> "MultiPoly":
         variables = tuple(variables)
-        value = Fraction(value)
-        if value == 0:
-            return MultiPoly(variables, ())
-        zero_exp = tuple(0 for _ in variables)
-        return MultiPoly(variables, ((zero_exp, value),))
+        value = _coerce(value)
+        if not value:
+            return MultiPoly(variables, (), 1)
+        zero_exp = (0,) * len(variables)
+        return MultiPoly(
+            variables, ((zero_exp, value.numerator),), value.denominator
+        )
 
     @staticmethod
     def var(variables, name, power: int = 1) -> "MultiPoly":
@@ -90,7 +123,7 @@ class MultiPoly(Record):
         if name not in variables:
             raise UnknownVariable(f"variable {name!r} not in ring")
         exps = tuple(power if v == name else 0 for v in variables)
-        return MultiPoly(variables, ((exps, Fraction(1)),))
+        return MultiPoly(variables, ((exps, 1),), 1)
 
     def _check_ring(self, other: "MultiPoly"):
         if self.variables != other.variables:
@@ -98,11 +131,11 @@ class MultiPoly(Record):
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def leading_term(self):
         """(exponent vector, coefficient) of the lex-largest term."""
-        if not self.terms:
+        if not self.num:
             return None
         return self.terms[0]
 
@@ -113,47 +146,71 @@ class MultiPoly(Record):
         return Fraction(0)
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check_ring(other)
-        terms = dict(self.terms)
-        for e, c in other.terms:
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return MultiPoly(self.variables, _normalize_terms(terms))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def _combine(self, other: "MultiPoly", sign: int) -> "MultiPoly":
+        """self + sign * other over the lcm of the two denominators."""
+        self._check_ring(other)
+        if not other.num:
+            return self
+        den = lcm(self.den, other.den)
+        s = den // self.den
+        t = sign * (den // other.den)
+        coeffs = dict(self.num) if s == 1 else {e: s * c for e, c in self.num}
+        get = coeffs.get
+        for e, c in other.num:
+            coeffs[e] = get(e, 0) + t * c
+        return _from_ints(self.variables, coeffs, den)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.variables, tuple((e, -c) for e, c in self.terms))
+        return MultiPoly(
+            self.variables, tuple((e, -c) for e, c in self.num), self.den
+        )
 
     def scale(self, value) -> "MultiPoly":
-        value = Fraction(value)
-        if value == 0:
+        value = _coerce(value)
+        if not value or not self.num:
             return MultiPoly.zero(self.variables)
-        return MultiPoly(self.variables, tuple(
-            (e, value * c) for e, c in self.terms
-        ))
+        k = value.numerator
+        return _canonical(
+            self.variables, [(e, k * c) for e, c in self.num],
+            self.den * value.denominator,
+        )
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_ring(other)
-        terms = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                terms[exps] = terms.get(exps, Fraction(0)) + c1 * c2
-        return MultiPoly(self.variables, _normalize_terms(terms))
+        return _from_ints(
+            self.variables, _times(self.num, other.num), self.den * other.den
+        )
 
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
             raise InputError(f"negative polynomial power {k}")
-        result = MultiPoly.const(self.variables, 1)
-        for _ in range(k):
-            result = result * self
-        return result
+        if k == 0:
+            return MultiPoly.const(self.variables, 1)
+        coeffs = dict(self.num)
+        for _ in range(k - 1):
+            coeffs = _times(coeffs.items(), self.num)
+        return _from_ints(self.variables, coeffs, self.den ** k)
 
     def monic(self) -> "MultiPoly":
-        if self.is_zero:
+        """self over its leading coefficient: the leading integer becomes
+        the denominator, its sign moves into the coefficients."""
+        num = self.num
+        if not num:
             return self
-        return self.scale(Fraction(1) / self.terms[0][1])
+        lead = num[0][1]
+        if lead == self.den:
+            return self
+        g = gcd(*[c for _, c in num])
+        if lead < 0:
+            g = -g
+        if g != 1:
+            num = tuple((e, c // g) for e, c in num)
+        return MultiPoly(self.variables, num, lead // g)
 
     def substitute(self, assignments: dict) -> "MultiPoly":
         """Partial evaluation at rational values; assigned variables drop out."""
@@ -162,20 +219,26 @@ class MultiPoly(Record):
                 raise UnknownVariable(f"variable {name!r} not in ring")
         keep = [i for i, v in enumerate(self.variables) if v not in assignments]
         values = {
-            i: Fraction(assignments[v])
+            i: _coerce(assignments[v])
             for i, v in enumerate(self.variables)
             if v in assignments
         }
         new_vars = tuple(self.variables[i] for i in keep)
-        terms = {}
-        for exps, coeff in self.terms:
-            for i, value in values.items():
-                coeff = coeff * value ** exps[i]
-            if coeff == 0:
-                continue
-            new_exps = tuple(exps[i] for i in keep)
-            terms[new_exps] = terms.get(new_exps, Fraction(0)) + coeff
-        return MultiPoly(new_vars, _normalize_terms(terms))
+        if not self.num:
+            return MultiPoly.zero(new_vars)
+        # Each term over the common denominator den * prod q_i^top_i, for
+        # the value p_i / q_i of variable i and its top exponent top_i.
+        top = {i: max(e[i] for e, _ in self.num) for i in values}
+        den = self.den * prod(v.denominator ** top[i] for i, v in values.items())
+        coeffs = {}
+        for exps, c in self.num:
+            for i, v in values.items():
+                e = exps[i]
+                c *= v.numerator ** e * v.denominator ** (top[i] - e)
+            if c:
+                new_exps = tuple(exps[i] for i in keep)
+                coeffs[new_exps] = coeffs.get(new_exps, 0) + c
+        return _from_ints(new_vars, coeffs, den)
 
     def substitute_polys(self, target_variables, mapping: dict) -> "MultiPoly":
         """Ring map: each variable goes to a polynomial over the target ring."""
@@ -191,16 +254,30 @@ class MultiPoly(Record):
             images.append(image)
         # powers[i][e - 1] is images[i] ** e, extended as the terms need it.
         powers = [[image] for image in images]
-        result = MultiPoly.zero(target_variables)
-        for exps, coeff in self.terms:
-            term = MultiPoly.const(target_variables, coeff)
+        zero_exp = (0,) * len(target_variables)
+        # The sum so far is coeffs / den; each term c x^e maps to the int
+        # terms of c times the image powers over the product of their dens.
+        coeffs = {}
+        den = 1
+        for exps, c in self.num:
+            term, term_den = ((zero_exp, c),), 1
             for image, known, e in zip(images, powers, exps):
                 if e:
                     while len(known) < e:
                         known.append(known[-1] * image)
-                    term = term * known[e - 1]
-            result = result + term
-        return result
+                    factor = known[e - 1]
+                    term = _times(term, factor.num).items()
+                    term_den *= factor.den
+            common = lcm(den, term_den)
+            if common != den:
+                s = common // den
+                coeffs = {t: s * v for t, v in coeffs.items()}
+                den = common
+            s = den // term_den
+            get = coeffs.get
+            for t, v in term:
+                coeffs[t] = get(t, 0) + s * v
+        return _from_ints(target_variables, coeffs, den * self.den)
 
     @cached_property
     def _divisor_frame(self):
@@ -208,16 +285,16 @@ class MultiPoly(Record):
         made primitive over the integers with a positive leading
         coefficient l, its negated exponent vectors, and the (index,
         negated exponent) pairs of the leading monomial's own variables."""
-        ints, _ = _integer_terms(self.terms)
-        content = gcd(*(c for _, c in ints))
-        if ints[0][1] < 0:
+        num = self.num
+        content = gcd(*[c for _, c in num])
+        if num[0][1] < 0:
             content = -content
-        lead = ints[0][0]
+        lead = tuple(map(neg, num[0][0]))
         return (
             tuple((k, a) for k, a in enumerate(lead) if a),
             lead,
-            ints[0][1] // content,
-            [(e, c // content) for e, c in ints[1:]],
+            num[0][1] // content,
+            [(tuple(map(neg, e)), c // content) for e, c in num[1:]],
         )
 
     def __str__(self) -> str:
@@ -225,6 +302,41 @@ class MultiPoly(Record):
 
     def __repr__(self) -> str:
         return f"MultiPoly({poly_to_string(self)!r})"
+
+
+_exps_of = itemgetter(0)
+
+
+def _canonical(variables, num, den: int) -> MultiPoly:
+    """The polynomial of int terms ``num`` (sorted descending, no zeros)
+    over den > 0, divided by the gcd of den and every coefficient."""
+    if not num:
+        return MultiPoly(variables, (), 1)
+    g = gcd(den, *[c for _, c in num])
+    if g > 1:
+        num = [(e, c // g) for e, c in num]
+        den //= g
+    return MultiPoly(variables, tuple(num), den)
+
+
+def _from_ints(variables, coeffs: dict, den: int) -> MultiPoly:
+    """The polynomial of int coefficients {exponent vector: c} over den."""
+    return _canonical(
+        variables,
+        sorted([t for t in coeffs.items() if t[1]], key=_exps_of, reverse=True),
+        den,
+    )
+
+
+def _times(a, b) -> dict:
+    """{exponent vector: int} of the product of two int term lists."""
+    coeffs = {}
+    get = coeffs.get
+    for e1, c1 in a:
+        for e2, c2 in b:
+            e = tuple(map(add, e1, e2))
+            coeffs[e] = get(e, 0) + c1 * c2
+    return coeffs
 
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -310,7 +422,7 @@ def poly_from_string(variables, text: str) -> MultiPoly:
         pos = 1
     while True:
         coeff, exps, pos = parse_term(sign, pos)
-        terms[exps] = terms.get(exps, Fraction(0)) + coeff
+        terms[exps] = terms.get(exps, 0) + coeff
         if pos == len(tokens):
             break
         kind, value = tokens[pos]
@@ -323,7 +435,7 @@ def poly_from_string(variables, text: str) -> MultiPoly:
             pos += 1
         else:
             raise InputError(f"expected + or - between terms, got {value!r}")
-    return MultiPoly(variables, _normalize_terms(terms))
+    return MultiPoly.from_dict(variables, terms)
 
 
 def poly_to_string(p: MultiPoly) -> str:
@@ -351,26 +463,15 @@ def poly_to_string(p: MultiPoly) -> str:
 
 
 def _divides(e1, e2) -> bool:
-    return all(a <= b for a, b in zip(e1, e2))
+    return all(map(le, e1, e2))
 
 
 def _exp_sub(e1, e2):
-    return tuple(a - b for a, b in zip(e1, e2))
+    return tuple(map(sub, e1, e2))
 
 
 def _exp_lcm(e1, e2):
-    return tuple(max(a, b) for a, b in zip(e1, e2))
-
-
-def _integer_terms(terms):
-    """(negated exponents, int) pairs and the denominator d of the
-    polynomial they make over d: d is the lcm of the coefficients'
-    denominators."""
-    d = lcm(*(c.denominator for _, c in terms))
-    return [
-        (tuple(map(neg, e)), c.numerator * (d // c.denominator))
-        for e, c in terms
-    ], d
+    return tuple(map(max, e1, e2))
 
 
 def _reduce(p: MultiPoly, divisors, with_quotients: bool):
@@ -382,9 +483,9 @@ def _reduce(p: MultiPoly, divisors, with_quotients: bool):
     by x^a times that divisor replaces W by (l W - w x^a G) / gcd(w, l),
     with d scaled alike, so every update is an integer operation.
     Exponent vectors are held negated, so that the heap pops the
-    lex-largest term first. The remainder's terms leave the frame as
-    Fractions when they are popped; the quotients are built only when
-    ``with_quotients`` is set.
+    lex-largest term first. A remainder term keeps the d it was popped
+    at, and the remainder leaves the frame as those terms rescaled to the
+    final d; the quotients are built only when ``with_quotients`` is set.
     """
     divisors = list(divisors)
     for g in divisors:
@@ -392,10 +493,10 @@ def _reduce(p: MultiPoly, divisors, with_quotients: bool):
         if g.is_zero:
             raise DimensionMismatch("zero divisor in division")
     frames = [g._divisor_frame for g in divisors]
-    work, d = _integer_terms(p.terms)
-    heap = [e for e, _ in work]
+    d = p.den
+    work = {tuple(map(neg, e)): c for e, c in p.num}
+    heap = list(work)
     heapify(heap)
-    work = dict(work)
     quotients = [[] for _ in divisors] if with_quotients else None
     rest = []
     while heap:
@@ -410,9 +511,10 @@ def _reduce(p: MultiPoly, divisors, with_quotients: bool):
             else:
                 shift = tuple(map(sub, e, lead))
                 if with_quotients:
+                    divisor = divisors[i]
                     quotients[i].append((
                         tuple(map(neg, shift)),
-                        Fraction(w, d) / divisors[i].terms[0][1],
+                        Fraction(w * divisor.den, d * divisor.num[0][1]),
                     ))
                 g = gcd(w, l)
                 if g != l:
@@ -433,11 +535,16 @@ def _reduce(p: MultiPoly, divisors, with_quotients: bool):
                         work[t] = v - c
                 break
         else:
-            rest.append((tuple(map(neg, e)), Fraction(w, d)))
-    r = MultiPoly(p.variables, tuple(rest))
+            rest.append((e, w, d))
+    # Popped in descending order, so the terms are sorted already.
+    r = _canonical(
+        p.variables,
+        [(tuple(map(neg, e)), w * (d // at)) for e, w, at in rest],
+        d,
+    )
     if not with_quotients:
         return None, r
-    return [MultiPoly(p.variables, tuple(q)) for q in quotients], r
+    return [MultiPoly.from_terms(p.variables, q) for q in quotients], r
 
 
 def divide(p: MultiPoly, divisors) -> tuple:
@@ -474,12 +581,22 @@ class Ideal(Record):
 
 
 def _spoly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    ef, cf = f.leading_term()
-    eg, cg = g.leading_term()
+    """x^(l - ef) f / lc(f) - x^(l - eg) g / lc(g) for the lcm l of the
+    leading monomials. With F and G the integer terms of f and g and m the
+    lcm of their leading integers, it is (m/F0 x^uf F - m/G0 x^ug G) / m,
+    and the leading terms cancel."""
+    f._check_ring(g)
+    (ef, cf), (eg, cg) = f.num[0], g.num[0]
     l = _exp_lcm(ef, eg)
-    mf = MultiPoly(f.variables, ((_exp_sub(l, ef), Fraction(1) / cf),))
-    mg = MultiPoly(g.variables, ((_exp_sub(l, eg), Fraction(1) / cg),))
-    return mf * f - mg * g
+    uf, ug = _exp_sub(l, ef), _exp_sub(l, eg)
+    m = lcm(cf, cg)
+    sf, sg = m // cf, m // cg
+    coeffs = {tuple(map(add, uf, e)): sf * c for e, c in f.num[1:]}
+    get = coeffs.get
+    for e, c in g.num[1:]:
+        t = tuple(map(add, ug, e))
+        coeffs[t] = get(t, 0) - sg * c
+    return _from_ints(f.variables, coeffs, m)
 
 
 def _check_guard(guard: int) -> None:
@@ -524,7 +641,7 @@ def groebner(ideal: Ideal, guard: int = DEFAULT_GUARD) -> tuple:
     def update(h):
         nonlocal product_skips, chain_skips
         k = len(basis)
-        eh = h.terms[0][0]
+        eh = h.num[0][0]
         for (i, j), l in list(open_pairs.items()):
             if (
                 _divides(eh, l)
@@ -536,7 +653,7 @@ def groebner(ideal: Ideal, guard: int = DEFAULT_GUARD) -> tuple:
         new = [(i, _exp_lcm(leads[i], eh)) for i in active]
         kept = []
         for pos, (i, l) in enumerate(new):
-            coprime = all(a == 0 or b == 0 for a, b in zip(leads[i], eh))
+            coprime = not any(map(mul, leads[i], eh))
             if coprime or not (
                 any(_divides(m, l) for _, m in new[pos + 1:])
                 or any(_divides(m, l) for _, m, _ in kept)
@@ -590,7 +707,7 @@ def groebner(ideal: Ideal, guard: int = DEFAULT_GUARD) -> tuple:
     for i, f in enumerate(keep):
         others = keep[:i] + keep[i + 1:]
         result.append(remainder(f, others).monic() if others else f)
-    return tuple(sorted(result, key=lambda f: f.terms[0][0], reverse=True))
+    return tuple(sorted(result, key=lambda f: f.num[0][0], reverse=True))
 
 
 def member(p: MultiPoly, ideal: Ideal, guard: int = DEFAULT_GUARD) -> bool:
@@ -641,7 +758,7 @@ def triangular_prime_check(
         return PrimeCertificate(False, (), (), "zero ideal not certified")
     leading_positions = []
     for f in basis:
-        exps, _ = f.leading_term()
+        exps = f.num[0][0]
         if sum(exps) != 1:
             return PrimeCertificate(
                 False, (), (), f"nonlinear leading term in {poly_to_string(f)}"
@@ -651,7 +768,7 @@ def triangular_prime_check(
         return PrimeCertificate(False, (), (), "repeated leading variable")
     lead_set = set(leading_positions)
     for f in basis:
-        for exps, _ in f.terms[1:]:
+        for exps, _ in f.num[1:]:
             if any(exps[i] for i in lead_set):
                 return PrimeCertificate(
                     False, (), (),

@@ -33,7 +33,7 @@ from .linalg import (
     Subspace,
     exp_nilpotent,
     matrix_to_vec,
-    rref,
+    rank,
     subspace_intersect,
 )
 from .record import Record
@@ -73,9 +73,15 @@ def _span_of(matrices) -> Matrix:
     return Matrix.from_rows([matrix_to_vec(m) for m in matrices])
 
 
-def _in_span(stack: Matrix, m: Matrix) -> bool:
-    extended = Matrix.from_rows(list(stack.entries) + [matrix_to_vec(m)])
-    return rref(stack)[2] == rref(extended)[2]
+def _all_in_span(stack: Matrix, matrices) -> bool:
+    """Whether every matrix lies in the row span of the stack: adding its
+    vector as a row leaves the stack's rank, computed once, unchanged."""
+    rows = list(stack.entries)
+    r = rank(stack)
+    return all(
+        rank(Matrix.from_rows(rows + [matrix_to_vec(m)])) == r
+        for m in matrices
+    )
 
 
 def _run_thm51():
@@ -89,8 +95,8 @@ def _run_thm51():
     ok = space.dim == 3
     solved = _span_of(space.basis)
     displayed = _span_of(generators)
-    ok = ok and all(_in_span(solved, m) for m in generators)
-    ok = ok and all(_in_span(displayed, m) for m in space.basis)
+    ok = ok and _all_in_span(solved, generators)
+    ok = ok and _all_in_span(displayed, space.basis)
     return ok, "confirmed", "dimension 3; parametric family spans both ways"
 
 
@@ -289,9 +295,9 @@ def _run_prop21():
         target = _span_of(right.basis) if right.basis else None
         if twisted:
             stacked = _span_of(twisted)
-            if rref(stacked)[2] != left.dim:
+            if rank(stacked) != left.dim:
                 return False, "confirmed", "twist collapsed a basis"
-            if target is None or not all(_in_span(target, m) for m in twisted):
+            if target is None or not _all_in_span(target, twisted):
                 return False, "confirmed", "twist left the target space"
         checked += 1
     return (
@@ -320,8 +326,8 @@ def _run_thm13():
     moved = [inv @ d for d in basis]
     untwisted = derivation_space(g, Automorphism.identity(g))
     target = _span_of(untwisted.basis)
-    ok = ok and all(_in_span(target, m) for m in moved)
-    ok = ok and rref(_span_of(moved))[2] == 3
+    ok = ok and _all_in_span(target, moved)
+    ok = ok and rank(_span_of(moved)) == 3
     for a in basis:
         for b in basis:
             transported = inv @ sigma_bracket(a, b, sigma)
@@ -356,7 +362,7 @@ def _run_prop41():
             images = Matrix.from_rows(
                 [[m[r, j] for r in range(g.dim)] for m in space.basis]
             ) if space.basis else None
-            if images is not None and rref(images)[2] == space.dim:
+            if images is not None and rank(images) == space.dim:
                 bound_used = True
                 ok = ok and space.dim <= g.dim
                 break

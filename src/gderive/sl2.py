@@ -31,7 +31,7 @@ from gderive.linalg import (
     Matrix,
     exp_nilpotent,
     kernel_basis,
-    rref,
+    rank,
     vec_to_matrix,
 )
 from gderive.polynomials import (
@@ -125,7 +125,7 @@ def classify_derivation(a, b, c) -> DerivationClassification:
     else:
         predicted = a * a == 4 * b * c
         case = "bc!=0, " + ("a^2=4bc" if predicted else "a^2!=4bc")
-    ranks = {n: rref(m)[2] for n, m in ((1, d), (2, d2), (3, d3))}
+    ranks = {n: rank(m) for n, m in ((1, d), (2, d2), (3, d3))}
     return DerivationClassification(d, nilpotent, predicted, ranks, case)
 
 
@@ -240,7 +240,7 @@ def _residual_polynomials(ring, sigma_pm):
             residual = image[r] - left[r] - right[r]
             if residual.is_zero:
                 continue
-            key = residual.monic().terms
+            key = residual.monic()
             if key in seen:
                 continue
             seen.add(key)

@@ -122,11 +122,11 @@ def _spoly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     f_exps, f_coeff = f.leading_term()
     g_exps, g_coeff = g.leading_term()
     lcm = tuple(max(a, b) for a, b in zip(f_exps, g_exps))
-    f_factor = MultiPoly(
+    f_factor = MultiPoly.from_terms(
         f.variables,
         ((tuple(a - b for a, b in zip(lcm, f_exps)), 1 / f_coeff),),
     )
-    g_factor = MultiPoly(
+    g_factor = MultiPoly.from_terms(
         g.variables,
         ((tuple(a - b for a, b in zip(lcm, g_exps)), 1 / g_coeff),),
     )

@@ -820,6 +820,22 @@ PINNED_LINEAR_STDOUT = {
         "36ae98680b55b8305bb349f90a48e2665e0b484d89091fd6c1a61aad4f535d4b",
 }
 
+# Three dense quadrics in x, y, z (perfbench's dense_quadric_ideal drawn
+# with random.Random(0)): a lex basis of degrees 7, 7 and 8 whose
+# coefficients have about fifty digits, the heavy coefficient growth of
+# the integer frame.
+PINNED_QUADRICS = {
+    "vars": ["x", "y", "z"],
+    "gens": [
+        "3*x^2 + 7*x*y + x*z + 4*x + 7*y^2 + 8*y*z - y - 8*z^2 + 5*z + 4",
+        "x^2 - 5*x*y + 9*x*z - x - 6*y^2 - 5*y*z + y - 5*z^2 + 8*z - 3",
+        "-3*x^2 + 2*x*y + 5*x*z + 3*x - 6*y^2 + 9*y*z + 7*y + 2*z^2 - 7*z - 6",
+    ],
+}
+PINNED_QUADRICS_STDOUT = (
+    "47421aec9969b023b39aa96bf1ff2621c795d92d9dc37de59287f94b7e0b5eed"
+)
+
 
 class TestPinnedOutput:
     @pytest.mark.parametrize("argv", list(PINNED_STDOUT), ids=" ".join)
@@ -839,6 +855,14 @@ class TestPinnedOutput:
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == PINNED_LINEAR_STDOUT[argv]
+
+    def test_groebner_quadrics_stdout_digest(self, capsys, tmp_path):
+        path = tmp_path / "quadrics.json"
+        path.write_text(json.dumps(PINNED_QUADRICS))
+        code, out, _ = run(capsys, "groebner", "--ideal", str(path))
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == PINNED_QUADRICS_STDOUT
 
 
 class TestParsing:
@@ -908,10 +932,14 @@ class TestStartup:
             "fractions", "dataclasses", "inspect", "gderive.record",
         }
 
+    # check, and every subcommand that the `ladder` benchmark runs.
     @pytest.mark.parametrize("argv", [
         ["check", "--algebra", "sl2"],
         ["derive", "--algebra", "sl2", "--sigma", "{sigma}"],
-    ], ids=["check", "derive"])
+        ["centroid", "--algebra", "sl2"],
+        ["abg", "--algebra", "heisenberg", "--alpha", "2", "--beta", "1",
+         "--gamma", "1"],
+    ], ids=["check", "derive", "centroid", "abg"])
     def test_linear_subcommand_footprint(self, files, argv):
         argv = [files["sigma"] if a == "{sigma}" else a for a in argv]
         loaded = _modules_after(

@@ -19,6 +19,7 @@ from gderive.linalg import (
     matrix_order,
     matrix_to_vec,
     parse_rational,
+    rank,
     rref,
     solve,
     subspace_intersect,
@@ -206,6 +207,15 @@ class TestRrefInt:
             assert gcd(*row.values()) == 1
             assert [Fraction(row.get(j, 0), row[c]) for j in range(ncols)] == expected
             assert all(row is not r for r in sparse)
+
+    @given(integer_grids(), st.integers(1, 6))
+    @example([], 1)
+    @example([[]], 1)
+    @settings(max_examples=100, deadline=None)
+    def test_rank_is_the_pivot_count_of_rref(self, rows, den):
+        ncols = len(rows[0]) if rows else 0
+        m = Matrix(len(rows), ncols, [[Fraction(a, den) for a in row] for row in rows])
+        assert rank(m) == rref(m)[2] == len(reference_rref(rows)[1])
 
     def test_empty_and_zero_rows_are_skipped(self):
         rows = [{}, {0: 0, 3: 0}, {2: 4, 5: 0, 7: -6}, {}]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -278,6 +279,7 @@ class TestRingMapAndGenerators:
         mapping = dict(zip(p.variables, images))
         image = p.substitute_polys(target, mapping)
         assert image == reference_substitute_polys(p, target, images)
+        assert_canonical(image, reference_ring_map(p, target, images))
 
     def test_make_drops_zero_and_repeated_generators_in_order(self):
         x, y, xy = xy_poly("x"), xy_poly("y"), xy_poly("x*y - 1")
@@ -300,7 +302,8 @@ class TestIntegerFrameDivision:
         expected_qs, expected_r = reference_divide(p, divisors)
         qs, r = divide(p, divisors)
         assert (qs, r) == (expected_qs, expected_r)
-        assert remainder(p, divisors) == expected_r
+        assert_canonical(r)
+        assert_canonical(remainder(p, divisors), dict(expected_r.terms))
         total = r
         for q, g in zip(qs, divisors):
             total = total + q * g
@@ -322,6 +325,174 @@ class TestIntegerFrameDivision:
             assume(False)
         assume(basis)
         assert remainder(p, basis) == reference_divide(p, basis)[1]
+
+
+# The Fraction-dict arithmetic that polynomials used before they held
+# integers over one denominator; it shares no code with the library. A
+# reference result is a dict {exponent vector: Fraction}, zeros allowed.
+
+def reference_add(p, q, sign=1):
+    out = dict(p.terms)
+    for e, c in q.terms:
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return out
+
+
+def reference_mul(p_terms, q_terms):
+    out = {}
+    for e1, c1 in p_terms:
+        for e2, c2 in q_terms:
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return out
+
+
+def reference_pow(p, k):
+    out = {(0,) * len(p.variables): Fraction(1)}
+    for _ in range(k):
+        out = reference_mul(out.items(), p.terms)
+    return out
+
+
+def reference_scale(p, value):
+    return {e: value * c for e, c in p.terms}
+
+
+def reference_monic(p):
+    lead = p.terms[0][1]
+    return {e: c / lead for e, c in p.terms}
+
+
+def reference_ring_map(p, target, images):
+    """sum of c * prod(image_i ** e_i) over the terms c x^e of p."""
+    out = {}
+    for exps, coeff in p.terms:
+        term = {(0,) * len(target): coeff}
+        for image, e in zip(images, exps):
+            for _ in range(e):
+                term = reference_mul(term.items(), image.terms)
+        for t, c in term.items():
+            out[t] = out.get(t, Fraction(0)) + c
+    return out
+
+
+def reference_spoly(f, g):
+    """x^(l - ef) f / lc(f) - x^(l - eg) g / lc(g), l the lcm of the
+    leading monomials."""
+    (ef, cf), (eg, cg) = f.terms[0], g.terms[0]
+    l = tuple(max(a, b) for a, b in zip(ef, eg))
+    out = reference_mul(
+        [(tuple(a - b for a, b in zip(l, ef)), 1 / cf)], f.terms
+    )
+    for e, c in reference_mul(
+        [(tuple(a - b for a, b in zip(l, eg)), 1 / cg)], g.terms
+    ).items():
+        out[e] = out.get(e, Fraction(0)) - c
+    return out
+
+
+def reference_substitute(p, values):
+    """Evaluate the variables named in ``values``; the others stay."""
+    keep = [i for i, v in enumerate(p.variables) if v not in values]
+    out = {}
+    for exps, coeff in p.terms:
+        for v, e in zip(p.variables, exps):
+            if v in values:
+                coeff *= Fraction(values[v]) ** e
+        new_exps = tuple(exps[i] for i in keep)
+        out[new_exps] = out.get(new_exps, Fraction(0)) + coeff
+    return out
+
+
+def assert_canonical(p, expected=None):
+    """p is in canonical form and, when given, equals the reference dict."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for _, c in p.num)
+    exps = [e for e, _ in p.num]
+    assert exps == sorted(set(exps), reverse=True)
+    assert gcd(p.den, *(c for _, c in p.num)) == 1
+    assert p.terms == tuple((e, Fraction(c, p.den)) for e, c in p.num)
+    assert all(type(c) is Fraction for _, c in p.terms)
+    twin = MultiPoly.from_terms(p.variables, p.terms)
+    assert (twin.num, twin.den, hash(twin)) == (p.num, p.den, hash(p))
+    if expected is not None:
+        assert dict(p.terms) == {e: c for e, c in expected.items() if c}
+
+
+class TestIntegerArithmetic:
+    @given(_rational_polys, _rational_polys)
+    # The sum is x: the common denominator 2 must cancel.
+    @example(
+        poly_from_string(("x", "y", "z"), "1/2*x + 1/2*y"),
+        poly_from_string(("x", "y", "z"), "1/2*x - 1/2*y"),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_ring_operations_match_fraction_reference(self, p, q):
+        assert_canonical(p)
+        assert_canonical(p + q, reference_add(p, q))
+        assert_canonical(p - q, reference_add(p, q, -1))
+        assert_canonical(-p, reference_scale(p, Fraction(-1)))
+        assert_canonical(p * q, reference_mul(p.terms, q.terms))
+        for k in range(4):
+            assert_canonical(p ** k, reference_pow(p, k))
+        # Equal polynomials built two ways have equal fields and hashes.
+        for left, right in ((p + q, q + p), (p * q, q * p), (p - p, p.scale(0))):
+            assert (left.num, left.den, hash(left)) == (
+                right.num, right.den, hash(right)
+            )
+        assert (p - p).den == 1 and (p - p).is_zero
+        if not (p.is_zero or q.is_zero):
+            assert_canonical(polynomials._spoly(p, q), reference_spoly(p, q))
+
+    @given(
+        _rational_polys,
+        st.one_of(
+            st.integers(-5, 5),
+            st.fractions(min_value=-5, max_value=5, max_denominator=7),
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_scale_and_monic_match_fraction_reference(self, p, value):
+        assert_canonical(p.scale(value), reference_scale(p, Fraction(value)))
+        if not p.is_zero:
+            monic = p.monic()
+            assert_canonical(monic, reference_monic(p))
+            assert monic.num[0][1] == monic.den
+            assert p.scale(-3).monic() == monic
+
+    @given(
+        _rational_polys,
+        st.dictionaries(
+            st.sampled_from(["x", "y", "z"]),
+            st.fractions(min_value=-4, max_value=4, max_denominator=5),
+            min_size=1,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_substitute_matches_fraction_reference(self, p, values):
+        fixed = p.substitute(values)
+        assert fixed.variables == tuple(v for v in p.variables if v not in values)
+        assert_canonical(fixed, reference_substitute(p, values))
+
+
+class TestExactCoefficients:
+    def test_int_coefficients_read_as_fractions(self):
+        p = MultiPoly.from_dict(("x", "y"), {(1, 0): 2, (0, 1): "3/4"})
+        assert all(type(c) is Fraction for _, c in p.terms)
+        assert type(p.coefficient((1, 0))) is Fraction
+        assert p.coefficient((1, 0)) == 2
+        assert p == xy_poly("2*x + 3/4*y")
+        assert type(MultiPoly.const(("x",), 5).terms[0][1]) is Fraction
+        assert type(xy_poly("x").scale(3).terms[0][1]) is Fraction
+
+    @pytest.mark.parametrize("value", [2.5, 1.0, None, "x", "1/0"])
+    def test_inexact_coefficients_rejected(self, value):
+        with pytest.raises(InputError):
+            MultiPoly.from_dict(("x", "y"), {(1, 0): value})
+        with pytest.raises(InputError):
+            MultiPoly.const(("x", "y"), value)
+        with pytest.raises(InputError):
+            xy_poly("x + y").scale(value)
 
 
 class TestBuchberger:
