@@ -41,6 +41,37 @@ def _eliminate(row: dict, pivot: dict, c: int) -> dict:
     return _primitive(out)
 
 
+def _cascade(work: list) -> list:
+    """Settle the columns that one-entry rows force to zero.
+
+    A row {c: a} means x_c = 0 in every solution, so c is deleted from
+    every row of ``work`` (fresh dicts, changed in place) through a map
+    from each column to the rows holding it, and a row left with one
+    entry forces its own column in turn. No arithmetic is done. Returns
+    the forced columns; the rows that held them are left empty.
+    """
+    index = {}
+    for row in work:
+        for c in row:
+            if c in index:
+                index[c].append(row)
+            else:
+                index[c] = [row]
+    queue = [row for row in work if len(row) == 1]
+    forced = []
+    while queue:
+        row = queue.pop()
+        # Empty when another forced column already cleared it.
+        if row:
+            (c,) = row
+            forced.append(c)
+            for other in index.pop(c):
+                del other[c]
+                if len(other) == 1:
+                    queue.append(other)
+    return forced
+
+
 def rref_int(rows):
     """Fully reduce sparse integer rows; the input is not modified.
 
@@ -55,18 +86,48 @@ def rref_int(rows):
         each. Dividing row i by its pivot entry yields the leading-1
         rational reduced form.
 
-    Columns are cleared left to right. A row whose leading column is c
-    can only meet the other rows leading at c, so rows wait in buckets
-    keyed by leading column, and the shortest row of a bucket becomes its
-    pivot. Back substitution then clears each row's entries at later
-    pivot columns, from the last row up. The reduced echelon form is
-    unique, so the result does not depend on these choices.
+    A presolve runs first. When some row has one entry, its column is
+    zero in every solution: its reduced row is the unit row {c: 1}, and
+    c is deleted from every other row, which may leave further one-entry
+    rows (``_cascade``). Each surviving row is then made primitive with a
+    positive leading entry, and a row equal to one already kept is
+    dropped. Neither step does any elimination.
+
+    The survivors are eliminated with columns cleared left to right. A
+    row whose leading column is c can only meet the other rows leading
+    at c, so rows wait in buckets keyed by leading column, and the
+    shortest row of a bucket becomes its pivot. Back substitution then
+    clears each row's entries at later pivot columns, from the last row
+    up. The unit rows need neither step, since no survivor holds their
+    columns. The reduced echelon form is unique, so the result does not
+    depend on these choices.
     """
-    buckets = {}
+    work = []
+    single = False
     for row in rows:
         sparse = {c: a for c, a in row.items() if a}
         if sparse:
-            buckets.setdefault(min(sparse), []).append(_primitive(sparse))
+            work.append(sparse)
+            if len(sparse) == 1:
+                single = True
+    forced = _cascade(work) if single else ()
+    buckets = {}
+    # Kept rows by the hash of their entries. A row that merely shares a
+    # hash with a kept one stays, which costs time but not correctness.
+    kept = {}
+    for row in work:
+        if row:
+            lead = min(row)
+            g = gcd(*row.values())
+            if row[lead] < 0:
+                g = -g
+            if g != 1:
+                row = {c: a // g for c, a in row.items()}
+            key = hash(frozenset(row.items()))
+            if kept.get(key) == row:
+                continue
+            kept[key] = row
+            buckets.setdefault(lead, []).append(row)
     # A heap of the leading columns still to clear (a sorted list is one);
     # eliminating at c only adds later ones.
     leads = sorted(buckets)
@@ -94,5 +155,7 @@ def rref_int(rows):
         for j in [j for j in row if j != c and j in reduced]:
             row = _eliminate(row, reduced[j], j)
         reduced[c] = row
-    pivot_cols = [c for c, _ in pivots]
+    for c in forced:
+        reduced[c] = {c: 1}
+    pivot_cols = sorted(reduced)
     return [reduced[c] for c in pivot_cols], pivot_cols

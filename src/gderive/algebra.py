@@ -52,6 +52,21 @@ class LieAlgebra(Record):
         value = self.structure.get((j, i), zero)
         return tuple(-a for a in value)
 
+    @cached_property
+    def integer_table(self):
+        """(table, scale) of :func:`structure_table`, built on first use."""
+        scale = lcm(*(
+            a.denominator for vec in self.structure.values() for a in vec
+        ))
+        table = [{} for _ in range(self.dim)]
+        for (i, j), cij in self.structure.items():
+            for k, a in enumerate(cij):
+                if a:
+                    a = a.numerator * (scale // a.denominator)
+                    table[i].setdefault(j, {})[k] = a
+                    table[j].setdefault(i, {})[k] = -a
+        return table, scale
+
 
 def bracket(g: LieAlgebra, x, y):
     """Bilinear extension of the structure constants."""
@@ -82,17 +97,10 @@ def structure_table(g: LieAlgebra):
 
     Returns (table, scale): table[i] is {j: {k: scale * c_ij^k}} over the
     pairs with a nonzero bracket, in both orders (i, j) and (j, i), and
-    scale is the lcm of the constants' denominators.
+    scale is the lcm of the constants' denominators. The table is built
+    once per algebra and shared by every caller, which must not modify it.
     """
-    scale = lcm(*(a.denominator for vec in g.structure.values() for a in vec))
-    table = [{} for _ in range(g.dim)]
-    for (i, j), cij in g.structure.items():
-        for k, a in enumerate(cij):
-            if a:
-                a = a.numerator * (scale // a.denominator)
-                table[i].setdefault(j, {})[k] = a
-                table[j].setdefault(i, {})[k] = -a
-    return table, scale
+    return g.integer_table
 
 
 def bracket_images(table, columns, coeff):
@@ -250,6 +258,11 @@ class Automorphism(Record):
 
 
 def make_automorphism(g: LieAlgebra, m: Matrix) -> Automorphism:
+    if m.rows != g.dim or m.cols != g.dim:
+        raise DimensionMismatch(
+            f"matrix does not act on the algebra: a {m.rows}x{m.cols} "
+            f"matrix on an algebra of dimension {g.dim}"
+        )
     if not is_automorphism(g, m):
         raise UnvalidatedAutomorphism(
             "matrix is not an automorphism of the algebra"

@@ -22,10 +22,17 @@ from gderive.algebra import (
     is_automorphism,
     is_perfect,
     make_automorphism,
+    structure_table,
     validate_lie,
 )
-from gderive.errors import InputError, UnknownName, UnvalidatedAutomorphism
+from gderive.errors import (
+    DimensionMismatch,
+    InputError,
+    UnknownName,
+    UnvalidatedAutomorphism,
+)
 from gderive.linalg import Matrix, Subspace, exp_nilpotent
+from gderive.record import replace
 
 SL2 = builtin("sl2")
 HEISENBERG = builtin("heisenberg")
@@ -260,6 +267,26 @@ class TestStructureSpaces:
         assert not is_abelian(SL2)
 
 
+class TestStructureTable:
+    @pytest.mark.parametrize("g", [SL2, HEISENBERG, EX46], ids=lambda g: g.name)
+    def test_matches_the_bracket_table(self, g):
+        table, scale = structure_table(g)
+        for i in range(g.dim):
+            for j in range(g.dim):
+                expected = {
+                    k: scale * a for k, a in enumerate(g.pair_bracket(i, j)) if a
+                }
+                assert table[i].get(j, {}) == expected
+
+    def test_built_once_per_algebra(self):
+        g = algebra_from_json_dict(algebra_to_json_dict(SL2))
+        first = structure_table(g)
+        assert structure_table(g) is first
+        fresh = replace(g, lie_validated=True)
+        assert structure_table(fresh) is not first
+        assert structure_table(fresh) == first
+
+
 class TestAutomorphisms:
     def test_identity(self):
         assert is_automorphism(SL2, Matrix.identity(3))
@@ -282,6 +309,17 @@ class TestAutomorphisms:
             make_automorphism(SL2, Matrix.from_rows(
                 [[2, 0, 0], [0, 1, 0], [0, 0, 1]]
             ))
+
+    def test_wrong_size_matrix_does_not_act_on_the_algebra(self):
+        assert not is_automorphism(SL2, Matrix.identity(9))
+        with pytest.raises(DimensionMismatch) as info:
+            make_automorphism(SL2, Matrix.identity(9))
+        assert str(info.value) == (
+            "matrix does not act on the algebra: "
+            "a 9x9 matrix on an algebra of dimension 3"
+        )
+        with pytest.raises(DimensionMismatch, match="a 3x2 matrix"):
+            make_automorphism(SL2, Matrix.zero(3, 2))
 
     def test_inverse_and_powers(self):
         sigma = make_automorphism(SL2, unipotent_upper(1))

@@ -254,6 +254,25 @@ class TestDerive:
         assert code == 2
         assert "error[UnvalidatedAutomorphism]" in err
 
+    @pytest.mark.parametrize("slot", ["--sigma", "--tau", "--gens"])
+    def test_rejects_matrix_of_the_wrong_size(self, capsys, files, slot):
+        nine = files["tmp"] / "identity9.json"
+        nine.write_text(json.dumps(Matrix.identity(9).to_json_dict()))
+        argv = {"--sigma": files["identity"], "--tau": files["identity"]}
+        argv[slot] = str(nine)
+        if slot == "--gens":
+            argv["--kind"] = "minus"
+        code, out, err = run(
+            capsys, "derive", "--algebra", files["sl2"],
+            *(a for pair in argv.items() for a in pair),
+        )
+        assert code == 2
+        assert out == ""
+        assert (
+            "error[DimensionMismatch]: matrix does not act on the algebra: "
+            "a 9x9 matrix on an algebra of dimension 3"
+        ) in err
+
     def test_minus_kind_needs_generators(self, capsys, files):
         code, _, err = run(
             capsys,
