@@ -22,11 +22,9 @@ from gderive.errors import (
 from gderive.limits import MAX_DIM
 from gderive.linalg import (
     Matrix,
-    Subspace,
     format_rational,
     integer_columns,
     inverse,
-    kernel_basis,
     parse_rational,
 )
 from gderive.record import Record, replace
@@ -179,32 +177,6 @@ def with_validation(g: LieAlgebra) -> LieAlgebra:
     return g
 
 
-def center(g: LieAlgebra) -> Subspace:
-    basis = Matrix.identity(g.dim).entries
-    rows = []
-    for e in basis:
-        rows.extend(ad(g, e).entries)
-    if not rows:
-        return Subspace.full(g.dim)
-    return kernel_basis(Matrix.from_rows(rows))
-
-
-def centralizer(g: LieAlgebra, x) -> Subspace:
-    return kernel_basis(ad(g, x))
-
-
-def derived_subalgebra(g: LieAlgebra) -> Subspace:
-    return Subspace.span(g.dim, list(g.structure.values()))
-
-
-def is_perfect(g: LieAlgebra) -> bool:
-    return derived_subalgebra(g).dim == g.dim
-
-
-def is_abelian(g: LieAlgebra) -> bool:
-    return all(not any(v) for v in g.structure.values())
-
-
 def is_automorphism(g: LieAlgebra, m: Matrix) -> bool:
     """Invertible and multiplicative on all basis pairs i < j."""
     n = g.dim
@@ -249,20 +221,22 @@ class Automorphism(Record):
         """The inverse of the matrix, computed once per automorphism."""
         return inverse(self.matrix)
 
-    def inverse(self) -> "Automorphism":
-        return Automorphism(self.algebra, self.inverse_matrix, self.validated)
-
     def power(self, k: int) -> "Automorphism":
         base = self.matrix if k >= 0 else self.inverse_matrix
         return Automorphism(self.algebra, base.power(abs(k)), self.validated)
 
 
-def make_automorphism(g: LieAlgebra, m: Matrix) -> Automorphism:
+def require_acts_on(g: LieAlgebra, m: Matrix) -> None:
+    """Raise DimensionMismatch, naming both sizes, unless m is dim x dim."""
     if m.rows != g.dim or m.cols != g.dim:
         raise DimensionMismatch(
             f"matrix does not act on the algebra: a {m.rows}x{m.cols} "
             f"matrix on an algebra of dimension {g.dim}"
         )
+
+
+def make_automorphism(g: LieAlgebra, m: Matrix) -> Automorphism:
+    require_acts_on(g, m)
     if not is_automorphism(g, m):
         raise UnvalidatedAutomorphism(
             "matrix is not an automorphism of the algebra"

@@ -64,18 +64,6 @@ class NotSigmaStable(InputError):
     code = "NotSigmaStable"
 
 
-class AdNotInvertibleOnH(InputError):
-    """ad(x) restricted to the chosen subalgebra h is not invertible."""
-
-    code = "AdNotInvertibleOnH"
-
-
-class AbelianAlgebra(InputError):
-    """The operation requires a nonabelian algebra."""
-
-    code = "AbelianAlgebra"
-
-
 class DegreeGuardExceeded(GuardError):
     """Basis completion generated more polynomials than the safety bound."""
 

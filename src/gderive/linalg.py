@@ -219,11 +219,6 @@ class Matrix:
             for j, a in enumerate(row)
         )
 
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise DimensionMismatch("trace of a non-square matrix")
-        return Fraction(sum(self.num[i][i] for i in range(self.rows)), self.den)
-
     def to_json_dict(self) -> dict:
         return {
             "rows": self.rows,
@@ -497,10 +492,6 @@ class Subspace(Record):
     def zero(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, ())
 
-    @staticmethod
-    def full(ambient_dim: int) -> "Subspace":
-        return Subspace.span(ambient_dim, Matrix.identity(ambient_dim).entries)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -516,17 +507,6 @@ class Subspace(Record):
                 for i, a in enumerate(row):
                     vec[i] -= coeff * a
         return all(a == 0 for a in vec)
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        return all(self.contains(v) for v in other.basis)
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch("ambient dimensions differ")
-    return Subspace.span(a.ambient_dim, list(a.basis) + list(b.basis))
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:

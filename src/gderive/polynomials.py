@@ -281,7 +281,7 @@ class MultiPoly(Record):
 
     @cached_property
     def _divisor_frame(self):
-        """(support, lead, l, tail) for :func:`_reduce`: this polynomial
+        """(support, lead, l, tail) for :func:`remainder`: this polynomial
         made primitive over the integers with a positive leading
         coefficient l, its negated exponent vectors, and the (index,
         negated exponent) pairs of the leading monomial's own variables."""
@@ -474,18 +474,22 @@ def _exp_lcm(e1, e2):
     return tuple(map(max, e1, e2))
 
 
-def _reduce(p: MultiPoly, divisors, with_quotients: bool):
-    """Division of p by the divisors in one integer frame.
+def remainder(p: MultiPoly, divisors) -> MultiPoly:
+    """The remainder of multivariate division of p by the divisors.
 
-    The work polynomial is W / d for integer coefficients W and one
-    denominator d. Each divisor enters as a primitive integer polynomial
-    with a positive leading coefficient l. Reducing a leading term w x^e
-    by x^a times that divisor replaces W by (l W - w x^a G) / gcd(w, l),
-    with d scaled alike, so every update is an integer operation.
-    Exponent vectors are held negated, so that the heap pops the
-    lex-largest term first. A remainder term keeps the d it was popped
-    at, and the remainder leaves the frame as those terms rescaled to the
-    final d; the quotients are built only when ``with_quotients`` is set.
+    No term of the remainder is divisible by any divisor's leading term;
+    the first divisor whose leading term divides is always chosen, so the
+    result is deterministic for a fixed divisor list.
+
+    Division runs in one integer frame. The work polynomial is W / d for
+    integer coefficients W and one denominator d. Each divisor enters as a
+    primitive integer polynomial with a positive leading coefficient l.
+    Reducing a leading term w x^e by x^a times that divisor replaces W by
+    (l W - w x^a G) / gcd(w, l), with d scaled alike, so every update is
+    an integer operation. Exponent vectors are held negated, so that the
+    heap pops the lex-largest term first. A remainder term keeps the d it
+    was popped at, and the remainder leaves the frame as those terms
+    rescaled to the final d.
     """
     divisors = list(divisors)
     for g in divisors:
@@ -497,25 +501,18 @@ def _reduce(p: MultiPoly, divisors, with_quotients: bool):
     work = {tuple(map(neg, e)): c for e, c in p.num}
     heap = list(work)
     heapify(heap)
-    quotients = [[] for _ in divisors] if with_quotients else None
     rest = []
     while heap:
         e = heappop(heap)
         w = work.pop(e, 0)
         if not w:
             continue  # cancelled after it was pushed
-        for i, (support, lead, l, tail) in enumerate(frames):
+        for support, lead, l, tail in frames:
             for k, a in support:
                 if e[k] > a:
                     break
             else:
                 shift = tuple(map(sub, e, lead))
-                if with_quotients:
-                    divisor = divisors[i]
-                    quotients[i].append((
-                        tuple(map(neg, shift)),
-                        Fraction(w * divisor.den, d * divisor.num[0][1]),
-                    ))
                 g = gcd(w, l)
                 if g != l:
                     s = l // g
@@ -537,29 +534,11 @@ def _reduce(p: MultiPoly, divisors, with_quotients: bool):
         else:
             rest.append((e, w, d))
     # Popped in descending order, so the terms are sorted already.
-    r = _canonical(
+    return _canonical(
         p.variables,
         [(tuple(map(neg, e)), w * (d // at)) for e, w, at in rest],
         d,
     )
-    if not with_quotients:
-        return None, r
-    return [MultiPoly.from_terms(p.variables, q) for q in quotients], r
-
-
-def divide(p: MultiPoly, divisors) -> tuple:
-    """Multivariate division: p = sum(q_i * g_i) + r.
-
-    No term of r is divisible by any divisor's leading term; the first
-    divisor whose leading term divides is always chosen, so the result is
-    deterministic for a fixed divisor list.
-    """
-    return _reduce(p, divisors, True)
-
-
-def remainder(p: MultiPoly, divisors) -> MultiPoly:
-    """The remainder of :func:`divide`, without building the quotients."""
-    return _reduce(p, divisors, False)[1]
 
 
 class Ideal(Record):
@@ -781,15 +760,6 @@ def triangular_prime_check(
     return PrimeCertificate(True, leading_vars, free_vars, "triangular-linear")
 
 
-def substitute_ideal(ideal: Ideal, assignments: dict) -> Ideal:
-    for name in assignments:
-        if name not in ideal.variables:
-            raise UnknownVariable(f"variable {name!r} not in ring")
-    new_vars = tuple(v for v in ideal.variables if v not in assignments)
-    gens = tuple(g.substitute(assignments) for g in ideal.generators)
-    return Ideal.make(new_vars, gens)
-
-
 def linear_coefficient_matrix(generators, variables) -> Matrix:
     """Rows of x-coefficients for homogeneous-linear generators."""
     variables = tuple(variables)
@@ -833,10 +803,3 @@ def ideal_from_json_dict(data: dict) -> Ideal:
     return Ideal.make(variables, tuple(
         poly_from_string(variables, g) for g in gens
     ))
-
-
-def ideal_to_json_dict(ideal: Ideal) -> dict:
-    return {
-        "vars": list(ideal.variables),
-        "gens": [poly_to_string(g) for g in ideal.generators],
-    }

@@ -491,6 +491,19 @@ class TestSmallSolvers:
             ["0", "0", "0"], ["0", "0", "0"], ["0", "0", "2"],
         ]
 
+    def test_quasider_rejects_map_of_the_wrong_size(self, capsys, files):
+        two = files["tmp"] / "identity2.json"
+        two.write_text(json.dumps(Matrix.identity(2).to_json_dict()))
+        code, out, err = run(
+            capsys, "quasider", "--algebra", files["sl2"], "--map", str(two),
+        )
+        assert code == 2
+        assert out == ""
+        assert (
+            "error[DimensionMismatch]: matrix does not act on the algebra: "
+            "a 2x2 matrix on an algebra of dimension 3"
+        ) in err
+
     def test_abg(self, capsys):
         report = run_json(
             capsys,

@@ -19,7 +19,6 @@ from gderive.algebra import (
     ad,
     bracket,
     builtin,
-    center,
     is_automorphism,
     make_automorphism,
     with_validation,
@@ -27,31 +26,20 @@ from gderive.algebra import (
 from gderive.derivations import (
     DerivationSpace,
     abg_space,
+    _identity_rows,
     centroid,
-    commutator_with_sigma,
     derivation_space,
-    derived_in_kernel,
     intersection_report,
     is_derivation_pair,
-    kernel_phi,
-    left_symmetric_product,
-    minus_interior,
-    periodic_check,
-    phi_x_sigma,
-    plus_interior,
     quasiderivation_witness,
     restrict,
     sigma_bracket,
-    stabilized_space,
-    tilde_map,
     twist,
 )
 from gderive.errors import (
-    AbelianAlgebra,
-    AdNotInvertibleOnH,
     DimensionMismatch,
+    InputError,
     NotSigmaStable,
-    SingularMatrix,
     UnvalidatedAutomorphism,
 )
 from gderive.linalg import (
@@ -60,11 +48,13 @@ from gderive.linalg import (
     exp_nilpotent,
     inverse,
     kernel_basis,
+    kernel_of_rows,
     matrix_to_vec,
     solve,
     subspace_intersect,
     vec_to_matrix,
 )
+from gderive.sl2 import Sl2Family, family_sigma
 
 SL2 = builtin("sl2")
 HEIS = builtin("heisenberg")
@@ -176,7 +166,7 @@ class TestDerivationSpaces:
             assert m[1, 2] == 0 and m[2, 1] == 0
 
     def test_guards(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError):
             derivation_space(HEIS, make_automorphism(
                 HEIS, Matrix.identity(3)), kind="sideways")
         unval = Automorphism(SL2, Matrix.identity(3), validated=False)
@@ -193,6 +183,19 @@ class TestDerivationSpaces:
         space = derivation_space(HEIS, sigma, tau)
         for m in space.basis:
             assert is_derivation_pair(HEIS, m, sigma, tau)
+
+
+    def test_unknown_kind_is_an_input_error_before_assembly(self, monkeypatch):
+        import gderive.derivations
+
+        def no_assembly(*args):
+            raise AssertionError("the system was assembled")
+
+        monkeypatch.setattr(gderive.derivations, "_identity_rows", no_assembly)
+        with pytest.raises(InputError) as info:
+            derivation_space(SL2, ID_SL2, kind="bogus")
+        assert type(info.value) is InputError
+        assert str(info.value) == "unknown kind 'bogus'"
 
 
 class TestTwistTransport:
@@ -286,7 +289,6 @@ class TestInverseOnce:
     def test_inverse_matrix_is_cached(self):
         assert SIGMA_UPPER.inverse_matrix is SIGMA_UPPER.inverse_matrix
         assert SIGMA_UPPER.inverse_matrix == inverse(SIGMA_UPPER.matrix)
-        assert SIGMA_UPPER.inverse().matrix == inverse(SIGMA_UPPER.matrix)
 
 
 class TestCentroid:
@@ -319,54 +321,6 @@ class TestCentroid:
                 assert m @ ad(g, x) == ad(g, x) @ m
 
 
-class TestLeftSymmetric:
-    def test_heisenberg_table(self):
-        d = Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
-        table = left_symmetric_product(HEIS, d, ID_HEIS)
-        half = Fraction(1, 2)
-        assert table[0][1] == (0, 0, half)
-        assert table[1][0] == (0, 0, -half)
-        basis = Matrix.identity(3).entries
-        for i in range(3):
-            for j in range(3):
-                diff = tuple(
-                    a - b for a, b in zip(table[i][j], table[j][i])
-                )
-                assert diff == bracket(HEIS, basis[i], basis[j])
-
-    def test_left_symmetry_of_associator(self):
-        d = Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
-        assert is_derivation_pair(HEIS, d, ID_HEIS, ID_HEIS)
-        table = left_symmetric_product(HEIS, d, ID_HEIS)
-
-        def prod(u, v):
-            out = [Fraction(0)] * 3
-            for i in range(3):
-                for j in range(3):
-                    if u[i] and v[j]:
-                        for r in range(3):
-                            out[r] += u[i] * v[j] * table[i][j][r]
-            return tuple(out)
-
-        basis = Matrix.identity(3).entries
-        for x in basis:
-            for y in basis:
-                for z in basis:
-                    assoc_xy = tuple(
-                        a - b
-                        for a, b in zip(prod(prod(x, y), z), prod(x, prod(y, z)))
-                    )
-                    assoc_yx = tuple(
-                        a - b
-                        for a, b in zip(prod(prod(y, x), z), prod(y, prod(x, z)))
-                    )
-                    assert assoc_xy == assoc_yx
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularMatrix):
-            left_symmetric_product(SL2, ad(SL2, (1, 0, 0)), ID_SL2)
-
-
 class TestPhi:
     def test_phi_identity(self):
         # [D, ad x] = sigma ad(sigma^{-1} D x) = ad(D x) sigma.
@@ -374,32 +328,10 @@ class TestPhi:
         basis = Matrix.identity(3).entries
         for d in space.basis:
             for x in basis:
-                phi = phi_x_sigma(SL2, d, SIGMA_UPPER, x)
+                phi = ad(SL2, SIGMA_UPPER.inverse_matrix.apply(d.apply(x)))
                 lhs = d @ ad(SL2, x) - ad(SL2, x) @ d
                 assert lhs == SIGMA_UPPER.matrix @ phi
                 assert lhs == ad(SL2, d.apply(x)) @ SIGMA_UPPER.matrix
-
-    def test_kernel_phi_dims(self):
-        assert kernel_phi(HEIS, SHEAR, (1, 0, 0)).dim == 3
-        space = kernel_phi(SL2, ID_SL2, (1, 0, 0))
-        assert space.dim == 1
-        for m in space.basis:
-            # sl2 is centerless, so D(e1) must vanish outright.
-            assert m.col(0) == (Fraction(0),) * 3
-
-    def test_rank_nullity_with_evaluation(self):
-        space = derivation_space(SL2, ID_SL2)
-        kernel = kernel_phi(SL2, ID_SL2, (1, 0, 0))
-        image = Subspace.span(
-            9,
-            [
-                matrix_to_vec(phi_x_sigma(SL2, d, ID_SL2, (1, 0, 0)))
-                for d in space.basis
-            ],
-        )
-        assert space.dim == kernel.dim + image.dim
-        assert image.dim <= SL2.dim
-
 
 class TestQuasiderivations:
     def test_derivation_is_its_own_witness(self):
@@ -556,6 +488,35 @@ class TestAssemblerAgainstElementaryMatrices:
             assert space.subspace == elementary_reference(g, *identity)
 
 
+class TestIdentityRows:
+    """The assembled rows carry no zero entry and no empty row, and span
+    the same conditions as the dense reference."""
+
+    SIGMA_B1 = make_automorphism(SL2, family_sigma(Sl2Family.fixed("b", b=1)))
+    INNER_EX46 = make_automorphism(EX46, exp_nilpotent(ad(EX46, (0, 1, 0))))
+
+    @pytest.mark.parametrize("g, alpha, beta, gamma, sigma, tau", [
+        (SL2, 1, 1, 1, SIGMA_B1, ID_SL2),
+        (SL2, 1, 1, 0, ID_SL2, ID_SL2),
+        (SL2, 2, 1, -1, SIGMA_B1, SIGMA_B1),
+        (HEIS, 1, 1, 1, SHEAR, ID_HEIS),
+        (HEIS, 0, 1, -1, ID_HEIS, ID_HEIS),
+        (EX46, 1, 1, 1, INNER_EX46, ID_EX46),
+        (EX46, 1, 2, 1, ID_EX46, INNER_EX46),
+    ], ids=[
+        "sl2-twisted", "sl2-centroid", "sl2-abg", "heisenberg-twisted",
+        "heisenberg-abg", "example_4_6-twisted", "example_4_6-abg",
+    ])
+    def test_no_zero_entries_or_empty_rows(self, g, alpha, beta, gamma, sigma, tau):
+        s, t = sigma.matrix, tau.matrix
+        rows = _identity_rows(g, alpha, beta, gamma, s, t)
+        assert all(rows)
+        assert all(a for row in rows for a in row.values())
+        assert kernel_of_rows(rows, g.dim ** 2) == elementary_reference(
+            g, alpha, beta, gamma, s, t
+        )
+
+
 small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=3)
 sparse_rationals = st.one_of(st.just(Fraction(0)), small_rationals)
 
@@ -614,33 +575,17 @@ class TestSolversAgainstDenseGrids:
         assert derivation_space(g, sigma, sigma).subspace == reference(
             elementary_grid(g, 1, 1, 1, s, s)
         )
-        assert plus_interior(g, sigma).subspace == reference(twisted, commutes[s])
-        assert minus_interior(g, sigma, [sigma, tau]).subspace == reference(
-            twisted, commutes[s], commutes[t]
+        assert derivation_space(g, sigma, kind="plus").subspace == reference(
+            twisted, commutes[s]
         )
+        assert derivation_space(
+            g, sigma, kind="minus", gens=(sigma, tau)
+        ).subspace == reference(twisted, commutes[s], commutes[t])
         assert centroid(g).subspace == reference(elementary_grid(g, 1, 1, 0, one, one))
         abg = data.draw(st.tuples(*[st.integers(-2, 2)] * 3))
         assert abg_space(g, *abg).subspace == reference(
             elementary_grid(g, *abg, one, one)
         )
-
-        x = tuple(data.draw(sparse_rationals) for _ in range(n))
-        z = center(g)
-        annihilator = (
-            kernel_basis(Matrix.from_rows(z.basis)).basis if z.basis else one.entries
-        )
-        in_center = elementary_rows(n, lambda d: tuple(
-            sum(a * b for a, b in zip(f, d.apply(x))) for f in annihilator
-        ))
-        assert kernel_phi(g, sigma, x).subspace == reference(twisted, in_center)
-
-        # sigma is upper triangular, so it preserves span(e_1, ..., e_k).
-        k = data.draw(st.integers(0, n))
-        h = Subspace.span(n, one.entries[:k])
-        into_h = elementary_rows(n, lambda d: tuple(
-            d.apply(v)[r] for v in h.basis for r in range(k, n)
-        ))
-        assert stabilized_space(g, sigma, h).subspace == reference(twisted, into_h)
 
         d = Matrix.from_rows([[data.draw(sparse_rationals) for _ in range(n)]
                               for _ in range(n)])
@@ -733,22 +678,6 @@ class TestSparseSystemMemory:
 class TestStabilizedAndRestrict:
     H_EX46 = Subspace.span(3, [(0, 1, 0), (0, 0, 1)])
 
-    def test_stabilized_whole_derived_subalgebra(self):
-        # Every derivation preserves the derived subalgebra here.
-        assert stabilized_space(EX46, ID_EX46, self.H_EX46).dim == 4
-
-    def test_stabilized_cuts_heisenberg(self):
-        h = Subspace.span(3, [(1, 0, 0), (0, 0, 1)])
-        assert stabilized_space(HEIS, ID_HEIS, h).dim == 5
-
-    def test_not_sigma_stable(self):
-        shear = make_automorphism(
-            EX46, Matrix.from_rows([[1, 0, 0], [1, 1, 0], [0, 0, 1]])
-        )
-        line = Subspace.span(3, [(1, 0, 0)])
-        with pytest.raises(NotSigmaStable):
-            stabilized_space(EX46, shear, line)
-
     def test_restrict_values(self):
         assert restrict(ad(EX46, (1, 0, 0)), self.H_EX46) == Matrix.from_rows(
             [[1, 0], [0, 2]]
@@ -768,45 +697,26 @@ class TestStabilizedAndRestrict:
             restrict(e12, self.H_EX46)
 
 
-class TestTildeMap:
-    H_EX46 = Subspace.span(3, [(0, 1, 0), (0, 0, 1)])
-
-    def test_tilde_equals_restriction_untwisted(self):
-        # With sigma = id and x0 = e1 the correction terms cancel
-        # against one copy of 2 D(v), leaving the plain restriction.
-        for d in derivation_space(EX46, ID_EX46).basis:
-            assert tilde_map(EX46, d, ID_EX46, (1, 0, 0), self.H_EX46) == restrict(
-                d, self.H_EX46
-            )
-
-    def test_ad_not_invertible(self):
-        h = Subspace.span(3, [(0, 1, 0), (0, 0, 1)])
-        with pytest.raises(AdNotInvertibleOnH):
-            tilde_map(HEIS, Matrix.zero(3, 3), ID_HEIS, (1, 0, 0), h)
-        h2 = Subspace.span(3, [(1, 0, 0), (0, 1, 0)])
-        with pytest.raises(AdNotInvertibleOnH):
-            tilde_map(EX46, Matrix.zero(3, 3), ID_EX46, (1, 0, 0), h2)
-
-
 class TestCommutatorAndInteriors:
     def test_commutator_nonzero_but_derived_killed(self):
         d = Matrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
         space = derivation_space(HEIS, SHEAR)
         assert space.subspace.contains(matrix_to_vec(d))
-        comm = commutator_with_sigma(d, SHEAR)
+        comm = d @ SHEAR.matrix - SHEAR.matrix @ d
         assert not comm.is_zero()
-        assert derived_in_kernel(HEIS, d, SHEAR)
+        # The derived algebra of the Heisenberg algebra is span(e3).
+        assert comm.col(2) == (0, 0, 0)
 
     def test_twisted_sl2_family_commutes(self):
         space = derivation_space(SL2, SIGMA_UPPER)
         for m in space.basis:
-            assert commutator_with_sigma(m, SIGMA_UPPER).is_zero()
-            assert derived_in_kernel(SL2, m, SIGMA_UPPER)
-        assert plus_interior(SL2, SIGMA_UPPER).subspace == space.subspace
-        assert (
-            minus_interior(SL2, SIGMA_UPPER, [SIGMA_UPPER]).subspace
-            == space.subspace
+            assert (m @ SIGMA_UPPER.matrix - SIGMA_UPPER.matrix @ m).is_zero()
+        assert derivation_space(SL2, SIGMA_UPPER, kind="plus").subspace == (
+            space.subspace
         )
+        assert derivation_space(
+            SL2, SIGMA_UPPER, kind="minus", gens=(SIGMA_UPPER,)
+        ).subspace == space.subspace
 
     def test_minus_interior_cuts(self):
         # Requiring commutation with an order-2 diagonal twist cuts the
@@ -815,7 +725,7 @@ class TestCommutatorAndInteriors:
             HEIS, Matrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 2]])
         )
         full = derivation_space(HEIS, SHEAR)
-        cut = minus_interior(HEIS, SHEAR, [extra])
+        cut = derivation_space(HEIS, SHEAR, kind="minus", gens=(extra,))
         assert cut.dim < full.dim
         for m in cut.basis:
             assert (m @ extra.matrix - extra.matrix @ m).is_zero()
@@ -839,39 +749,3 @@ class TestIntersections:
         space = derivation_space(HEIS, SHEAR)
         report = intersection_report(HEIS, SHEAR, SHEAR)
         assert report.dimension == space.dim
-
-
-class TestPeriodicCheck:
-    def test_order_six_confirmed(self):
-        # Companion block of t^2 - t + 1 (order 6) extended by its
-        # determinant in the corner; e3 is a fixed rational eigenvector.
-        d = Matrix.from_rows([[0, -1, 0], [1, 1, 0], [0, 0, 1]])
-        report = periodic_check(HEIS, d, ID_HEIS, 64)
-        assert report.order == 6
-        assert report.in_der_sigma
-        assert report.rational_fixed_eigenvector
-        assert report.verdict == "divisible-by-6 confirmed"
-
-    def test_nilpotent_hypothesis_not_met(self):
-        report = periodic_check(SL2, D_UPPER, ID_SL2, 64)
-        assert report.order is None
-        assert report.verdict == "hypothesis not met"
-
-    def test_order_not_found_within_bound(self):
-        report = periodic_check(SL2, ad(SL2, (0, 1, 0)), ID_SL2, 64)
-        assert report.order is None
-        assert report.verdict == "order not found within bound"
-
-    def test_order_found_but_not_a_derivation(self):
-        swap = Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-        report = periodic_check(HEIS, swap, ID_HEIS, 64)
-        assert report.order == 2
-        assert not report.in_der_sigma
-        assert report.verdict == "hypothesis not met"
-
-    def test_abelian_raises(self):
-        g = builtin("abelian(3)")
-        with pytest.raises(AbelianAlgebra):
-            periodic_check(
-                g, Matrix.identity(3), Automorphism.identity(g), 16
-            )

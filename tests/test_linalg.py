@@ -26,7 +26,6 @@ from gderive.linalg import (
     rref,
     solve,
     subspace_intersect,
-    subspace_sum,
     vec_to_matrix,
 )
 
@@ -693,7 +692,8 @@ class TestSubspaces:
         x_axis = Subspace.span(2, [[1, 0]])
         y_axis = Subspace.span(2, [[0, 1]])
         assert subspace_intersect(x_axis, y_axis) == Subspace.zero(2)
-        assert subspace_sum(x_axis, y_axis) == Subspace.full(2)
+        total = Subspace.span(2, x_axis.basis + y_axis.basis)
+        assert total == Subspace.span(2, Matrix.identity(2).entries)
 
     def test_canonical_equality(self):
         a = Subspace.span(3, [[1, 1, 0], [0, 0, 2]])
@@ -707,7 +707,7 @@ class TestSubspaces:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            subspace_sum(Subspace.zero(2), Subspace.zero(3))
+            subspace_intersect(Subspace.zero(2), Subspace.zero(3))
 
     @given(
         st.lists(st.lists(small_fractions, min_size=3, max_size=3), max_size=4),
@@ -718,11 +718,11 @@ class TestSubspaces:
         a = Subspace.span(3, va)
         b = Subspace.span(3, vb)
         inter = subspace_intersect(a, b)
-        total = subspace_sum(a, b)
+        total = Subspace.span(3, a.basis + b.basis)
         assert inter.dim + total.dim == a.dim + b.dim
         for v in inter.basis:
             assert a.contains(v) and b.contains(v)
-        assert total.contains_subspace(a) and total.contains_subspace(b)
+        assert all(total.contains(v) for v in a.basis + b.basis)
 
 
 class TestSolveAndFlatten:

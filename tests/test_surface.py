@@ -1,0 +1,78 @@
+"""Every public library name serves a command, a row or a benchmark.
+
+The walk reads the top-level public functions and classes of each
+``gderive`` module with ``ast``. A name passes when code (a name, an
+attribute or an import alias, never a string) uses it in another
+``gderive`` module, elsewhere in its own module, or in ``perfbench/*.py``.
+Tests do not count as users: a name that only tests reach belongs on the
+allowlist below, with the reason the tests keep it.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gderive"
+
+# Reference code that tests compare against or build fixtures with.
+KEPT_FOR_TESTS = {
+    "derivations.is_derivation_pair":
+        "checks the defining identity apart from the assembler",
+    "algebra.ad": "builds the inner automorphisms of the hypothesis strategies",
+    "algebra.algebra_to_json_dict": "writes the algebra files of the CLI tests",
+    "linalg.rref": "the row reduction the acceptance tests compare spans with",
+    "linalg.solve": "solves the dense reference grid of the quasiderivation test",
+}
+
+
+def _used_names(nodes) -> set:
+    names = set()
+    for tree in nodes:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+                if node.asname:
+                    names.add(node.asname)
+    return names
+
+
+def _module_name(path: Path) -> str:
+    relative = path.relative_to(PACKAGE).with_suffix("")
+    parts = relative.parts[:-1] if relative.name == "__init__" else relative.parts
+    return ".".join(parts) or "gderive"
+
+
+def unreached_names() -> list:
+    modules = {
+        _module_name(path): ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    perfbench = _used_names(
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "perfbench").glob("*.py"))
+    )
+    others = {
+        name: _used_names(tree for other, tree in modules.items() if other != name)
+        for name in modules
+    }
+    unreached = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            own = _used_names(other for other in tree.body if other is not node)
+            if node.name not in own | others[name] | perfbench:
+                unreached.append(f"{name}.{node.name}")
+    return unreached
+
+
+def test_every_public_name_is_reached_or_kept_for_tests():
+    assert sorted(unreached_names()) == sorted(KEPT_FOR_TESTS)
