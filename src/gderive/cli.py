@@ -95,9 +95,12 @@ def _parse_bindings(items) -> dict:
             if not piece:
                 continue
             name, eq, value = piece.partition("=")
-            if not eq or not name.strip():
+            name = name.strip()
+            if not eq or not name:
                 raise InputError(f"--fix expects name=value, got {piece!r}")
-            out[name.strip()] = parse_rational(value.strip())
+            if name in out:
+                raise InputError(f"--fix gives {name!r} twice")
+            out[name] = parse_rational(value.strip())
     return out
 
 
@@ -499,6 +502,8 @@ def cmd_reproduce(args) -> int:
         keys = []
         for item in args.only:
             keys.extend(piece.strip() for piece in item.split(",") if piece.strip())
+        if not keys:
+            raise InputError("--only names no row key")
     rows = run(keys)
     out = {
         "rows": [

@@ -69,19 +69,13 @@ def _sigma_c(value) -> Matrix:
     return family_sigma(Sl2Family.fixed("c", c=value))
 
 
-def _span_of(matrices) -> Matrix:
-    return Matrix.from_rows([matrix_to_vec(m) for m in matrices])
+def _span_of(matrices) -> Subspace:
+    """The span of 3x3 matrices, flattened, in Q^9."""
+    return Subspace.span(9, [matrix_to_vec(m) for m in matrices])
 
 
-def _all_in_span(stack: Matrix, matrices) -> bool:
-    """Whether every matrix lies in the row span of the stack: adding its
-    vector as a row leaves the stack's rank, computed once, unchanged."""
-    rows = list(stack.entries)
-    r = rank(stack)
-    return all(
-        rank(Matrix.from_rows(rows + [matrix_to_vec(m)])) == r
-        for m in matrices
-    )
+def _all_in_span(space: Subspace, matrices) -> bool:
+    return all(space.contains(matrix_to_vec(m)) for m in matrices)
 
 
 def _run_thm51():
@@ -292,13 +286,10 @@ def _run_prop21():
         if left.dim != right.dim:
             return False, "confirmed", "twist changed a dimension"
         twisted = [twist(d, tau) for d in left.basis]
-        target = _span_of(right.basis) if right.basis else None
-        if twisted:
-            stacked = _span_of(twisted)
-            if rank(stacked) != left.dim:
-                return False, "confirmed", "twist collapsed a basis"
-            if target is None or not _all_in_span(target, twisted):
-                return False, "confirmed", "twist left the target space"
+        if _span_of(twisted).dim != left.dim:
+            return False, "confirmed", "twist collapsed a basis"
+        if not _all_in_span(_span_of(right.basis), twisted):
+            return False, "confirmed", "twist left the target space"
         checked += 1
     return (
         True,
@@ -327,7 +318,7 @@ def _run_thm13():
     untwisted = derivation_space(g, Automorphism.identity(g))
     target = _span_of(untwisted.basis)
     ok = ok and _all_in_span(target, moved)
-    ok = ok and rank(_span_of(moved)) == 3
+    ok = ok and _span_of(moved).dim == 3
     for a in basis:
         for b in basis:
             transported = inv @ sigma_bracket(a, b, sigma)

@@ -12,20 +12,20 @@ G = D(a, b, c). At fixed parameters it is exp_nilpotent(G); the symbolic
 families use closed-form grids of exp(G) over the family ring, which the
 test suite proves equal to exp_nilpotent by interpolation.
 
-For each family the module produces the residual ideal J of the twisted
-identity, the two candidate components p1 (untwisted slice) and p2 (the
-parametric line family), and a verification report: containments, prime
-certificates, and a symbolic check that the parametric form satisfies
-every raw generator identically. Computed forms are authoritative;
-claimed forms and dimensions are carried alongside and compared, never
-silently substituted.
+For each family the module reads the residual ideal J of the twisted
+identity off the structure table of sl2, and produces the candidate
+components p1 (untwisted slice) and p2 (parametric line family) and a
+verification report: containments, prime certificates, and a symbolic
+check that the parametric form zeroes every raw generator identically.
+Computed forms are authoritative; claimed forms and dimensions are
+carried alongside and compared, never silently substituted.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from gderive.algebra import builtin
+from gderive.algebra import builtin, structure_table
 from gderive.errors import InputError, ZeroParameterA
 from gderive.linalg import (
     Matrix,
@@ -169,41 +169,13 @@ def family_sigma(f: Sl2Family):
     return _matrix_of_strings(f.ring, SYMBOLIC_SIGMA[f.tag])
 
 
-# -- polynomial-matrix helpers ------------------------------------------------
-
 def _matrix_of_strings(ring, rows):
     return tuple(
         tuple(poly_from_string(ring, e) for e in row) for row in rows
     )
 
 
-def _poly_identity(ring, n=3):
-    one = MultiPoly.const(ring, 1)
-    zero = MultiPoly.zero(ring)
-    return tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
-
-
-def _poly_bracket(ring, u, v):
-    """sl2 bracket of two coordinate vectors with polynomial entries."""
-    out = [MultiPoly.zero(ring) for _ in range(3)]
-    for p in range(3):
-        for q in range(p + 1, 3):
-            coords = SL2.pair_bracket(p, q)
-            cross = u[p] * v[q] - u[q] * v[p]
-            for r in range(3):
-                if coords[r]:
-                    out[r] = out[r] + cross.scale(coords[r])
-    return tuple(out)
-
-
 # -- the residual ideal -------------------------------------------------------
-
-ORDERED_PAIRS = (
-    (0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1), (0, 0), (1, 1), (2, 2),
-)
-
 
 class DerivationIdealReport(Record):
     family: str
@@ -212,39 +184,38 @@ class DerivationIdealReport(Record):
     simplified: Ideal
 
 
-def _unknown_matrix(ring):
-    # Entry (row k, column j) is the unknown x_{(j+1)(k+1)}.
-    return tuple(
-        tuple(MultiPoly.var(ring, f"x{j + 1}{k + 1}") for j in range(3))
-        for k in range(3)
-    )
-
-
-def _residual_polynomials(ring, sigma_pm):
-    u = _unknown_matrix(ring)
-    units = _poly_identity(ring)
-    columns = [tuple(u[k][j] for k in range(3)) for j in range(3)]
-    sigma_cols = [tuple(sigma_pm[k][j] for k in range(3)) for j in range(3)]
+def _residual_polynomials(ring, sigma):
+    """Coordinate r of D[e_i, e_j] - [D e_i, sigma e_j] - [e_i, D e_j] is
+    sum_m c_ij^m x_mr - sum_pq x_ip sigma_qj c_pq^r - sum_q x_jq c_iq^r,
+    read off the structure table, with x_mr the unknown X_VARS[n*m + r]."""
+    table, scale = structure_table(SL2)
+    n = SL2.dim
+    x = [[MultiPoly.var(ring, X_VARS[n * m + r]) for r in range(n)]
+         for m in range(n)]
+    # The pair order fixes the order of the raw generators.
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = upper + [(j, i) for i, j in upper] + [(i, i) for i in range(n)]
     raw = []
-    seen = set()
-    for i, j in ORDERED_PAIRS:
-        coords = SL2.pair_bracket(i, j)
-        image = [MultiPoly.zero(ring) for _ in range(3)]
-        for m in range(3):
-            if coords[m]:
-                for r in range(3):
-                    image[r] = image[r] + columns[m][r].scale(coords[m])
-        left = _poly_bracket(ring, columns[i], sigma_cols[j])
-        right = _poly_bracket(ring, units[i], columns[j])
-        for r in range(3):
-            residual = image[r] - left[r] - right[r]
-            if residual.is_zero:
-                continue
-            key = residual.monic()
-            if key in seen:
-                continue
-            seen.add(key)
-            raw.append(residual)
+    # Zero is seen from the start, so zero coordinates drop with repeats.
+    seen = {MultiPoly.zero(ring)}
+    for i, j in pairs:
+        residual = [MultiPoly.zero(ring)] * n
+        for m, c in table[i].get(j, {}).items():
+            for r in range(n):
+                residual[r] += x[m][r].scale(c)
+        for p in range(n):
+            for q, coords in table[p].items():
+                term = x[i][p] * sigma[q][j]
+                for r, c in coords.items():
+                    residual[r] -= term.scale(c)
+        for q, coords in table[i].items():
+            for r, c in coords.items():
+                residual[r] -= x[j][q].scale(c)
+        for poly in residual:
+            key = poly.monic()
+            if key not in seen:
+                seen.add(key)
+                raw.append(poly.scale(Fraction(1, scale)))
     return raw
 
 
@@ -367,7 +338,7 @@ AB_CLAIMED_FORM = (
 )
 
 
-def _untwisted_component(ring, gens, param_names, claimed=3):
+def _untwisted_component(ring, gens, param_names):
     # V(p1): the twisting parameter vanishes and the matrix is a plain
     # derivation. In the two-parameter family only b must vanish for the
     # automorphism to collapse to the identity, so c stays free.
@@ -390,7 +361,7 @@ def _untwisted_component(ring, gens, param_names, claimed=3):
             parameter_values[name] = zero
     return Component(
         "p1", Ideal.make(ring, _strings(ring, gens)), form, form_vars,
-        parameter_values, claimed,
+        parameter_values, 3,
     )
 
 
@@ -436,13 +407,11 @@ def known_components(f: Sl2Family) -> tuple:
     form = tuple(
         tuple(t * e for e in row) for row in direction
     )
-    scale_t = poly_from_string(
-        RING_TWO_PARAM, "1/2*x21 - 1/4*x32"
-    )
+    scale_t = poly_from_string(RING_TWO_PARAM, "1/2*x21 - 1/4*x32")
     gens = []
     for j in range(3):
         for k in range(3):
-            x = MultiPoly.var(RING_TWO_PARAM, f"x{j + 1}{k + 1}")
+            x = MultiPoly.var(RING_TWO_PARAM, X_VARS[3 * j + k])
             n = AB_DIRECTION[k][j]
             n_lifted = poly_from_string(RING_TWO_PARAM, n)
             gens.append(x - n_lifted * scale_t)
@@ -490,7 +459,7 @@ def _form_satisfies(raw: Ideal, form: tuple, component: Component) -> bool:
     mapping = {}
     for j in range(3):
         for k in range(3):
-            mapping[f"x{j + 1}{k + 1}"] = form[k][j]
+            mapping[X_VARS[3 * j + k]] = form[k][j]
     mapping.update(component.parameter_values)
     for gen in raw.generators:
         image = gen.substitute_polys(component.form_variables, mapping)

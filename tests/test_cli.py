@@ -737,6 +737,19 @@ class TestSl2Command:
         assert code == 2
         assert "error[ZeroParameterA]" in err
 
+    @pytest.mark.parametrize(
+        "family, fixes",
+        [("b", ("b=1", "b=0")), ("ab", ("a=2,b=1,b=3",)), ("b", ("b=1, b =1",))],
+    )
+    def test_parameter_fixed_twice_is_rejected(self, capsys, family, fixes):
+        argv = ["sl2", "--family", family]
+        for item in fixes:
+            argv += ["--fix", item]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error[InvalidInput]" in err and "twice" in err
+
     def test_byte_identical_reruns(self, capsys):
         code, first, _ = run(capsys, "sl2", "--family", "c")
         assert code == 0
@@ -773,6 +786,14 @@ class TestReproduce:
     def test_unknown_key(self, capsys):
         code, _, err = run(capsys, "reproduce", "--only", "nope")
         assert code == 2
+        assert "error[InvalidInput]" in err
+
+    @pytest.mark.parametrize("only", ["", ",", " , "])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_only_naming_no_key_is_rejected(self, capsys, only, fmt):
+        code, out, err = run(capsys, "reproduce", "--only", only, "--format", fmt)
+        assert code == 2
+        assert out == ""
         assert "error[InvalidInput]" in err
 
     def test_text_table_always_exits_zero(self, capsys):

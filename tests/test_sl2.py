@@ -139,6 +139,87 @@ P2_GENS_C = {
 }
 
 
+# The raw generators of each family, in the order the builder emits
+# them: coordinate by coordinate over the pairs i < j, the swapped pairs,
+# then the diagonal, skipping zeros and repeats up to scale. The
+# Groebner completion starts from this list, so its order is pinned too.
+RAW_GENERATORS = {
+    "b": (
+        "-x12*y + x22",
+        "-x12 + 2*x13*y - 2*x23",
+        "-2*x13",
+        "-2*x11*y + x12*y^2 + 2*x21 + x32",
+        "-2*x11 - 2*x13*y^2 + 2*x22 - 2*x33",
+        "x12 + 2*x13*y + 2*x23",
+        "-2*x21*y + x22*y^2 - 2*x31",
+        "-2*x21 - 2*x23*y^2 - x32",
+        "x22 + 2*x23*y",
+        "-x22",
+        "x12 + 2*x23",
+        "-2*x21 - x32",
+        "2*x11 - 2*x22 + 2*x33",
+        "2*x31 - x32*y",
+        "2*x21 + x32 + 2*x33*y",
+        "-x22*y",
+        "2*x23*y",
+        "-2*x31*y + x32*y^2",
+        "-2*x33*y^2",
+        "2*x33*y",
+    ),
+    "c": (
+        "x22",
+        "-2*x11*y - x12 - 2*x23",
+        "x12*y - 2*x13",
+        "2*x21 + x32",
+        "-2*x11 + 2*x22 - 2*x33",
+        "x12 + 2*x23",
+        "-2*x31",
+        "-2*x21*y - x22",
+        "x12 + 2*x21*y^2 + 2*x23",
+        "2*x13 - x22*y^2 + 2*x23*y",
+        "-2*x21 - 2*x31*y - x32",
+        "2*x11 - 2*x22 + 2*x31*y^2 + 2*x33",
+        "-x12 - 2*x23 - x32*y^2 + 2*x33*y",
+        "2*x21 - 2*x31*y + x32",
+        "-x22 + x32*y",
+        "-2*x11*y",
+        "2*x11*y^2",
+        "-x12*y^2 + 2*x13*y",
+        "-2*x21*y",
+        "x22*y",
+    ),
+    "ab": (
+        "-2*x11*b^2*c^2 - x12*b^2*c - x12*b + x22",
+        "2*x11*b^2*c^3 - 2*x11*b*c^2 - x12 + 2*x13*b^2*c + 2*x13*b - 2*x23",
+        "-x12*b^2*c^3 + x12*b*c^2 + 2*x13*b^2*c^2 - 2*x13",
+        "2*x11*b^2*c - 2*x11*b + x12*b^2 + 2*x21 + x32",
+        "-2*x11*b^2*c^2 + 4*x11*b*c - 2*x11 - 2*x13*b^2 + 2*x22 - 2*x33",
+        "x12*b^2*c^2 - 2*x12*b*c + x12 - 2*x13*b^2*c + 2*x13*b + 2*x23",
+        "2*x21*b^2*c - 2*x21*b + x22*b^2 - 2*x31",
+        "-2*x21*b^2*c^2 + 4*x21*b*c - 2*x21 - 2*x23*b^2 - x32",
+        "x22*b^2*c^2 - 2*x22*b*c + x22 - 2*x23*b^2*c + 2*x23*b",
+        "-2*x21*b^2*c^3 - 2*x21*b*c^2 - x22*b^2*c^2 - 2*x22*b*c - x22",
+        "x12 + 2*x21*b^2*c^4 + 2*x23*b^2*c^2 + 4*x23*b*c + 2*x23",
+        "2*x13 - x22*b^2*c^4 + 2*x23*b^2*c^3 + 2*x23*b*c^2",
+        "-2*x21 - 2*x31*b^2*c^3 - 2*x31*b*c^2 - x32*b^2*c^2 - 2*x32*b*c - x32",
+        "2*x11 - 2*x22 + 2*x31*b^2*c^4 + 2*x33*b^2*c^2 + 4*x33*b*c + 2*x33",
+        "-x12 - 2*x23 - x32*b^2*c^4 + 2*x33*b^2*c^3 + 2*x33*b*c^2",
+        "-2*x31*b^2*c^2 + 2*x31 - x32*b^2*c - x32*b",
+        "2*x21 + 2*x31*b^2*c^3 - 2*x31*b*c^2 + x32 + 2*x33*b^2*c + 2*x33*b",
+        "-x22 - x32*b^2*c^3 + x32*b*c^2 + 2*x33*b^2*c^2",
+        "-2*x11*b^2*c^3 - 2*x11*b*c^2 - x12*b^2*c^2 - 2*x12*b*c",
+        "2*x11*b^2*c^4 + 2*x13*b^2*c^2 + 4*x13*b*c",
+        "-x12*b^2*c^4 + 2*x13*b^2*c^3 + 2*x13*b*c^2",
+        "-2*x21*b^2*c^2 - x22*b^2*c - x22*b",
+        "2*x21*b^2*c^3 - 2*x21*b*c^2 + 2*x23*b^2*c + 2*x23*b",
+        "-x22*b^2*c^3 + x22*b*c^2 + 2*x23*b^2*c^2",
+        "2*x31*b^2*c - 2*x31*b + x32*b^2",
+        "-2*x31*b^2*c^2 + 4*x31*b*c - 2*x33*b^2",
+        "x32*b^2*c^2 - 2*x32*b*c - 2*x33*b^2*c + 2*x33*b",
+    ),
+}
+
+
 def strs(ideal):
     return {str(g) for g in ideal.generators}
 
@@ -348,6 +429,11 @@ def _const(p):
 
 
 class TestRawIdeals:
+    @pytest.mark.parametrize("tag", sorted(RAW_GENERATORS))
+    def test_raw_generators_pinned_in_order(self, tag):
+        raw = derivation_ideal(Sl2Family.symbolic(tag)).raw
+        assert tuple(str(g) for g in raw.generators) == RAW_GENERATORS[tag]
+
     def test_family_b_raw_equals_displayed_plus_diagonal(self):
         rep = derivation_ideal(Sl2Family.symbolic("b"))
         assert rep.ring == RING_ONE_PARAM
