@@ -1,26 +1,20 @@
 """Integer fraction-free reduced row echelon kernel.
 
 Rows are sparse: a dict {column: int} of the nonzero entries, since the
-derivation systems are mostly zeros. ``BACKEND`` names the row-reduction
-implementation; there is one, in pure Python.
+derivation systems are mostly zeros. ``rref_int`` settles the columns
+that one-entry rows force, drops repeated rows, and reduces the rest in
+one incremental Gauss-Jordan pass that keeps its basis fully reduced.
+``BACKEND`` names the row-reduction implementation; there is one, in
+pure Python.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from math import gcd
 
 BACKEND = "python"
 
 __all__ = ["rref_int", "BACKEND"]
-
-
-def _primitive(row: dict) -> dict:
-    """Divide a sparse row by the gcd of its entries."""
-    g = gcd(*row.values())
-    if g > 1:
-        return {c: a // g for c, a in row.items()}
-    return row
 
 
 def _eliminate(row: dict, pivot: dict, c: int) -> dict:
@@ -38,7 +32,10 @@ def _eliminate(row: dict, pivot: dict, c: int) -> dict:
             out[j] = a
         else:
             del out[j]
-    return _primitive(out)
+    g = gcd(*out.values())
+    if g > 1:
+        return {j: a // g for j, a in out.items()}
+    return out
 
 
 def _cascade(work: list) -> list:
@@ -93,14 +90,15 @@ def rref_int(rows):
     positive leading entry, and a row equal to one already kept is
     dropped. Neither step does any elimination.
 
-    The survivors are eliminated with columns cleared left to right. A
-    row whose leading column is c can only meet the other rows leading
-    at c, so rows wait in buckets keyed by leading column, and the
-    shortest row of a bucket becomes its pivot. Back substitution then
-    clears each row's entries at later pivot columns, from the last row
-    up. The unit rows need neither step, since no survivor holds their
-    columns. The reduced echelon form is unique, so the result does not
-    depend on these choices.
+    The survivors then go, shortest first, through one Gauss-Jordan pass
+    that keeps the basis reduced. Each basis row is zero at every other
+    pivot column, so a new row is cleared with one elimination per pivot
+    column it holds, and the entries it gains are never at a pivot
+    column. A row that vanishes is dropped; otherwise its smallest
+    column becomes a new pivot, which is then cleared from the basis
+    rows that hold it. The unit rows need no elimination, since no
+    survivor holds their columns. The reduced echelon form is unique, so
+    the result does not depend on the order of the rows.
     """
     work = []
     single = False
@@ -111,7 +109,7 @@ def rref_int(rows):
             if len(sparse) == 1:
                 single = True
     forced = _cascade(work) if single else ()
-    buckets = {}
+    survivors = []
     # Kept rows by the hash of their entries. A row that merely shares a
     # hash with a kept one stays, which costs time but not correctness.
     kept = {}
@@ -127,34 +125,20 @@ def rref_int(rows):
             if kept.get(key) == row:
                 continue
             kept[key] = row
-            buckets.setdefault(lead, []).append(row)
-    # A heap of the leading columns still to clear (a sorted list is one);
-    # eliminating at c only adds later ones.
-    leads = sorted(buckets)
-    pivots = []
-    while leads:
-        c = heappop(leads)
-        group = buckets.pop(c)
-        pivot = min(group, key=len)
-        for row in group:
-            if row is not pivot:
-                reduced = _eliminate(row, pivot, c)
-                if reduced:
-                    lead = min(reduced)
-                    if lead not in buckets:
-                        buckets[lead] = []
-                        heappush(leads, lead)
-                    buckets[lead].append(reduced)
-        if pivot[c] < 0:
-            pivot = {j: -a for j, a in pivot.items()}
-        pivots.append((c, pivot))
-    # Bottom up, every row below is already zero at the other pivot
-    # columns, so clearing a row's later pivot columns adds none back.
+            survivors.append(row)
+    survivors.sort(key=len)
     reduced = {}
-    for c, row in reversed(pivots):
-        for j in [j for j in row if j != c and j in reduced]:
-            row = _eliminate(row, reduced[j], j)
-        reduced[c] = row
+    for row in survivors:
+        for c in [c for c in row if c in reduced]:
+            row = _eliminate(row, reduced[c], c)
+        if row:
+            c = min(row)
+            if row[c] < 0:
+                row = {j: -a for j, a in row.items()}
+            for j, other in reduced.items():
+                if c in other:
+                    reduced[j] = _eliminate(other, row, c)
+            reduced[c] = row
     for c in forced:
         reduced[c] = {c: 1}
     pivot_cols = sorted(reduced)

@@ -40,16 +40,6 @@ class LieAlgebra(Record):
     structure: dict
     lie_validated: bool = False
 
-    def pair_bracket(self, i: int, j: int):
-        """[e_i, e_j] as a coordinate vector, any index order."""
-        zero = tuple(Fraction(0) for _ in range(self.dim))
-        if i == j:
-            return zero
-        if i < j:
-            return self.structure.get((i, j), zero)
-        value = self.structure.get((j, i), zero)
-        return tuple(-a for a in value)
-
     @cached_property
     def integer_table(self):
         """(table, scale) of :func:`structure_table`, built on first use."""

@@ -196,6 +196,8 @@ def cmd_derive(args) -> int:
     g = load_algebra(args.algebra)
     sigma = load_automorphism(g, args.sigma)
     tau = load_automorphism(g, args.tau) if args.tau else None
+    if args.gens and args.kind != "minus":
+        raise InputError(f"--gens applies to kind minus only, not kind {args.kind}")
     gens = tuple(load_automorphism(g, path) for path in args.gens or [])
     if args.kind == "minus" and not gens:
         raise InputError("kind minus needs at least one --gens automorphism")
@@ -258,7 +260,7 @@ def cmd_intersect(args) -> int:
     g = load_algebra(args.algebra)
     sigma = load_automorphism(g, args.sigma)
     tau = load_automorphism(g, args.tau)
-    witness = _parse_vector(args.witness) if args.witness else None
+    witness = _parse_vector(args.witness) if args.witness is not None else None
     report = intersection_report(g, sigma, tau, witness)
     out = {
         "dimension": report.dimension,

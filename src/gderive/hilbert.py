@@ -30,11 +30,6 @@ class GradedDims(Record):
     dims: dict
     finite_order: int = None
 
-    def grade(self, k: int) -> int:
-        if self.finite_order is not None:
-            return self.dims[k % self.finite_order]
-        return self.dims[k]
-
 
 def graded_dims(
     g: LieAlgebra,

@@ -282,6 +282,17 @@ class TestDerive:
         assert code == 2
         assert "error[InvalidInput]" in err
 
+    @pytest.mark.parametrize("kind", ["plain", "plus"])
+    def test_generators_need_kind_minus(self, capsys, files, kind):
+        code, out, err = run(
+            capsys,
+            "derive", "--algebra", files["sl2"], "--sigma", files["identity"],
+            "--kind", kind, "--gens", files["flip"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "error[InvalidInput]" in err
+
     def test_rejects_invalid_algebra(self, capsys, files):
         code, _, err = run(
             capsys,
@@ -524,6 +535,18 @@ class TestSmallSolvers:
         assert report["basis"] == []
         assert report["witness"] == ["1", "0", "0"]
         assert report["witness_in_centralizer"] is True
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_intersect_empty_witness_is_rejected(self, capsys, files, fmt):
+        code, out, err = run(
+            capsys,
+            "intersect", "--algebra", files["sl2"],
+            "--sigma", files["identity"], "--tau", files["sigma"],
+            "--witness", "", "--format", fmt,
+        )
+        assert code == 2
+        assert out == ""
+        assert "error[InvalidInput]" in err
 
 
 class TestHilbert:

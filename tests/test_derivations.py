@@ -143,7 +143,7 @@ class TestDerivationSpaces:
         for m in (fails_reversed, fails_diagonal):
             for i in range(3):
                 for j in range(i + 1, 3):
-                    lhs = m.apply(HEIS.pair_bracket(i, j))
+                    lhs = m.apply(bracket(HEIS, basis[i], basis[j]))
                     rhs = tuple(
                         p + q
                         for p, q in zip(
@@ -366,7 +366,7 @@ class TestQuasiderivations:
         basis = Matrix.identity(3).entries
         for i in range(3):
             for j in range(i + 1, 3):
-                lhs = t.apply(HEIS.pair_bracket(i, j))
+                lhs = t.apply(bracket(HEIS, basis[i], basis[j]))
                 rhs = tuple(
                     p + q
                     for p, q in zip(

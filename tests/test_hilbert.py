@@ -69,8 +69,6 @@ class TestGradedDims:
         assert space.basis == (
             Matrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 1]]),
         )
-        assert gd.grade(5) == 1
-        assert gd.grade(-2) == 3
 
     def test_unipotent_window(self):
         gd = graded_dims(SL2, SIGMA_UPPER, "plain", 6)

@@ -1,9 +1,10 @@
 """Every library name serves a command, a row or a benchmark.
 
 The walk reads the top-level functions, classes and constants of each
-``gderive`` module with ``ast``, public and ``_private`` alike; dunders
-such as ``__version__`` are exempt. A name passes when code (a name read,
-an attribute or an import alias, never a string) uses it in another
+``gderive`` module with ``ast``, and the functions defined in the body of
+each top-level class, public and ``_private`` alike; dunders such as
+``__version__`` or ``__eq__`` are exempt. A name passes when code (a name
+read, an attribute or an import alias, never a string) uses it in another
 ``gderive`` module, elsewhere in its own module, or in ``perfbench/*.py``.
 Tests do not count as users: a name that only tests reach belongs on the
 allowlist below, with the reason the tests keep it.
@@ -25,6 +26,10 @@ KEPT_FOR_TESTS = {
     "algebra.algebra_to_json_dict": "writes the algebra files of the CLI tests",
     "linalg.rref": "the row reduction the acceptance tests compare spans with",
     "linalg.solve": "solves the dense reference grid of the quasiderivation test",
+    "sl2.Component.evaluate":
+        "specialises p2 at sample points in the acceptance tests' reference code",
+    "polynomials.MultiPoly.leading_term":
+        "drives the acceptance tests' reference S-polynomial and division",
 }
 
 # Names that a user reads from code held in a string, which the walk
@@ -69,6 +74,19 @@ def _defined_names(node) -> list:
     ]
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _methods(node: ast.ClassDef) -> list:
+    """The functions defined in a class body, dunders left out."""
+    return [
+        member for member in node.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not _is_dunder(member.name)
+    ]
+
+
 def _module_name(path: Path) -> str:
     relative = path.relative_to(PACKAGE).with_suffix("")
     parts = relative.parts[:-1] if relative.name == "__init__" else relative.parts
@@ -91,15 +109,17 @@ def unreached_names() -> list:
     unreached = []
     for name, tree in modules.items():
         for node in tree.body:
-            defined = [
-                n for n in _defined_names(node)
-                if not (n.startswith("__") and n.endswith("__"))
-            ]
+            defined = [n for n in _defined_names(node) if not _is_dunder(n)]
             if not defined:
                 continue
             own = _used_names(other for other in tree.body if other is not node)
             users = own | others[name] | perfbench
             unreached += [f"{name}.{n}" for n in defined if n not in users]
+            if isinstance(node, ast.ClassDef):
+                for member in _methods(node):
+                    inside = _used_names(m for m in node.body if m is not member)
+                    if member.name not in users | inside:
+                        unreached.append(f"{name}.{node.name}.{member.name}")
     return unreached
 
 
