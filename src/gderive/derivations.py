@@ -39,11 +39,13 @@ from gderive.errors import DimensionMismatch, InputError, NotSigmaStable
 from gderive.linalg import (
     Matrix,
     Subspace,
+    _integer_vector,
+    _make,
     integer_columns,
     kernel_of_rows,
     solve_rows,
+    square_maps,
     subspace_intersect,
-    vec_to_matrix,
 )
 from gderive.record import Record
 
@@ -83,15 +85,15 @@ def _identity_rows(g: LieAlgebra, alpha, beta, gamma, sigma: Matrix, tau: Matrix
     table, _ = structure_table(g)
     sig, ds = integer_columns(sigma)
     ta, dt = integer_columns(tau)
-    alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
-    den = math.lcm(alpha.denominator, beta.denominator, gamma.denominator)
+    # (a, b, c) is (alpha, beta, gamma) times den.
+    (a, b, c), den = _integer_vector((alpha, beta, gamma))
     dst = math.lcm(ds, dt)
     # The common scale is den * dst times the table's own scale.
-    a = int(alpha * den) * dst
+    a *= dst
     # -beta [D e_i, sigma e_j] = sum_m D[m][i] * left[j][m];
     # -gamma [tau e_i, D e_j] = sum_m D[m][j] * right[i][m].
-    left = bracket_images(table, sig, -int(beta * den) * (dst // ds))
-    right = bracket_images(table, ta, int(gamma * den) * (dst // dt))
+    left = bracket_images(table, sig, -b * (dst // ds))
+    right = bracket_images(table, ta, c * (dst // dt))
     rows = []
     for i, j in _identity_pairs(n, beta, gamma, sigma, tau):
         pair_rows = [{} for _ in range(n)]
@@ -133,8 +135,7 @@ def _commutation_rows(n: int, sigma: Matrix):
 
 def _solve_rows(n: int, rows) -> tuple:
     space = kernel_of_rows(rows, n * n)
-    matrices = tuple(vec_to_matrix(v, n, n) for v in space.basis)
-    return matrices, space
+    return square_maps(space.rows, n), space
 
 
 def is_derivation_pair(
@@ -266,7 +267,7 @@ def quasiderivation_witness(g: LieAlgebra, d: Matrix):
                 row[n * n] = images[j][i].get(r, 0) - images[i][j].get(r, 0)
                 rows.append(row)
     solution = solve_rows(rows, n * n)
-    return None if solution is None else vec_to_matrix(solution, n, n)
+    return None if solution is None else square_maps(solution, n)[0]
 
 
 def abg_space(g: LieAlgebra, alpha, beta, gamma) -> DerivationSpace:
@@ -283,26 +284,18 @@ def abg_space(g: LieAlgebra, alpha, beta, gamma) -> DerivationSpace:
     return DerivationSpace(g, ident, ident, kind, matrices, space)
 
 
-def _coords_in(h: Subspace, vector):
-    pivots = [next(i for i, a in enumerate(row) if a != 0) for row in h.basis]
-    coords = tuple(vector[p] for p in pivots)
-    rebuilt = [Fraction(0)] * h.ambient_dim
-    for c, row in zip(coords, h.basis):
-        for i, a in enumerate(row):
-            rebuilt[i] += c * a
-    if tuple(rebuilt) != tuple(vector):
-        raise NotSigmaStable("vector does not lie in the subspace")
-    return coords
-
-
 def restrict(d: Matrix, h: Subspace) -> Matrix:
-    """The induced matrix on h, in h-basis coordinates."""
+    """The induced matrix on h, in h-basis coordinates. Each basis row of
+    h is 1 at its own pivot and 0 at the others, so the coordinates of an
+    image are its entries at the pivot columns."""
     if d.cols != h.ambient_dim:
         raise DimensionMismatch("matrix does not act on the ambient space")
-    columns = [_coords_in(h, d.apply(v)) for v in h.basis]
-    return Matrix(h.dim, h.dim, tuple(
-        tuple(col[r] for col in columns) for r in range(h.dim)
-    ))
+    images = h.rows @ d.transpose()
+    if not all(map(h.contains, images.num)):
+        raise NotSigmaStable("vector does not lie in the subspace")
+    return _make(h.dim, h.dim, tuple(
+        tuple(image[p] for image in images.num) for p in h.pivots
+    ), images.den)
 
 
 class IntersectionReport(Record):

@@ -15,7 +15,9 @@ Row reduction delegates to the sparse integer kernel in
 :mod:`gderive._kernels`, so every result is exact and canonical. The
 systems that the derivation solvers assemble are sparse integer rows
 already and go to :func:`kernel_of_rows` and :func:`solve_rows` as they
-are. A :class:`Subspace` keeps its canonical basis as Fraction vectors.
+are. A :class:`Subspace` keeps its reduced row echelon basis as one
+canonical integer ``Matrix``; kernels, spans, intersections, membership
+and the n x n basis maps of ``square_maps`` run on those integers too.
 """
 
 from __future__ import annotations
@@ -37,18 +39,29 @@ def parse_rational(text: str) -> Fraction:
     """Parse a rational string: optional '-', digits, optional '/digits'."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise InputError(f"not a rational literal: {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise InputError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError as exc:
+        # Past Python's int/str digit limit.
+        raise InputError(f"rational literal too long: {len(text)} characters") from exc
+    if den == 0:
+        raise InputError(f"zero denominator: {text!r}")
+    return Fraction(num, den)
 
 
 def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def _integer_vector(vector):
+    """(ints, scale): the exact scalars of vector times scale, the lcm of
+    their denominators; ints and Fractions are read, not converted."""
+    vec = [v if isinstance(v, (int, Fraction)) else _coerce(v) for v in vector]
+    scale = lcm(*(v.denominator for v in vec))
+    return [v.numerator * (scale // v.denominator) for v in vec], scale
 
 
 def _coerce(value) -> Fraction:
@@ -186,9 +199,7 @@ class Matrix:
         """Image of a coordinate vector (matrix times column vector)."""
         if len(vector) != self.cols:
             raise DimensionMismatch("vector length differs from cols")
-        vec = [_coerce(v) for v in vector]
-        scale = lcm(*(v.denominator for v in vec))
-        ints = [v.numerator * (scale // v.denominator) for v in vec]
+        ints, scale = _integer_vector(vector)
         den = self.den * scale
         return tuple(Fraction(sum(map(mul, row, ints)), den) for row in self.num)
 
@@ -322,8 +333,7 @@ def integer_columns(m: Matrix):
     Returns (columns, scale): columns[j] is {i: scale * m[i, j]} over the
     nonzero entries, and scale is the lcm of the entries' denominators.
     """
-    columns = zip(*m.num) if m.rows else ((),) * m.cols
-    return [_sparse(col) for col in columns], m.den
+    return [_sparse(col) for col in m.transpose().num], m.den
 
 
 def rref(m: Matrix):
@@ -350,21 +360,25 @@ def kernel_of_rows(rows, ncols: int) -> "Subspace":
     them, reduced here with the columns in reverse order. A pivot row then
     ends at its pivot p, so e_f - sum_p (row_p[f] / row_p[p]) e_p for a
     free column f leads at f and vanishes at the other free columns: these
-    vectors are the canonical basis with no second reduction.
+    vectors, over the lcm of the pivot entries, are the canonical basis
+    with no second reduction.
     """
     last = ncols - 1
     pivot_rows, pivot_cols = rref_int(
         {last - c: a for c, a in row.items()} for row in rows
     )
+    den = lcm(*(row[p] for row, p in zip(pivot_rows, pivot_cols)))
     pivots = {last - p for p in pivot_cols}
-    basis = {f: [Fraction(0)] * ncols for f in range(ncols) if f not in pivots}
-    for f, v in basis.items():
-        v[f] = Fraction(1)
+    basis = {
+        f: [0] * f + [den] + [0] * (last - f) for f in range(ncols) if f not in pivots
+    }
     for row, p in zip(pivot_rows, pivot_cols):
+        scale = den // row[p]
         for j, a in row.items():
             if j != p:
-                basis[last - j][last - p] = Fraction(-a, row[p])
-    return Subspace(ncols, tuple(tuple(v) for v in basis.values()))
+                basis[last - j][last - p] = -a * scale
+    num = tuple(map(tuple, basis.values()))
+    return Subspace(ncols, _make(len(num), ncols, num, den))
 
 
 def kernel_basis(m: Matrix) -> "Subspace":
@@ -373,15 +387,17 @@ def kernel_basis(m: Matrix) -> "Subspace":
 
 
 def solve_rows(rows, ncols: int):
-    """One solution x in Q^ncols of the sparse integer system whose
-    right-hand side sits in column ncols, or None when inconsistent."""
+    """One solution of the sparse integer system whose right-hand side
+    sits in column ncols, as a 1 x ncols Matrix, or None when
+    inconsistent."""
     pivot_rows, pivot_cols = rref_int(rows)
-    x = [Fraction(0)] * ncols
+    if pivot_cols and pivot_cols[-1] == ncols:
+        return None
+    den = lcm(*(row[p] for row, p in zip(pivot_rows, pivot_cols)))
+    x = [0] * ncols
     for row, p in zip(pivot_rows, pivot_cols):
-        if p == ncols:
-            return None
-        x[p] = Fraction(row.get(ncols, 0), row[p])
-    return tuple(x)
+        x[p] = row.get(ncols, 0) * (den // row[p])
+    return _make(1, ncols, (tuple(x),), den)
 
 
 def solve(m: Matrix, rhs):
@@ -397,7 +413,8 @@ def solve(m: Matrix, rhs):
         if b:
             sparse[m.cols] = m.den * b.numerator
         rows.append(sparse)
-    return solve_rows(rows, m.cols)
+    solution = solve_rows(rows, m.cols)
+    return None if solution is None else solution.entries[0]
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -459,88 +476,80 @@ def matrix_order(m: Matrix, max_m: int):
 class Subspace(Record):
     """Subspace of Q^n held in canonical form.
 
-    The stacked basis is in reduced row echelon form, so two subspaces are
-    equal as sets exactly when their Subspace values compare equal.
+    ``rows`` is the basis in reduced row echelon form as one canonical
+    integer Matrix (k x n): each row holds ``rows.den`` at its pivot and 0
+    at every other pivot column. Two subspaces are equal as sets exactly
+    when their Subspace values compare equal, and they hash alike.
     """
 
     ambient_dim: int
-    basis: tuple
+    rows: Matrix
 
     @staticmethod
     def span(ambient_dim: int, vectors) -> "Subspace":
         rows = []
         for v in vectors:
-            row = [_coerce(a) for a in v]
-            if len(row) != ambient_dim:
+            ints = _integer_vector(v)[0]
+            if len(ints) != ambient_dim:
                 raise DimensionMismatch("vector length differs from ambient dim")
-            # A sparse integer row: row times the lcm of its denominators.
-            scale = lcm(*(a.denominator for a in row))
-            rows.append({
-                c: a.numerator * (scale // a.denominator)
-                for c, a in enumerate(row) if a
-            })
+            rows.append(_sparse(ints))
         pivot_rows, pivot_cols = rref_int(rows)
-        basis = []
-        for row, c in zip(pivot_rows, pivot_cols):
-            vec = [Fraction(0)] * ambient_dim
-            for j, a in row.items():
-                vec[j] = Fraction(a, row[c])
-            basis.append(tuple(vec))
-        return Subspace(ambient_dim, tuple(basis))
+        return Subspace(ambient_dim, _from_pivots(
+            len(pivot_cols), ambient_dim, pivot_rows, pivot_cols
+        ))
 
-    @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, ())
+    @property
+    def basis(self) -> tuple:
+        """The basis rows as Fraction vectors, built on first read."""
+        return self.rows.entries
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.rows.rows
+
+    @property
+    def pivots(self) -> list:
+        """The pivot column of each basis row."""
+        return [next(j for j, a in enumerate(row) if a) for row in self.rows.num]
 
     def contains(self, vector) -> bool:
-        vec = [_coerce(a) for a in vector]
-        if len(vec) != self.ambient_dim:
+        """Whether the vector lies in the span: den times it must equal
+        the sum of its entries at the pivots times the basis rows."""
+        ints = _integer_vector(vector)[0]
+        if len(ints) != self.ambient_dim:
             raise DimensionMismatch("vector length differs from ambient dim")
-        for row in self.basis:
-            pivot = next(i for i, a in enumerate(row) if a == 1)
-            coeff = vec[pivot]
-            if coeff:
-                for i, a in enumerate(row):
-                    vec[i] -= coeff * a
-        return all(a == 0 for a in vec)
+        den = self.rows.den
+        rest = [den * a for a in ints]
+        for p, row in zip(self.pivots, self.rows.num):
+            c = ints[p]
+            if c:
+                rest = [a - c * b for a, b in zip(rest, row)]
+        return not any(rest)
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
+    """a meet b: the vectors orthogonal to the orthogonal complements of
+    both, each complement the kernel of that subspace's integer rows."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    if not a.basis or not b.basis:
-        return Subspace.zero(a.ambient_dim)
-    # Columns are the two bases; kernel vectors (x, y) satisfy A x = -B y,
-    # so A x runs over the intersection.
-    columns = list(a.basis) + [tuple(-c for c in v) for v in b.basis]
-    stacked = Matrix.from_rows(columns).transpose()
-    vectors = []
-    for w in kernel_basis(stacked).basis:
-        coeffs = w[: len(a.basis)]
-        vec = [Fraction(0)] * a.ambient_dim
-        for coeff, basis_vec in zip(coeffs, a.basis):
-            for i, entry in enumerate(basis_vec):
-                vec[i] += coeff * entry
-        vectors.append(vec)
-    return Subspace.span(a.ambient_dim, vectors)
+    n = a.ambient_dim
+    return kernel_of_rows([
+        _sparse(row)
+        for s in (a, b)
+        for row in kernel_of_rows(map(_sparse, s.rows.num), n).rows.num
+    ], n)
 
 
 def matrix_to_vec(m: Matrix):
     """Flatten by stacking images: components of m(e_1), then m(e_2), ..."""
-    out = []
-    for j in range(m.cols):
-        out.extend(m.col(j))
-    return tuple(out)
+    return tuple(chain.from_iterable(map(m.col, range(m.cols))))
 
 
-def vec_to_matrix(vec, rows: int, cols: int) -> Matrix:
-    if len(vec) != rows * cols:
-        raise DimensionMismatch("vector length differs from rows x cols")
-    vals = [_coerce(v) for v in vec]
-    return Matrix(rows, cols, tuple(
-        tuple(vals[j * rows + i] for j in range(cols)) for i in range(rows)
-    ))
+def square_maps(m: Matrix, n: int) -> tuple:
+    """The rows of m, each n^2 long, as n x n maps, undoing
+    ``matrix_to_vec``: row entry j*n + i is entry (i, j) of its map."""
+    if m.cols != n * n:
+        raise DimensionMismatch("row length differs from n x n")
+    return tuple(
+        _make(n, n, tuple(row[i::n] for i in range(n)), m.den) for row in m.num
+    )

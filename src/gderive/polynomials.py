@@ -395,7 +395,7 @@ def poly_from_string(variables, text: str) -> MultiPoly:
                         kind2, value2 = tokens[pos + 1]
                         if kind2 != "rat" or "/" in value2 or value2.startswith("-"):
                             raise InputError("exponent must be a nonnegative integer")
-                        power = int(value2)
+                        power = parse_rational(value2).numerator
                         pos += 2
                     exps[index[value]] += power
                     saw_factor = True

@@ -32,7 +32,7 @@ from gderive.linalg import (
     exp_nilpotent,
     kernel_basis,
     rank,
-    vec_to_matrix,
+    square_maps,
 )
 from gderive.polynomials import (
     DEFAULT_GUARD,
@@ -540,10 +540,6 @@ def fixed_param_dimension(f: Sl2Family, values: dict = None) -> FixedDimensionRe
         values = f.values
     fixed = Sl2Family(f.tag, {k: Fraction(v) for k, v in values.items()})
     gens = _raw_ideal(fixed).generators
-    if gens:
-        matrix = linear_coefficient_matrix(gens, X_VARS)
-    else:
-        matrix = Matrix(0, 9, ())
-    space = kernel_basis(matrix)
-    basis = tuple(vec_to_matrix(v, 3, 3) for v in space.basis)
+    space = kernel_basis(linear_coefficient_matrix(gens, X_VARS))
+    basis = square_maps(space.rows, 3)
     return FixedDimensionReport(f.tag, fixed.values, space.dim, basis, 4)

@@ -45,8 +45,8 @@ from gderive.linalg import (
     inverse,
     matrix_to_vec,
     rref,
+    square_maps,
     subspace_intersect,
-    vec_to_matrix,
 )
 from gderive.polynomials import (
     Ideal,
@@ -297,7 +297,7 @@ class TestAcceptance:
         hand_centroid = [Matrix.identity(3), e31, e32]
         hand_twisted = [e12, e31, e32, e11_e33]
         hand_inter = [e31, e32]
-        inter_basis = [vec_to_matrix(v, 3, 3) for v in inter.basis]
+        inter_basis = square_maps(inter.rows, 3)
         for computed, hand in (
             (cent.basis, hand_centroid),
             (twisted.basis, hand_twisted),

@@ -193,6 +193,9 @@ def _malformed_document(draw):
     return argv, {"name": "h", "dim": 3, "brackets": entries}
 
 
+# A rational literal past Python's 4300-digit int/str conversion limit.
+_LONG = "9" * 5000
+
 _ERROR_CODES = {
     cls.code
     for cls in vars(errors).values()
@@ -419,6 +422,44 @@ class TestMalformedInput:
         path = files["tmp"] / "undecodable.json"
         path.write_bytes(content)
         code, out, err = run(capsys, "check", "--algebra", str(path))
+        assert code == 2
+        assert out == ""
+        assert "error[InvalidInput]" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, doc", [
+        (
+            ["derive", "--algebra", "sl2", "--sigma", "{doc}"],
+            {"rows": 3, "cols": 3, "entries": [
+                [_LONG, "0", "0"], ["0", "1", "0"], ["0", "0", "1"],
+            ]},
+        ),
+        (
+            ["check", "--algebra", "{doc}"],
+            {"name": "x", "dim": 2,
+             "brackets": [{"left": 1, "right": 2, "result": [[_LONG, 1]]}]},
+        ),
+        (["abg", "--algebra", "sl2", "--alpha", _LONG, "--beta", "1",
+          "--gamma", "1"], None),
+        (["sl2", "--family", "b", "--fix", f"b={_LONG}"], None),
+        (
+            ["intersect", "--algebra", "sl2", "--sigma", "{id}", "--tau", "{id}",
+             "--witness", f"{_LONG},0,0"],
+            None,
+        ),
+        (["groebner", "--ideal", "{doc}"], {"vars": ["x"], "gens": [f"{_LONG}*x"]}),
+        (["groebner", "--ideal", "{doc}"], {"vars": ["x"], "gens": [f"x^{_LONG}"]}),
+        (["member", "--ideal", "{ideal}", "--poly", f"{_LONG}*x"], None),
+    ], ids=[
+        "sigma-entry", "bracket-coefficient", "abg-alpha", "sl2-fix",
+        "intersect-witness", "poly-coefficient", "poly-exponent", "member-poly",
+    ])
+    def test_literal_past_digit_limit(self, capsys, files, argv, doc):
+        path = files["tmp"] / "long.json"
+        path.write_text(json.dumps(doc))
+        slots = {"{doc}": str(path), "{id}": files["identity"],
+                 "{ideal}": files["ideal"]}
+        code, out, err = run(capsys, *(slots.get(a, a) for a in argv))
         assert code == 2
         assert out == ""
         assert "error[InvalidInput]" in err
@@ -939,6 +980,67 @@ class TestPinnedOutput:
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == PINNED_QUADRICS_STDOUT
+
+
+# The linear commands on abelian(0) and on the one-dimensional abelian(1),
+# where every kernel runs over 0 or 1 columns. "@name" stands for a map
+# file written from the literal grid in SMALLEST_MAPS.
+SMALLEST_MAPS = {"id0": [], "id1": [["1"]], "neg1": [["-1"]], "half3": [["3/2"]]}
+_EMPTY = {"basis": [], "dimension": 0}
+_UNIT = {"basis": [{"cols": 1, "entries": [["1"]], "rows": 1}], "dimension": 1}
+
+SMALLEST_STDOUT = [
+    (("derive", "--algebra", "abelian(0)", "--sigma", "@id0"),
+     {**_EMPTY, "kind": "plain"}),
+    (("derive", "--algebra", "abelian(0)", "--sigma", "@id0", "--kind", "plus"),
+     {**_EMPTY, "kind": "plus"}),
+    (("centroid", "--algebra", "abelian(0)"), {**_EMPTY, "kind": "centroid"}),
+    (("abg", "--algebra", "abelian(0)", "--alpha", "1", "--beta", "1",
+      "--gamma", "1"),
+     {**_EMPTY, "alpha": "1", "beta": "1", "gamma": "1", "kind": "abg(1,1,1)"}),
+    (("intersect", "--algebra", "abelian(0)", "--sigma", "@id0", "--tau", "@id0"),
+     {**_EMPTY, "witness": None, "witness_in_centralizer": None}),
+    (("hilbert", "--algebra", "abelian(0)", "--sigma", "@id0"),
+     {"dims": {"0": 0}, "finite_order": 1, "kind": "plain", "period": None,
+      "series": "0", "window": 1}),
+    (("quasider", "--algebra", "abelian(0)", "--map", "@id0"),
+     {"quasiderivation": True,
+      "witness": {"cols": 0, "entries": [], "rows": 0}}),
+    (("derive", "--algebra", "abelian(1)", "--sigma", "@neg1"),
+     {**_UNIT, "kind": "plain"}),
+    (("derive", "--algebra", "abelian(1)", "--sigma", "@neg1", "--kind", "plus"),
+     {**_UNIT, "kind": "plus"}),
+    (("centroid", "--algebra", "abelian(1)"), {**_UNIT, "kind": "centroid"}),
+    (("abg", "--algebra", "abelian(1)", "--alpha", "2", "--beta", "1",
+      "--gamma", "1"),
+     {**_UNIT, "alpha": "2", "beta": "1", "gamma": "1", "kind": "abg(2,1,1)"}),
+    (("intersect", "--algebra", "abelian(1)", "--sigma", "@id1", "--tau",
+      "@neg1", "--witness", "1"),
+     {"basis": [["1"]], "dimension": 1, "witness": ["1"],
+      "witness_in_centralizer": True}),
+    (("hilbert", "--algebra", "abelian(1)", "--sigma", "@neg1"),
+     {"dims": {"0": 1, "1": 1}, "finite_order": 2, "kind": "plain",
+      "period": None, "series": "1 + t", "window": 2}),
+    (("quasider", "--algebra", "abelian(1)", "--map", "@half3"),
+     {"quasiderivation": True,
+      "witness": {"cols": 1, "entries": [["0"]], "rows": 1}}),
+]
+
+
+class TestSmallestAlgebras:
+    @pytest.mark.parametrize(
+        "argv, report", SMALLEST_STDOUT, ids=[" ".join(a) for a, _ in SMALLEST_STDOUT]
+    )
+    def test_stdout(self, capsys, tmp_path, argv, report):
+        paths = {}
+        for name, grid in SMALLEST_MAPS.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"rows": len(grid), "cols": len(grid),
+                                        "entries": grid}))
+            paths[f"@{name}"] = str(path)
+        code, out, _ = run(capsys, *(paths.get(a, a) for a in argv))
+        assert code == 0
+        assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 class TestParsing:

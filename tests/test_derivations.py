@@ -51,8 +51,8 @@ from gderive.linalg import (
     kernel_of_rows,
     matrix_to_vec,
     solve,
+    square_maps,
     subspace_intersect,
-    vec_to_matrix,
 )
 from gderive.sl2 import Sl2Family, family_sigma
 
@@ -437,8 +437,7 @@ def elementary_grid(g, alpha, beta, gamma, sigma, tau):
     n = g.dim
     basis = Matrix.identity(n).entries
     columns = []
-    for c in range(n * n):
-        d = vec_to_matrix([int(k == c) for k in range(n * n)], n, n)
+    for d in square_maps(Matrix.identity(n * n), n):
         column = []
         for i in range(n):
             for j in range(n):
@@ -463,8 +462,7 @@ def elementary_rows(n, condition):
     """Dense rows, over the n^2 flat unknowns, of the linear condition
     ``condition(D) == 0``, whose value is a tuple of scalars."""
     columns = [
-        condition(vec_to_matrix([int(k == c) for k in range(n * n)], n, n))
-        for c in range(n * n)
+        condition(d) for d in square_maps(Matrix.identity(n * n), n)
     ]
     return [list(row) for row in zip(*columns)]
 
@@ -598,7 +596,9 @@ class TestSolversAgainstDenseGrids:
                             bracket(g, basis[i], d.apply(basis[j])))
         ]
         solution = solve(Matrix.from_rows(elementary_grid(g, 1, 0, 0, one, one)), rhs)
-        expected = None if solution is None else vec_to_matrix(solution, n, n)
+        expected = None if solution is None else square_maps(
+            Matrix.from_rows([solution]), n
+        )[0]
         assert quasiderivation_witness(g, d) == expected
 
     @given(random_brackets(), st.data())
@@ -640,23 +640,29 @@ def gl_algebra(n):
     return with_validation(LieAlgebra(f"gl{n}", dim, structure))
 
 
+def twisted_gl4():
+    """gl_4 and sigma = Ad P for an upper unitriangular P: column (k, l)
+    of sigma holds P E_kl P^-1."""
+    n = 4
+    g = gl_algebra(n)
+    p = Matrix.from_rows([
+        [1 if r == c else (-1) ** (r + c) if c > r else 0 for c in range(n)]
+        for r in range(n)
+    ])
+    q = inverse(p)
+    return g, make_automorphism(g, Matrix.from_rows([
+        [p[i, k] * q[l, j] for k in range(n) for l in range(n)]
+        for i in range(n)
+        for j in range(n)
+    ]))
+
+
 class TestSparseSystemMemory:
     def test_twisted_gl4_solve_peaks_below_3_mib(self):
-        # sigma = Ad P for an upper unitriangular P: column (k, l) holds
-        # P E_kl P^-1. The system has 4096 rows over 256 unknowns; a dense
-        # grid of it alone needs more than 8 MiB of list slots.
+        # The system has 4096 rows over 256 unknowns; a dense grid of it
+        # alone needs more than 8 MiB of list slots.
         n = 4
-        g = gl_algebra(n)
-        p = Matrix.from_rows([
-            [1 if r == c else (-1) ** (r + c) if c > r else 0 for c in range(n)]
-            for r in range(n)
-        ])
-        q = inverse(p)
-        sigma = make_automorphism(g, Matrix.from_rows([
-            [p[i, k] * q[l, j] for k in range(n) for l in range(n)]
-            for i in range(n)
-            for j in range(n)
-        ]))
+        g, sigma = twisted_gl4()
         tracemalloc.start()
         try:
             space = derivation_space(g, sigma)
@@ -673,6 +679,34 @@ class TestSparseSystemMemory:
         for d in space.basis:
             assert is_derivation_pair(g, d, sigma, ident)
             assert not is_derivation_pair(g, d + Matrix.identity(n * n), sigma, ident)
+
+
+class TestFractionFree:
+    def test_twisted_gl4_solve_makes_no_fraction_until_read(self, monkeypatch):
+        # Assembly, kernels, spans, membership, intersection, the solve,
+        # restriction and basis maps all run on integers; Fractions appear
+        # only where a caller reads entries or the Subspace basis.
+        g, sigma = twisted_gl4()
+        made = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        space = derivation_space(g, sigma)
+        h, d = space.subspace, space.basis[0]
+        assert space.dim == 2
+        assert subspace_intersect(h, h) == Subspace.span(256, h.rows.num) == h
+        assert all(map(h.contains, h.rows.num))
+        assert restrict(d, Subspace.span(16, Matrix.identity(16).num)) == d
+        assert quasiderivation_witness(g, Matrix.identity(16)) is not None
+        assert made == []
+        space.basis[0].entries
+        assert len(made) == 16 * 16
+        space.subspace.basis
+        assert len(made) == 3 * 16 * 16
 
 
 class TestStabilizedAndRestrict:

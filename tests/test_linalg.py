@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,14 +19,15 @@ from gderive.linalg import (
     format_rational,
     inverse,
     kernel_basis,
+    kernel_of_rows,
     matrix_order,
     matrix_to_vec,
     parse_rational,
     rank,
     rref,
     solve,
+    square_maps,
     subspace_intersect,
-    vec_to_matrix,
 )
 
 # Coefficient rows, over unknowns (x11,x12,x13,x21,x22,x23,x31,x32,x33), of
@@ -728,7 +729,7 @@ class TestSubspaces:
     def test_intersect_axes(self):
         x_axis = Subspace.span(2, [[1, 0]])
         y_axis = Subspace.span(2, [[0, 1]])
-        assert subspace_intersect(x_axis, y_axis) == Subspace.zero(2)
+        assert subspace_intersect(x_axis, y_axis) == Subspace.span(2, [])
         total = Subspace.span(2, x_axis.basis + y_axis.basis)
         assert total == Subspace.span(2, Matrix.identity(2).entries)
 
@@ -744,7 +745,7 @@ class TestSubspaces:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            subspace_intersect(Subspace.zero(2), Subspace.zero(3))
+            subspace_intersect(Subspace.span(2, []), Subspace.span(3, []))
 
     @given(
         st.lists(st.lists(small_fractions, min_size=3, max_size=3), max_size=4),
@@ -762,6 +763,175 @@ class TestSubspaces:
         assert all(total.contains(v) for v in a.basis + b.basis)
 
 
+# The Fraction versions of the subspace routines that now run on the
+# integer canonical form, kept as references. A basis is a tuple of
+# leading-1 Fraction vectors in reduced row echelon order.
+
+
+def integer_row(values) -> dict:
+    """Sparse integer row: the exact scalars times the lcm of their
+    denominators."""
+    row = [Fraction(a) for a in values]
+    scale = lcm(*(a.denominator for a in row))
+    return {c: a.numerator * (scale // a.denominator) for c, a in enumerate(row) if a}
+
+
+def fraction_kernel(rows, ncols):
+    last = ncols - 1
+    pivot_rows, pivot_cols = rref_int(
+        {last - c: a for c, a in row.items()} for row in rows
+    )
+    pivots = {last - p for p in pivot_cols}
+    basis = {f: [Fraction(0)] * ncols for f in range(ncols) if f not in pivots}
+    for f, v in basis.items():
+        v[f] = Fraction(1)
+    for row, p in zip(pivot_rows, pivot_cols):
+        for j, a in row.items():
+            if j != p:
+                basis[last - j][last - p] = Fraction(-a, row[p])
+    return tuple(tuple(v) for v in basis.values())
+
+
+def fraction_span(ambient_dim, vectors):
+    pivot_rows, pivot_cols = rref_int([integer_row(v) for v in vectors])
+    basis = []
+    for row, c in zip(pivot_rows, pivot_cols):
+        vec = [Fraction(0)] * ambient_dim
+        for j, a in row.items():
+            vec[j] = Fraction(a, row[c])
+        basis.append(tuple(vec))
+    return tuple(basis)
+
+
+def fraction_contains(basis, vector):
+    vec = [Fraction(a) for a in vector]
+    for row in basis:
+        pivot = next(i for i, a in enumerate(row) if a == 1)
+        coeff = vec[pivot]
+        if coeff:
+            for i, a in enumerate(row):
+                vec[i] -= coeff * a
+    return all(a == 0 for a in vec)
+
+
+def fraction_intersect(ambient_dim, a, b):
+    if not a or not b:
+        return ()
+    # Kernel vectors (x, y) of [A | -B] satisfy A x = B y, so A x runs
+    # over the intersection.
+    columns = list(a) + [tuple(-c for c in v) for v in b]
+    rows = [integer_row(col[i] for col in columns) for i in range(ambient_dim)]
+    vectors = []
+    for w in fraction_kernel(rows, len(columns)):
+        vec = [Fraction(0)] * ambient_dim
+        for coeff, basis_vec in zip(w[: len(a)], a):
+            for i, entry in enumerate(basis_vec):
+                vec[i] += coeff * entry
+        vectors.append(vec)
+    return fraction_span(ambient_dim, vectors)
+
+
+@st.composite
+def spanning_sets(draw, n=None):
+    """(n, vectors) in Q^n, n from 0 to 4: no vectors, zero vectors,
+    repeated and rescaled vectors, and sometimes a full basis."""
+    if n is None:
+        n = draw(st.integers(0, 4))
+    vector = st.lists(small_fractions, min_size=n, max_size=n)
+    vectors = draw(st.lists(vector, max_size=4))
+    if vectors:
+        for i, k in draw(st.lists(
+            st.tuples(st.integers(0, len(vectors) - 1),
+                      st.sampled_from([1, -1, 2, 0, Fraction(1, 3)])),
+            max_size=3,
+        )):
+            vectors.append([k * a for a in vectors[i]])
+    if draw(st.booleans()):
+        vectors += reference_identity(n)
+    return n, draw(st.permutations(vectors))
+
+
+@st.composite
+def subspace_pairs(draw):
+    n = draw(st.integers(0, 4))
+    return n, draw(spanning_sets(n))[1], draw(spanning_sets(n))[1]
+
+
+class TestSubspacesAgainstFractions:
+    """The integer Subspace routines against their Fraction references."""
+
+    @given(spanning_sets())
+    @example((0, []))
+    @example((0, [[], []]))
+    @example((3, [[0, 0, 0]]))
+    @example((3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    @settings(max_examples=100, deadline=None)
+    def test_span(self, case):
+        n, vectors = case
+        expected = fraction_span(n, vectors)
+        space = Subspace.span(n, vectors)
+        assert space.basis == expected
+        assert all_fractions(space.rows)
+        assert space.dim == len(expected)
+        assert space.rows == Matrix(len(expected), n, expected)
+
+    @given(integer_grids())
+    @example([])
+    @example([[]])
+    @example([[0, 0], [0, 0]])
+    @example([[1, 0], [0, 1]])
+    @settings(max_examples=100, deadline=None)
+    def test_kernel(self, rows):
+        ncols = len(rows[0]) if rows else 0
+        sparse = sparse_rows(rows)
+        assert kernel_of_rows(sparse, ncols).basis == fraction_kernel(sparse, ncols)
+
+    @given(spanning_sets(), st.data())
+    @example((0, []), None)
+    @settings(max_examples=100, deadline=None)
+    def test_contains(self, case, data):
+        n, vectors = case
+        space = Subspace.span(n, vectors)
+        probe = [0] * n
+        if data is not None:
+            for v in vectors:
+                k = data.draw(small_fractions)
+                probe = [a + k * b for a, b in zip(probe, v)]
+            if n and data.draw(st.booleans()):
+                probe[data.draw(st.integers(0, n - 1))] += 1
+        assert space.contains(probe) == fraction_contains(space.basis, probe)
+
+    @given(subspace_pairs())
+    @example((0, [], []))
+    @example((2, [[1, 0]], []))
+    @example((3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 1, 1], [2, 2, 2]]))
+    @settings(max_examples=100, deadline=None)
+    def test_intersect(self, case):
+        n, va, vb = case
+        a, b = Subspace.span(n, va), Subspace.span(n, vb)
+        inter = subspace_intersect(a, b)
+        assert inter.basis == fraction_intersect(n, a.basis, b.basis)
+
+    @given(spanning_sets(), st.data())
+    @example((0, []), None)
+    @example((3, [[1, 2, 3], [1, 2, 3], [-2, -4, -6]]), None)
+    @settings(max_examples=100, deadline=None)
+    def test_spanning_sets_of_one_space_agree(self, case, data):
+        n, vectors = case
+        # Reversed, rescaled by nonzero factors, with neighbouring sums
+        # and a repeat: the same span from a different spanning set.
+        scales = [
+            data.draw(small_fractions.filter(bool)) if data else 3
+            for _ in vectors
+        ]
+        other = [[k * a for a in v] for k, v in zip(scales, vectors[::-1])]
+        other += [[a + b for a, b in zip(u, v)] for u, v in zip(vectors, vectors[1:])]
+        other += vectors[:1]
+        a, b = Subspace.span(n, vectors), Subspace.span(n, other)
+        assert a == b
+        assert hash(a) == hash(b)
+
+
 class TestSolveAndFlatten:
     def test_solve_consistent(self):
         m = Matrix.from_rows([[1, 2], [3, 4]])
@@ -774,7 +944,7 @@ class TestSolveAndFlatten:
 
     def test_vec_round_trip(self):
         m = Matrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        assert vec_to_matrix(matrix_to_vec(m), 3, 3) == m
+        assert square_maps(Matrix.from_rows([matrix_to_vec(m)]), 3) == (m,)
 
     def test_vec_stacks_images(self):
         m = Matrix.from_rows([[1, 2], [3, 4]])
