@@ -75,9 +75,7 @@ def ad(g: LieAlgebra, x) -> Matrix:
     """Adjoint matrix of x: column j holds [x, e_j]."""
     basis = Matrix.identity(g.dim).entries
     columns = [bracket(g, x, e) for e in basis]
-    return Matrix(g.dim, g.dim, tuple(
-        tuple(col[i] for col in columns) for i in range(g.dim)
-    ))
+    return Matrix.from_rows(zip(*columns))
 
 
 def structure_table(g: LieAlgebra):
@@ -210,10 +208,6 @@ class Automorphism(Record):
     def inverse_matrix(self) -> Matrix:
         """The inverse of the matrix, computed once per automorphism."""
         return inverse(self.matrix)
-
-    def power(self, k: int) -> "Automorphism":
-        base = self.matrix if k >= 0 else self.inverse_matrix
-        return Automorphism(self.algebra, base.power(abs(k)), self.validated)
 
 
 def require_acts_on(g: LieAlgebra, m: Matrix) -> None:

@@ -121,10 +121,6 @@ def _emit(report: dict, fmt: str, text_lines) -> None:
         sys.stdout.write("\n".join(text_lines(report)) + "\n")
 
 
-def _matrix_dict(m: Matrix) -> dict:
-    return m.to_json_dict()
-
-
 def _matrix_line(m: dict) -> str:
     rows = m["entries"]
     return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
@@ -137,7 +133,7 @@ def _vector_list(vec) -> list:
 
 
 def _basis_dicts(matrices) -> list:
-    return [_matrix_dict(m) for m in matrices]
+    return [m.to_json_dict() for m in matrices]
 
 
 def _space_report(space) -> dict:
@@ -223,7 +219,7 @@ def cmd_quasider(args) -> int:
     witness = quasiderivation_witness(g, mapping)
     out = {
         "quasiderivation": witness is not None,
-        "witness": _matrix_dict(witness) if witness is not None else None,
+        "witness": witness.to_json_dict() if witness is not None else None,
     }
 
     def lines(rep):

@@ -13,6 +13,11 @@ MAX_DIM = 64
 DEFAULT_GUARD = 5000
 MAX_GUARD = 10**6
 
+# Largest exponent of one variable in one term of a parsed polynomial:
+# division rewrites a power one leading-term step at a time, so its work
+# grows with the exponent.
+MAX_EXPONENT = 10**5
+
 # Graded dimensions: half-width K of the exponent window, and the largest
 # automorphism order searched.
 DEFAULT_WINDOW = 8

@@ -5,19 +5,19 @@ convention (column j holds the coordinates of the image of basis vector
 e_j). A ``Matrix`` holds one integer grid ``num`` over one positive
 denominator ``den``, in canonical form: the gcd of ``den`` and every
 entry of ``num`` is 1, so ``den`` is the lcm of the entries'
-denominators and equal matrices have equal grids. Products, sums,
-powers, the nilpotent exponential and the row reductions (``rref``,
-``rank``, ``kernel_basis``, ``solve``, ``inverse``) run on the integers;
-Fractions are made only where a caller reads ``entries``, built once and
-cached.
+denominators and equal matrices have equal grids. ``Matrix.from_rows``
+is the one grid constructor. Products, sums, the nilpotent exponential,
+``rank`` and ``inverse`` run on the integers; Fractions are made only
+where a caller reads ``entries``, built once and cached.
 
 Row reduction delegates to the sparse integer kernel in
-:mod:`gderive._kernels`, so every result is exact and canonical. The
-systems that the derivation solvers assemble are sparse integer rows
-already and go to :func:`kernel_of_rows` and :func:`solve_rows` as they
-are. A :class:`Subspace` keeps its reduced row echelon basis as one
-canonical integer ``Matrix``; kernels, spans, intersections, membership
-and the n x n basis maps of ``square_maps`` run on those integers too.
+:mod:`gderive._kernels`, so every result is exact and canonical. Linear
+systems enter as sparse integer rows {column: int}, the form the
+derivation solvers assemble, through :func:`kernel_of_rows` and
+:func:`solve_rows`. A :class:`Subspace` keeps its reduced row echelon
+basis as one canonical integer ``Matrix``; kernels, spans,
+intersections, membership and the n x n basis maps of ``square_maps``
+run on those integers too.
 """
 
 from __future__ import annotations
@@ -78,17 +78,11 @@ class Matrix:
     """Immutable dense rational matrix, row-major: the integer grid ``num``
     over the positive denominator ``den``, in canonical form.
 
-    ``Matrix(rows, cols, entries)`` and ``Matrix.from_rows`` take exact
-    scalars (ints, Fractions, rational strings); ``entries`` are always
-    Fractions.
+    ``Matrix.from_rows`` takes a grid of exact scalars (ints, Fractions,
+    rational strings); ``entries`` are always Fractions.
     """
 
     __slots__ = ("rows", "cols", "num", "den", "_entries")
-
-    def __init__(self, rows: int, cols: int, entries):
-        _init_grid(self, rows, cols, tuple(
-            tuple(map(_coerce, row)) for row in entries
-        ))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Matrix is immutable; cannot set {name!r}")
@@ -135,8 +129,17 @@ class Matrix:
         for row in grid:
             if len(row) != ncols:
                 raise DimensionMismatch("ragged matrix rows")
+        den = lcm(*[a.denominator for row in grid for a in row])
+        # With den the lcm of the denominators the grid is already canonical.
+        if den == 1:
+            num = tuple(tuple([a.numerator for a in row]) for row in grid)
+        else:
+            num = tuple(
+                tuple([a.numerator * (den // a.denominator) for a in row])
+                for row in grid
+            )
         m = object.__new__(Matrix)
-        _init_grid(m, len(grid), ncols, grid)
+        _init(m, len(grid), ncols, num, den, grid)
         return m
 
     @staticmethod
@@ -182,13 +185,6 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return _make(self.rows, self.cols, _scaled(self.num, -1), self.den)
 
-    def scale(self, k) -> "Matrix":
-        k = _coerce(k)
-        return _make(
-            self.rows, self.cols, _scaled(self.num, k.numerator),
-            self.den * k.denominator,
-        )
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions differ")
@@ -202,19 +198,6 @@ class Matrix:
         ints, scale = _integer_vector(vector)
         den = self.den * scale
         return tuple(Fraction(sum(map(mul, row, ints)), den) for row in self.num)
-
-    def power(self, k: int) -> "Matrix":
-        """self^k for k >= 0: k - 1 integer products over den^k."""
-        if self.rows != self.cols:
-            raise DimensionMismatch("power of a non-square matrix")
-        if k < 0:
-            raise InputError(f"negative matrix power {k}; invert first")
-        if k == 0:
-            return Matrix.identity(self.rows)
-        result = self.num
-        for _ in range(k - 1):
-            result = _int_product(result, self.num, self.cols)
-        return _make(self.rows, self.cols, result, self.den ** k)
 
     def transpose(self) -> "Matrix":
         num = tuple(zip(*self.num)) if self.rows else ((),) * self.cols
@@ -258,7 +241,7 @@ class Matrix:
             raise DimensionMismatch("entries grid is not rows x cols")
         if any(isinstance(v, bool) for row in entries for v in row):
             raise InputError("matrix entries must be rationals, not booleans")
-        return Matrix(rows, cols, entries)
+        return Matrix.from_rows(entries) if rows else Matrix.zero(0, cols)
 
 
 _set = object.__setattr__
@@ -271,20 +254,6 @@ def _init(m: Matrix, rows: int, cols: int, num: tuple, den: int, grid) -> None:
     _set(m, "num", num)
     _set(m, "den", den)
     _set(m, "_entries", grid)
-
-
-def _init_grid(m: Matrix, rows: int, cols: int, grid: tuple) -> None:
-    """Set m to the grid of Fractions, which it keeps as its entries."""
-    den = lcm(*[a.denominator for row in grid for a in row])
-    # With den the lcm of the denominators the grid is already canonical.
-    if den == 1:
-        num = tuple(tuple([a.numerator for a in row]) for row in grid)
-    else:
-        num = tuple(
-            tuple([a.numerator * (den // a.denominator) for a in row])
-            for row in grid
-        )
-    _init(m, rows, cols, num, den, grid)
 
 
 def _make(rows: int, cols: int, num, den: int) -> Matrix:
@@ -336,17 +305,6 @@ def integer_columns(m: Matrix):
     return [_sparse(col) for col in m.transpose().num], m.den
 
 
-def rref(m: Matrix):
-    """Reduced row echelon form.
-
-    Returns:
-        (reduced matrix of the same shape, pivot column tuple, rank).
-    """
-    pivot_rows, pivot_cols = rref_int([_sparse(row) for row in m.num])
-    reduced = _from_pivots(m.rows, m.cols, pivot_rows, pivot_cols)
-    return reduced, tuple(pivot_cols), len(pivot_cols)
-
-
 def rank(m: Matrix) -> int:
     """The rank of m: the pivot count of its integer row reduction, with
     no reduced matrix built."""
@@ -381,11 +339,6 @@ def kernel_of_rows(rows, ncols: int) -> "Subspace":
     return Subspace(ncols, _make(len(num), ncols, num, den))
 
 
-def kernel_basis(m: Matrix) -> "Subspace":
-    """Canonical basis of the right kernel {v : m v = 0}."""
-    return kernel_of_rows([_sparse(row) for row in m.num], m.cols)
-
-
 def solve_rows(rows, ncols: int):
     """One solution of the sparse integer system whose right-hand side
     sits in column ncols, as a 1 x ncols Matrix, or None when
@@ -398,23 +351,6 @@ def solve_rows(rows, ncols: int):
     for row, p in zip(pivot_rows, pivot_cols):
         x[p] = row.get(ncols, 0) * (den // row[p])
     return _make(1, ncols, (tuple(x),), den)
-
-
-def solve(m: Matrix, rhs):
-    """One solution of m x = rhs, or None when inconsistent."""
-    if len(rhs) != m.rows:
-        raise DimensionMismatch("right-hand side length differs from rows")
-    # num x = den * rhs, row i scaled by the denominator of rhs[i].
-    rows = []
-    for row, b in zip(m.num, rhs):
-        b = _coerce(b)
-        q = b.denominator
-        sparse = {c: q * a for c, a in enumerate(row) if a}
-        if b:
-            sparse[m.cols] = m.den * b.numerator
-        rows.append(sparse)
-    solution = solve_rows(rows, m.cols)
-    return None if solution is None else solution.entries[0]
 
 
 def inverse(m: Matrix) -> Matrix:

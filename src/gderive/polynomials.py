@@ -7,7 +7,9 @@ a ``linalg.Matrix`` does: sums, products, powers, scaling, ring maps and
 S-polynomials run on the integers, and division runs in one integer frame
 (the polynomial being reduced is integer coefficients over one
 denominator, each divisor a primitive integer polynomial). Fractions are
-made only where a caller reads ``terms`` or a coefficient.
+made only where a caller reads ``terms``. Homogeneous-linear generators
+leave as sparse integer rows (``linear_rows``), the form the kernels of
+``linalg`` take.
 
 Ideal calculations (membership, containment) divide by the unique reduced
 basis, which `groebner` completes with Buchberger's algorithm: pairs are
@@ -33,8 +35,8 @@ from gderive.errors import (
     InputError,
     UnknownVariable,
 )
-from gderive.limits import DEFAULT_GUARD, MAX_GUARD
-from gderive.linalg import Matrix, _coerce, format_rational, parse_rational
+from gderive.limits import DEFAULT_GUARD, MAX_EXPONENT, MAX_GUARD
+from gderive.linalg import _coerce, format_rational, parse_rational
 from gderive.record import Record
 
 
@@ -44,9 +46,9 @@ class MultiPoly(Record):
     ``den`` > 0, in canonical form: the gcd of ``den`` and every
     coefficient is 1, so equal polynomials have equal fields.
 
-    ``from_terms`` and ``from_dict`` take exact scalars (ints, Fractions,
-    rational strings); ``terms``, the (exponent vector, Fraction) pairs,
-    is built on first read and cached.
+    ``from_terms`` takes exact scalars (ints, Fractions, rational
+    strings); ``terms``, the (exponent vector, Fraction) pairs, is built
+    on first read and cached.
     """
 
     variables: tuple
@@ -99,10 +101,6 @@ class MultiPoly(Record):
         return _from_ints(variables, coeffs, den)
 
     @staticmethod
-    def from_dict(variables, terms: dict) -> "MultiPoly":
-        return MultiPoly.from_terms(variables, terms.items())
-
-    @staticmethod
     def zero(variables) -> "MultiPoly":
         return MultiPoly(tuple(variables), (), 1)
 
@@ -138,12 +136,6 @@ class MultiPoly(Record):
         if not self.num:
             return None
         return self.terms[0]
-
-    def coefficient(self, exps) -> Fraction:
-        for e, c in self.terms:
-            if e == exps:
-                return c
-        return Fraction(0)
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         return self._combine(other, 1)
@@ -412,6 +404,11 @@ def poly_from_string(variables, text: str) -> MultiPoly:
             raise InputError("empty term in polynomial")
         if expect_factor:
             raise InputError("dangling '*' in polynomial")
+        for name, e in zip(variables, exps):
+            if e > MAX_EXPONENT:
+                raise InputError(
+                    f"exponent of {name} is {e}; at most {MAX_EXPONENT} is accepted"
+                )
         return coeff, tuple(exps), pos
 
     sign = Fraction(1)
@@ -435,7 +432,7 @@ def poly_from_string(variables, text: str) -> MultiPoly:
             pos += 1
         else:
             raise InputError(f"expected + or - between terms, got {value!r}")
-    return MultiPoly.from_dict(variables, terms)
+    return MultiPoly.from_terms(variables, terms.items())
 
 
 def poly_to_string(p: MultiPoly) -> str:
@@ -760,24 +757,24 @@ def triangular_prime_check(
     return PrimeCertificate(True, leading_vars, free_vars, "triangular-linear")
 
 
-def linear_coefficient_matrix(generators, variables) -> Matrix:
-    """Rows of x-coefficients for homogeneous-linear generators."""
+def linear_rows(generators, variables) -> list:
+    """Sparse integer rows {column: c} of homogeneous-linear generators,
+    read off each generator's integer coefficients: a row scaled by its
+    denominator has the same kernel."""
     variables = tuple(variables)
     rows = []
     for g in generators:
         if g.variables != variables:
             raise DimensionMismatch("generator lives in the wrong ring")
-        row = [Fraction(0)] * len(variables)
-        for exps, coeff in g.terms:
+        row = {}
+        for exps, c in g.num:
             if sum(exps) != 1:
                 raise DimensionMismatch(
                     f"generator {poly_to_string(g)} is not homogeneous linear"
                 )
-            row[exps.index(1)] = coeff
+            row[exps.index(1)] = c
         rows.append(row)
-    if not rows:
-        return Matrix.zero(0, len(variables))
-    return Matrix.from_rows(rows)
+    return rows
 
 
 def ideal_from_json_dict(data: dict) -> Ideal:

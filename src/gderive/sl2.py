@@ -30,7 +30,7 @@ from gderive.errors import InputError, ZeroParameterA
 from gderive.linalg import (
     Matrix,
     exp_nilpotent,
-    kernel_basis,
+    kernel_of_rows,
     rank,
     square_maps,
 )
@@ -42,7 +42,7 @@ from gderive.polynomials import (
     contains,
     groebner,
     ideal_product,
-    linear_coefficient_matrix,
+    linear_rows,
     poly_from_string,
     triangular_prime_check,
 )
@@ -540,6 +540,6 @@ def fixed_param_dimension(f: Sl2Family, values: dict = None) -> FixedDimensionRe
         values = f.values
     fixed = Sl2Family(f.tag, {k: Fraction(v) for k, v in values.items()})
     gens = _raw_ideal(fixed).generators
-    space = kernel_basis(linear_coefficient_matrix(gens, X_VARS))
+    space = kernel_of_rows(linear_rows(gens, X_VARS), 9)
     basis = square_maps(space.rows, 3)
     return FixedDimensionReport(f.tag, fixed.values, space.dim, basis, 4)

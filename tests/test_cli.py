@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +25,7 @@ import gderive
 from gderive import errors
 from gderive.algebra import algebra_to_json_dict, builtin
 from gderive.cli import main
+from gderive.limits import MAX_EXPONENT
 from gderive.linalg import Matrix
 from gderive.sl2 import Sl2Family, family_sigma
 
@@ -652,6 +654,27 @@ class TestPolynomialCommands:
         assert report == {"poly": "x^3 - x", "member": True}
         report = run_json(
             capsys, "member", "--ideal", files["ideal"], "--poly", "x + 1"
+        )
+        assert report["member"] is False
+
+    @pytest.mark.parametrize("poly", [
+        f"x^{MAX_EXPONENT + 1}", "x^1000000000", "x^60000*x^60000", "y*x^99999*x^2",
+    ])
+    def test_member_rejects_an_exponent_past_the_bound(self, capsys, files, poly):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "member", "--ideal", files["ideal"], "--poly", poly
+        )
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert out == ""
+        assert "error[InvalidInput]: exponent of x is" in err
+        assert "Traceback" not in err
+
+    def test_member_answers_at_the_exponent_bound(self, capsys, files):
+        # x^n reduces to y for even n >= 2, so it is not in the ideal.
+        report = run_json(
+            capsys, "member", "--ideal", files["ideal"], "--poly", f"x^{MAX_EXPONENT}"
         )
         assert report["member"] is False
 

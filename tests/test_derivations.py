@@ -47,10 +47,9 @@ from gderive.linalg import (
     Subspace,
     exp_nilpotent,
     inverse,
-    kernel_basis,
     kernel_of_rows,
     matrix_to_vec,
-    solve,
+    solve_rows,
     square_maps,
     subspace_intersect,
 )
@@ -455,7 +454,15 @@ def elementary_grid(g, alpha, beta, gamma, sigma, tau):
 def elementary_reference(g, alpha, beta, gamma, sigma, tau):
     """Solutions of alpha D[x,y] = beta [Dx, sigma y] + gamma [tau x, Dy]."""
     grid = elementary_grid(g, alpha, beta, gamma, sigma, tau)
-    return kernel_basis(Matrix.from_rows(grid))
+    return kernel_of_rows(grid_rows(grid), g.dim ** 2)
+
+
+def grid_rows(grid):
+    """A Fraction grid as the sparse integer rows {column: int} that
+    kernel_of_rows and solve_rows take: the integer grid of its Matrix."""
+    return [
+        {c: a for c, a in enumerate(row) if a} for row in Matrix.from_rows(grid).num
+    ]
 
 
 def elementary_rows(n, condition):
@@ -547,8 +554,8 @@ def unipotent_maps(draw, g):
 
 
 class TestSolversAgainstDenseGrids:
-    """Each solver against kernel_basis (or solve) on a dense Fraction grid
-    assembled from ``bracket`` alone."""
+    """Each solver against kernel_of_rows (or solve_rows) on a dense
+    Fraction grid assembled from ``bracket`` alone."""
 
     @given(random_brackets(), st.data())
     @settings(max_examples=40, deadline=None)
@@ -560,7 +567,7 @@ class TestSolversAgainstDenseGrids:
         s, t = sigma.matrix, tau.matrix
 
         def reference(*blocks):
-            return kernel_basis(Matrix.from_rows([r for b in blocks for r in b]))
+            return kernel_of_rows(grid_rows([r for b in blocks for r in b]), n * n)
 
         twisted = elementary_grid(g, 1, 1, 1, s, one)
         commutes = {
@@ -595,10 +602,11 @@ class TestSolversAgainstDenseGrids:
             for a, b in zip(bracket(g, d.apply(basis[i]), basis[j]),
                             bracket(g, basis[i], d.apply(basis[j])))
         ]
-        solution = solve(Matrix.from_rows(elementary_grid(g, 1, 0, 0, one, one)), rhs)
-        expected = None if solution is None else square_maps(
-            Matrix.from_rows([solution]), n
-        )[0]
+        grid = elementary_grid(g, 1, 0, 0, one, one)
+        solution = solve_rows(
+            grid_rows([row + [b] for row, b in zip(grid, rhs)]), n * n
+        )
+        expected = None if solution is None else square_maps(solution, n)[0]
         assert quasiderivation_witness(g, d) == expected
 
     @given(random_brackets(), st.data())
@@ -612,7 +620,8 @@ class TestSolversAgainstDenseGrids:
         space = derivation_space(g, sigma, tau)
         member = Matrix.zero(n, n)
         for d in space.basis:
-            member = member + d.scale(data.draw(small_rationals))
+            k = data.draw(small_rationals)
+            member = member + Matrix.from_rows([[k * a for a in row] for row in d.entries])
         other = Matrix.from_rows([[data.draw(sparse_rationals) for _ in range(n)]
                                   for _ in range(n)])
         for m in (member, other, member + other):

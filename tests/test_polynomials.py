@@ -13,7 +13,7 @@ from gderive.errors import (
     InputError,
     UnknownVariable,
 )
-from gderive.linalg import Matrix, kernel_basis
+from gderive.linalg import kernel_of_rows
 from gderive import polynomials
 from gderive.polynomials import (
     Ideal,
@@ -22,7 +22,7 @@ from gderive.polynomials import (
     groebner,
     ideal_from_json_dict,
     ideal_product,
-    linear_coefficient_matrix,
+    linear_rows,
     member,
     poly_from_string,
     poly_to_string,
@@ -196,11 +196,11 @@ class TestDivision:
     @settings(max_examples=50, deadline=None)
     def test_division_certificate(self, p_terms, g_terms):
         variables = ("x", "y")
-        p = MultiPoly.from_dict(
-            variables, {(a, b): c for a, b, c in p_terms}
+        p = MultiPoly.from_terms(
+            variables, {(a, b): c for a, b, c in p_terms}.items()
         )
-        g = MultiPoly.from_dict(
-            variables, {(a, b): c for a, b, c in g_terms}
+        g = MultiPoly.from_terms(
+            variables, {(a, b): c for a, b, c in g_terms}.items()
         )
         assume(not g.is_zero)
         r = remainder(p, [g])
@@ -237,8 +237,8 @@ def reference_divide(p, divisors):
         else:
             rest[exps] = rest.get(exps, 0) + coeff
     return (
-        [MultiPoly.from_dict(p.variables, q) for q in quotients],
-        MultiPoly.from_dict(p.variables, rest),
+        [MultiPoly.from_terms(p.variables, q.items()) for q in quotients],
+        MultiPoly.from_terms(p.variables, rest.items()),
     )
 
 
@@ -249,14 +249,14 @@ _rational_polys = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
     st.fractions(min_value=-9, max_value=9, max_denominator=12),
     min_size=1, max_size=5,
-).map(lambda terms: MultiPoly.from_dict(("x", "y", "z"), terms))
+).map(lambda terms: MultiPoly.from_terms(("x", "y", "z"), terms.items()))
 
 
 _ab_polys = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)),
     st.fractions(min_value=-4, max_value=4, max_denominator=3),
     max_size=3,
-).map(lambda terms: MultiPoly.from_dict(("a", "b"), terms))
+).map(lambda terms: MultiPoly.from_terms(("a", "b"), terms.items()))
 
 
 def reference_substitute_polys(p, target, images):
@@ -479,10 +479,10 @@ class TestIntegerArithmetic:
 
 class TestExactCoefficients:
     def test_int_coefficients_read_as_fractions(self):
-        p = MultiPoly.from_dict(("x", "y"), {(1, 0): 2, (0, 1): "3/4"})
+        p = MultiPoly.from_terms(("x", "y"), {(1, 0): 2, (0, 1): "3/4"}.items())
         assert all(type(c) is Fraction for _, c in p.terms)
-        assert type(p.coefficient((1, 0))) is Fraction
-        assert p.coefficient((1, 0)) == 2
+        assert type(dict(p.terms)[(1, 0)]) is Fraction
+        assert dict(p.terms)[(1, 0)] == 2
         assert p == xy_poly("2*x + 3/4*y")
         assert type(MultiPoly.const(("x",), 5).terms[0][1]) is Fraction
         assert type(xy_poly("x").scale(3).terms[0][1]) is Fraction
@@ -490,7 +490,7 @@ class TestExactCoefficients:
     @pytest.mark.parametrize("value", [2.5, 1.0, None, "x", "1/0"])
     def test_inexact_coefficients_rejected(self, value):
         with pytest.raises(InputError):
-            MultiPoly.from_dict(("x", "y"), {(1, 0): value})
+            MultiPoly.from_terms(("x", "y"), {(1, 0): value}.items())
         with pytest.raises(InputError):
             MultiPoly.const(("x", "y"), value)
         with pytest.raises(InputError):
@@ -540,8 +540,8 @@ class TestBuchberger:
     def test_random_ideal_spolys_vanish(self, gen_terms):
         variables = ("x", "y", "z")
         gens = [
-            MultiPoly.from_dict(
-                variables, {(a, b, c): q for a, b, c, q in terms}
+            MultiPoly.from_terms(
+                variables, {(a, b, c): q for a, b, c, q in terms}.items()
             )
             for terms in gen_terms
         ]
@@ -575,10 +575,10 @@ _TERMS = st.lists(
 
 
 def _poly_from_terms(variables, terms, shift=(0, 0, 0)):
-    return MultiPoly.from_dict(variables, {
+    return MultiPoly.from_terms(variables, {
         tuple(e + s for e, s in zip(t[:len(variables)], shift)): Fraction(t[-1])
         for t in terms
-    })
+    }.items())
 
 
 @pytest.fixture(scope="module")
@@ -598,9 +598,9 @@ def _sympy_reduced_basis(sympy, ideal):
     ]
     basis = sympy.groebner(polys, *symbols, order="lex", domain="QQ")
     monic = [
-        MultiPoly.from_dict(ideal.variables, {
+        MultiPoly.from_terms(ideal.variables, {
             e: Fraction(int(c.p), int(c.q)) for e, c in p.monic().terms()
-        })
+        }.items())
         for p in basis.polys
     ]
     return tuple(sorted(monic, key=lambda f: f.terms[0][0], reverse=True))
@@ -760,8 +760,84 @@ class TestPrimeCheck:
 class TestSubstitution:
     def test_linearized_ideal_solution_dim(self):
         fixed = [g.substitute({"y": 1}) for g in J.generators]
-        matrix = linear_coefficient_matrix(fixed, RING[:-1])
-        assert kernel_basis(matrix).dim == 1
+        rows = linear_rows(fixed, RING[:-1])
+        assert kernel_of_rows(rows, len(RING) - 1).dim == 1
+
+
+def gauss_jordan(rows, ncols):
+    """Leading-1 reduced rows and pivot columns of Fraction rows, by plain
+    Gauss-Jordan elimination."""
+    work = [[Fraction(a) for a in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        src = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if src is None:
+            continue
+        work[r], work[src] = work[src], work[r]
+        work[r] = [a / work[r][c] for a in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+    return work[:len(pivots)], pivots
+
+
+def fraction_kernel(rows, ncols):
+    """The reduced row echelon basis of {v : row . v = 0 for every row}."""
+    reduced, pivots = gauss_jordan(rows, ncols)
+    vectors = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            for row, p in zip(reduced, pivots):
+                v[p] = -row[f]
+            vectors.append(v)
+    return [tuple(v) for v in gauss_jordan(vectors, ncols)[0]]
+
+
+X9 = RING[:-1]
+
+# Linear forms over X9 as {variable index: coefficient}, with denominators.
+_linear_forms = st.lists(
+    st.dictionaries(
+        st.integers(0, 8),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        max_size=4,
+    ),
+    max_size=6,
+)
+
+
+class TestLinearRows:
+    @given(_linear_forms, st.integers(0, 3), st.integers(0, 2))
+    @example([], 0, 0)
+    @example([{0: Fraction(1, 2), 3: Fraction(-2, 3)}], 1, 1)
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_matches_fraction_gauss_jordan(self, forms, repeats, zeros):
+        forms = forms + forms[:repeats] + [{}] * zeros
+        gens = [
+            MultiPoly.from_terms(
+                X9, [(tuple(int(i == j) for j in range(9)), c) for i, c in form.items()]
+            )
+            for form in forms
+        ]
+        dense = [[form.get(j, 0) for j in range(9)] for form in forms]
+        space = kernel_of_rows(linear_rows(gens, X9), 9)
+        assert list(space.basis) == fraction_kernel(dense, 9)
+        if not forms:
+            assert space.dim == 9
+
+    @pytest.mark.parametrize("text", ["x11^2", "x11*x12", "1", "x11 + 1"])
+    def test_nonlinear_generator_rejected(self, text):
+        with pytest.raises(DimensionMismatch):
+            linear_rows([poly_from_string(X9, text)], X9)
+
+    def test_wrong_ring_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            linear_rows([poly_from_string(RING, "x11")], X9)
 
 
 class TestJson:
