@@ -12,7 +12,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from gderive._kernels import rref_int
 from gderive.errors import (
     DimensionMismatch,
     InputError,
@@ -26,6 +25,7 @@ from gderive.linalg import (
     integer_columns,
     inverse,
     parse_rational,
+    rank,
 )
 from gderive.record import Record, replace
 
@@ -170,10 +170,9 @@ def is_automorphism(g: LieAlgebra, m: Matrix) -> bool:
     n = g.dim
     if m.rows != n or m.cols != n:
         return False
-    columns, scale = integer_columns(m)
-    # Invertible means rank n; the rank of the columns is the rank of m.
-    if len(rref_int(columns)[1]) < n:
+    if rank(m) < n:
         return False
+    columns, scale = integer_columns(m)
     table, _ = structure_table(g)
     # images[j][p] is [e_p, m e_j], so [m e_i, m e_j] = sum_p m_pi images[j][p].
     images = bracket_images(table, columns, 1)

@@ -295,9 +295,7 @@ def cmd_hilbert(args) -> int:
         found = detect_period(gd)
         if found is not None:
             period = {"cutoff": found[0], "period": found[1]}
-            series_text = render_series(
-                rational_series(gd, cutoff=found[0], period=found[1])
-            )
+            series_text = render_series(rational_series(gd))
     out = {
         "kind": gd.kind,
         "window": gd.window,
@@ -538,11 +536,11 @@ def cmd_reproduce(args) -> int:
 # parser
 
 
-def _add_format(sub, default="json"):
+def _add_format(sub):
     sub.add_argument(
         "--format",
         choices=("json", "text"),
-        default=default,
+        default="json",
         help="output format (default %(default)s)",
     )
 

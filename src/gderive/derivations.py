@@ -3,8 +3,10 @@
 The solvers are ``derivation_space`` (Der_{sigma,tau} and its two
 interiors), ``centroid``, ``abg_space`` and ``quasiderivation_witness``.
 Each assembles an explicit exact linear system in the n^2 entries of the
-unknown map and returns the canonical kernel basis, or one solution. All
-kernel systems are instances of one scaled identity,
+unknown map and returns one solution, or a ``DerivationSpace``: its kind
+and the canonical kernel as a ``Subspace`` of Q^(n^2), read as n x n
+maps only when a caller reads ``basis``. All kernel systems are
+instances of one scaled identity,
 
     alpha D([x,y]) = beta [D(x), sigma(y)] + gamma [tau(x), D(y)],
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 from gderive.algebra import (
     Automorphism,
@@ -51,16 +54,19 @@ from gderive.record import Record
 
 
 class DerivationSpace(Record):
-    algebra: LieAlgebra
-    sigma: Automorphism
-    tau: Automorphism
+    """The canonical kernel in the n^2 flattened entries; ``basis`` reads
+    it as n x n maps on first use."""
+
     kind: str
-    basis: tuple
     subspace: Subspace
+
+    @cached_property
+    def basis(self) -> tuple:
+        return square_maps(self.subspace.rows, math.isqrt(self.subspace.ambient_dim))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.subspace.dim
 
 
 def _identity_pairs(n: int, beta, gamma, sigma: Matrix, tau: Matrix):
@@ -131,11 +137,6 @@ def _commutation_rows(n: int, sigma: Matrix):
             if row:
                 rows.append(row)
     return rows
-
-
-def _solve_rows(n: int, rows) -> tuple:
-    space = kernel_of_rows(rows, n * n)
-    return square_maps(space.rows, n), space
 
 
 def is_derivation_pair(
@@ -216,8 +217,7 @@ def derivation_space(
             require_validated(other)
             require_acts_on(g, other.matrix)
             rows.extend(_commutation_rows(n, other.matrix))
-    matrices, space = _solve_rows(n, rows)
-    return DerivationSpace(g, sigma, tau, kind, matrices, space)
+    return DerivationSpace(kind, kernel_of_rows(rows, n * n))
 
 
 def centroid(g: LieAlgebra) -> DerivationSpace:
@@ -229,8 +229,7 @@ def centroid(g: LieAlgebra) -> DerivationSpace:
     """
     ident = Automorphism.identity(g)
     rows = _identity_rows(g, 1, 1, 0, ident.matrix, ident.matrix)
-    matrices, space = _solve_rows(g.dim, rows)
-    return DerivationSpace(g, ident, ident, "centroid", matrices, space)
+    return DerivationSpace("centroid", kernel_of_rows(rows, g.dim ** 2))
 
 
 def twist(d: Matrix, tau: Automorphism) -> Matrix:
@@ -279,9 +278,8 @@ def abg_space(g: LieAlgebra, alpha, beta, gamma) -> DerivationSpace:
     alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
     ident = Automorphism.identity(g)
     rows = _identity_rows(g, alpha, beta, gamma, ident.matrix, ident.matrix)
-    matrices, space = _solve_rows(g.dim, rows)
     kind = f"abg({alpha},{beta},{gamma})"
-    return DerivationSpace(g, ident, ident, kind, matrices, space)
+    return DerivationSpace(kind, kernel_of_rows(rows, g.dim ** 2))
 
 
 def restrict(d: Matrix, h: Subspace) -> Matrix:

@@ -2,9 +2,10 @@
 closed-form generating series.
 
 For infinite-order sigma the window is symmetric, |k| <= K; for finite
-order m only one cycle 0 <= k < m is stored since the dims repeat. A
-series is only built from a certified window: either the finite cycle,
-or an eventually periodic pattern detected inside the window.
+order m only one cycle 0 <= k < m is stored since the dims repeat. Each
+grade is the dimension of one solved space, so no basis maps are built.
+A series is only built from a certified window: either the finite cycle,
+or the least eventually periodic pattern detected inside the window.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from gderive.record import Record
 
 
 class GradedDims(Record):
-    algebra: LieAlgebra
-    sigma: Automorphism
     kind: str
     window: int
     dims: dict
@@ -73,7 +72,7 @@ def graded_dims(
             if k > 1:
                 power = power @ step
             dims[sign * k] = dim(power)
-    return GradedDims(g, sigma, kind, window, dict(sorted(dims.items())), order)
+    return GradedDims(kind, window, dict(sorted(dims.items())), order)
 
 
 def detect_period(gd: GradedDims):
@@ -134,25 +133,22 @@ class RationalSeries(Record):
         return total
 
 
-def rational_series(
-    gd: GradedDims, cutoff: int = None, period: int = None
-) -> RationalSeries:
+def rational_series(gd: GradedDims) -> RationalSeries:
     """Assemble the generating series certified by the window.
 
     Finite order gives a polynomial of degree < order. Otherwise the
-    detected (cutoff, period) split the window into a central Laurent
-    polynomial and two geometric tails.
+    (cutoff, period) of ``detect_period`` split the window into a central
+    Laurent polynomial and two geometric tails; NoPeriod when none fits.
     """
     if gd.finite_order is not None:
         poly = tuple(
             (k, gd.dims[k]) for k in range(gd.finite_order) if gd.dims[k]
         )
         return RationalSeries(poly, finite_order=gd.finite_order)
-    if cutoff is None or period is None:
-        found = detect_period(gd)
-        if found is None:
-            raise NoPeriod("no eventual period is visible in the window")
-        cutoff, period = found
+    found = detect_period(gd)
+    if found is None:
+        raise NoPeriod("no eventual period is visible in the window")
+    cutoff, period = found
     start = max(cutoff, 1)
     poly = tuple(
         (k, gd.dims[k])

@@ -182,9 +182,6 @@ class Matrix:
             tuple(map(op, ra, rb)) for ra, rb in zip(a, b)
         ), den)
 
-    def __neg__(self) -> "Matrix":
-        return _make(self.rows, self.cols, _scaled(self.num, -1), self.den)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions differ")
@@ -336,7 +333,7 @@ def kernel_of_rows(rows, ncols: int) -> "Subspace":
             if j != p:
                 basis[last - j][last - p] = -a * scale
     num = tuple(map(tuple, basis.values()))
-    return Subspace(ncols, _make(len(num), ncols, num, den))
+    return Subspace(_make(len(num), ncols, num, den))
 
 
 def solve_rows(rows, ncols: int):
@@ -418,7 +415,6 @@ class Subspace(Record):
     when their Subspace values compare equal, and they hash alike.
     """
 
-    ambient_dim: int
     rows: Matrix
 
     @staticmethod
@@ -430,9 +426,13 @@ class Subspace(Record):
                 raise DimensionMismatch("vector length differs from ambient dim")
             rows.append(_sparse(ints))
         pivot_rows, pivot_cols = rref_int(rows)
-        return Subspace(ambient_dim, _from_pivots(
+        return Subspace(_from_pivots(
             len(pivot_cols), ambient_dim, pivot_rows, pivot_cols
         ))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.rows.cols
 
     @property
     def basis(self) -> tuple:

@@ -3,7 +3,7 @@
 The monomial order is lexicographic in the declared variable order, which
 is an explicit part of every polynomial's identity. A polynomial holds
 integer coefficients over one positive denominator, in canonical form, as
-a ``linalg.Matrix`` does: sums, products, powers, scaling, ring maps and
+a ``linalg.Matrix`` does: sums, products, scaling, ring maps and
 S-polynomials run on the integers, and division runs in one integer frame
 (the polynomial being reduced is integer coefficients over one
 denominator, each divisor a primitive integer polynomial). Fractions are
@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import add, itemgetter, le, mul, neg, sub
 
 from gderive.errors import (
@@ -116,11 +116,11 @@ class MultiPoly(Record):
         )
 
     @staticmethod
-    def var(variables, name, power: int = 1) -> "MultiPoly":
+    def var(variables, name) -> "MultiPoly":
         variables = tuple(variables)
         if name not in variables:
             raise UnknownVariable(f"variable {name!r} not in ring")
-        exps = tuple(power if v == name else 0 for v in variables)
+        exps = tuple(int(v == name) for v in variables)
         return MultiPoly(variables, ((exps, 1),), 1)
 
     def _check_ring(self, other: "MultiPoly"):
@@ -157,11 +157,6 @@ class MultiPoly(Record):
             coeffs[e] = get(e, 0) + t * c
         return _from_ints(self.variables, coeffs, den)
 
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(
-            self.variables, tuple((e, -c) for e, c in self.num), self.den
-        )
-
     def scale(self, value) -> "MultiPoly":
         value = _coerce(value)
         if not value or not self.num:
@@ -178,16 +173,6 @@ class MultiPoly(Record):
             self.variables, _times(self.num, other.num), self.den * other.den
         )
 
-    def __pow__(self, k: int) -> "MultiPoly":
-        if k < 0:
-            raise InputError(f"negative polynomial power {k}")
-        if k == 0:
-            return MultiPoly.const(self.variables, 1)
-        coeffs = dict(self.num)
-        for _ in range(k - 1):
-            coeffs = _times(coeffs.items(), self.num)
-        return _from_ints(self.variables, coeffs, self.den ** k)
-
     def monic(self) -> "MultiPoly":
         """self over its leading coefficient: the leading integer becomes
         the denominator, its sign moves into the coefficients."""
@@ -203,34 +188,6 @@ class MultiPoly(Record):
         if g != 1:
             num = tuple((e, c // g) for e, c in num)
         return MultiPoly(self.variables, num, lead // g)
-
-    def substitute(self, assignments: dict) -> "MultiPoly":
-        """Partial evaluation at rational values; assigned variables drop out."""
-        for name in assignments:
-            if name not in self.variables:
-                raise UnknownVariable(f"variable {name!r} not in ring")
-        keep = [i for i, v in enumerate(self.variables) if v not in assignments]
-        values = {
-            i: _coerce(assignments[v])
-            for i, v in enumerate(self.variables)
-            if v in assignments
-        }
-        new_vars = tuple(self.variables[i] for i in keep)
-        if not self.num:
-            return MultiPoly.zero(new_vars)
-        # Each term over the common denominator den * prod q_i^top_i, for
-        # the value p_i / q_i of variable i and its top exponent top_i.
-        top = {i: max(e[i] for e, _ in self.num) for i in values}
-        den = self.den * prod(v.denominator ** top[i] for i, v in values.items())
-        coeffs = {}
-        for exps, c in self.num:
-            for i, v in values.items():
-                e = exps[i]
-                c *= v.numerator ** e * v.denominator ** (top[i] - e)
-            if c:
-                new_exps = tuple(exps[i] for i in keep)
-                coeffs[new_exps] = coeffs.get(new_exps, 0) + c
-        return _from_ints(new_vars, coeffs, den)
 
     def substitute_polys(self, target_variables, mapping: dict) -> "MultiPoly":
         """Ring map: each variable goes to a polynomial over the target ring."""

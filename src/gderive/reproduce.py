@@ -31,7 +31,6 @@ from .hilbert import (
 from .linalg import (
     Matrix,
     Subspace,
-    exp_nilpotent,
     matrix_to_vec,
     rank,
     subspace_intersect,
@@ -39,6 +38,8 @@ from .linalg import (
 from .record import Record
 from .sl2 import (
     Sl2Family,
+    _constant_value,
+    _specialise,
     classify_derivation,
     derivation_matrix,
     family_sigma,
@@ -134,9 +135,14 @@ def _run_thm53():
             [[1, 0, 0], [-2 * v, 1, 0], [-v * v, v, 1]]
         )
         ok = ok and is_automorphism(g, upper) and is_automorphism(g, lower)
+    # The closed-form grid at b = b, c = a/2b against exp_nilpotent.
+    symbolic = family_sigma(Sl2Family.symbolic("ab"))
     for a, b in ((F(2), F(1)), (F(1), F(3))):
         sig = family_sigma(Sl2Family.fixed("ab", a=a, b=b))
-        ok = ok and sig == exp_nilpotent(derivation_matrix(a, b, a * a / (4 * b)))
+        at = {"b": b, "c": a / (2 * b)}
+        ok = ok and sig == Matrix.from_rows(
+            [[_constant_value(e) for e in _specialise(row, at)] for row in symbolic]
+        )
         ok = ok and is_automorphism(g, sig)
     return (
         ok,
@@ -161,8 +167,7 @@ def _run_thm16():
 
 def _run_cor510():
     reports = [
-        fixed_param_dimension(Sl2Family.symbolic("b"), {"b": F(v)})
-        for v in (0, 1, -2)
+        fixed_param_dimension(Sl2Family.fixed("b", b=v)) for v in (0, 1, -2)
     ]
     dims = tuple(r.dimension for r in reports)
     ok = dims == (3, 1, 1) and all(
@@ -392,7 +397,7 @@ def _run_thm14():
     }
     found = detect_period(gd)
     ok = ok and found == (1, 1)
-    series = rational_series(gd, cutoff=1, period=1)
+    series = rational_series(gd)
     ok = ok and series_matches_window(gd, series)
     ok = ok and render_series(series) == "3 + t/(1-t) + t^-1/(1-t^-1)"
     flip = make_automorphism(

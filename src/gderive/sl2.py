@@ -10,7 +10,9 @@ family parameters last, in lexicographic order.
 Each family's automorphism is sigma = exp(G) for a nilpotent derivation
 G = D(a, b, c). At fixed parameters it is exp_nilpotent(G); the symbolic
 families use closed-form grids of exp(G) over the family ring, which the
-test suite proves equal to exp_nilpotent by interpolation.
+test suite proves equal to exp_nilpotent by interpolation. Fixed values
+enter a symbolic polynomial through one ring map, ``substitute_polys``
+with constant images (``_specialise``).
 
 For each family the module reads the residual ideal J of the twisted
 identity off the structure table of sl2, and produces the candidate
@@ -18,7 +20,8 @@ components p1 (untwisted slice) and p2 (parametric line family) and a
 verification report: containments, prime certificates, and a symbolic
 check that the parametric form zeroes every raw generator identically.
 Computed forms are authoritative; claimed forms and dimensions are
-carried alongside and compared, never silently substituted.
+carried alongside and compared, never silently substituted. A report
+holds what was computed, not the family it was asked for.
 """
 
 from __future__ import annotations
@@ -101,11 +104,9 @@ def derivation_matrix(a, b, c) -> Matrix:
 
 
 class DerivationClassification(Record):
-    matrix: Matrix
     nilpotent: bool
     predicted_nilpotent: bool
     ranks: dict
-    case: str
 
     @property
     def consistent(self) -> bool:
@@ -121,12 +122,10 @@ def classify_derivation(a, b, c) -> DerivationClassification:
     nilpotent = d3.is_zero()
     if b * c == 0:
         predicted = a == 0
-        case = "bc=0" + (", a=0" if a == 0 else ", a!=0")
     else:
         predicted = a * a == 4 * b * c
-        case = "bc!=0, " + ("a^2=4bc" if predicted else "a^2!=4bc")
     ranks = {n: rank(m) for n, m in ((1, d), (2, d2), (3, d3))}
-    return DerivationClassification(d, nilpotent, predicted, ranks, case)
+    return DerivationClassification(nilpotent, predicted, ranks)
 
 
 def _generator_matrix(tag: str, values: dict) -> Matrix:
@@ -178,8 +177,6 @@ def _matrix_of_strings(ring, rows):
 # -- the residual ideal -------------------------------------------------------
 
 class DerivationIdealReport(Record):
-    family: str
-    ring: tuple
     raw: Ideal
     simplified: Ideal
 
@@ -226,8 +223,7 @@ def _raw_ideal(f: Sl2Family) -> Ideal:
     raw = _residual_polynomials(f.ring, sigma)
     if f.values is not None:
         assignment = _parameter_assignment(f.tag, f.values)
-        raw = [p.substitute(assignment) for p in raw]
-        raw = [p for p in raw if not p.is_zero]
+        raw = [p for p in _specialise(raw, assignment) if not p.is_zero]
     return Ideal.make(raw[0].variables if raw else X_VARS, raw)
 
 
@@ -244,7 +240,7 @@ def derivation_ideal(
     """
     ideal = _raw_ideal(f)
     simplified = Ideal(ideal.variables, groebner(ideal, guard))
-    return DerivationIdealReport(f.tag, ideal.variables, ideal, simplified)
+    return DerivationIdealReport(ideal, simplified)
 
 
 def _parameter_assignment(tag: str, values: dict) -> dict:
@@ -253,7 +249,15 @@ def _parameter_assignment(tag: str, values: dict) -> dict:
     if tag == "c":
         return {"y": values["c"]}
     a, b = values["a"], values["b"]
-    return {"b": b, "c": a / (2 * b)}
+    return {"b": b, "c": Fraction(a) / (2 * b)}
+
+
+def _specialise(polys, assignment: dict) -> list:
+    """The polynomials of one ring with the assigned variables set to
+    rational values: one ring map onto the remaining variables."""
+    ring = tuple(v for v in polys[0].variables if v not in assignment)
+    images = {name: MultiPoly.const(ring, value) for name, value in assignment.items()}
+    return [p.substitute_polys(ring, images) for p in polys]
 
 
 # -- known components ---------------------------------------------------------
@@ -277,17 +281,12 @@ class Component(Record):
 
     def evaluate(self, assignment: dict) -> tuple:
         """(derivation matrix, ring-parameter values) at rational points."""
-        entries = [
-            [e.substitute(assignment) for e in row] for row in self.form
-        ]
-        matrix = Matrix.from_rows(
-            [[_constant_value(e) for e in row] for row in entries]
-        )
-        params = {
-            name: _constant_value(p.substitute(assignment))
-            for name, p in self.parameter_values.items()
-        }
-        return matrix, params
+        matrix = Matrix.from_rows([
+            [_constant_value(e) for e in _specialise(row, assignment)]
+            for row in self.form
+        ])
+        params = _specialise(list(self.parameter_values.values()), assignment)
+        return matrix, dict(zip(self.parameter_values, map(_constant_value, params)))
 
 
 def _constant_value(p: MultiPoly) -> Fraction:
@@ -436,7 +435,6 @@ class ComponentVerdict(Record):
 
 
 class DecompositionReport(Record):
-    family: str
     raw: Ideal
     simplified: Ideal
     components: tuple
@@ -509,15 +507,13 @@ def verify_decomposition(
     product = ideal_product(p1.ideal, p2.ideal)
     product_in = contains(report.simplified, product, guard)
     return DecompositionReport(
-        f.tag, report.raw, report.simplified, tuple(verdicts), product_in
+        report.raw, report.simplified, tuple(verdicts), product_in
     )
 
 
 # -- fixed-parameter reports --------------------------------------------------
 
 class FixedDimensionReport(Record):
-    family: str
-    values: dict
     dimension: int
     basis: tuple
     paper_claim: int
@@ -527,19 +523,15 @@ class FixedDimensionReport(Record):
         return self.dimension == self.paper_claim
 
 
-def fixed_param_dimension(f: Sl2Family, values: dict = None) -> FixedDimensionReport:
-    """Exact solution space at fixed parameter values, via the symbolic
-    ideal: substitute, linearize, take the kernel.
+def fixed_param_dimension(f: Sl2Family) -> FixedDimensionReport:
+    """Exact solution space of a fixed family, via the symbolic ideal:
+    specialise, linearize, take the kernel.
 
     The computed dimension is authoritative; the published family-level
     claim (dimension 4 at any fixed parameter) is reported alongside.
     """
-    if values is None:
-        if f.values is None:
-            raise InputError("fixed parameter values are required")
-        values = f.values
-    fixed = Sl2Family(f.tag, {k: Fraction(v) for k, v in values.items()})
-    gens = _raw_ideal(fixed).generators
+    if f.values is None:
+        raise InputError("fixed parameter values are required")
+    gens = _raw_ideal(f).generators
     space = kernel_of_rows(linear_rows(gens, X_VARS), 9)
-    basis = square_maps(space.rows, 3)
-    return FixedDimensionReport(f.tag, fixed.values, space.dim, basis, 4)
+    return FixedDimensionReport(space.dim, square_maps(space.rows, 3), 4)

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gderive
-from gderive import errors
+from gderive import errors, reproduce, sl2
 from gderive.algebra import algebra_to_json_dict, builtin
 from gderive.cli import main
 from gderive.limits import MAX_EXPONENT
@@ -869,6 +869,12 @@ class TestReproduce:
         report = run_json(capsys, "reproduce", "--only", "thm5.3")
         assert [row["key"] for row in report["rows"]] == ["thm5.3"]
         assert report["all_ok"] is True
+
+    def test_thm53_checks_the_symbolic_two_parameter_grid(self, monkeypatch):
+        wrong = [list(row) for row in sl2.SYMBOLIC_SIGMA["ab"]]
+        wrong[0][2] = "-b^2 + 1"
+        monkeypatch.setitem(sl2.SYMBOLIC_SIGMA, "ab", tuple(map(tuple, wrong)))
+        assert reproduce.run(["thm5.3"])[0].ok is False
 
     def test_unknown_key(self, capsys):
         code, _, err = run(capsys, "reproduce", "--only", "nope")

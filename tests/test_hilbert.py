@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gderive import derivations
 from gderive.algebra import Automorphism, builtin, make_automorphism
 from gderive.derivations import derivation_space
 from gderive.errors import FiniteOrderInput, InputError, NoPeriod
@@ -17,7 +18,7 @@ from gderive.hilbert import (
     render_series,
     series_matches_window,
 )
-from gderive.linalg import Matrix, exp_nilpotent
+from gderive.linalg import Matrix, exp_nilpotent, square_maps
 
 
 def power(sigma, k):
@@ -60,7 +61,7 @@ HEIS_ROTATION = make_automorphism(
 
 
 def synthetic(dims, window, finite_order=None):
-    return GradedDims(None, None, "plain", window, dims, finite_order)
+    return GradedDims("plain", window, dims, finite_order)
 
 
 class TestGradedDims:
@@ -86,6 +87,18 @@ class TestGradedDims:
         expected[0] = 3
         assert gd.dims == expected
         assert gd.finite_order is None
+
+    def test_window_builds_no_basis_maps(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return square_maps(*args)
+
+        monkeypatch.setattr(derivations, "square_maps", counting)
+        gd = graded_dims(SL2, SIGMA_UPPER, window=6)
+        assert len(gd.dims) == 13
+        assert calls == []
 
     def test_grade_zero_is_full_derivation_algebra(self):
         for g, sigma in [(SL2, SIGMA_UPPER), (SL2, FLIP), (HEIS, SHEAR)]:
@@ -172,7 +185,7 @@ class TestDetectPeriod:
 class TestRationalSeries:
     def test_unipotent_closed_form(self):
         gd = graded_dims(SL2, SIGMA_UPPER, "plain", 6)
-        series = rational_series(gd, 1, 1)
+        series = rational_series(gd)
         assert series.polynomial_part == ((0, 3),)
         assert series.positive_tail == ((1,), 1, 1)
         assert series.negative_tail == ((1,), 1, 1)
@@ -208,8 +221,7 @@ class TestRationalSeries:
             dims[k] = (2 if abs(k) % 2 else 1) if k else 7
         dims[0] = 7
         gd = synthetic(dims, 6)
-        cutoff, period = detect_period(gd)
-        series = rational_series(gd, cutoff, period)
+        series = rational_series(gd)
         assert series_matches_window(gd, series)
         text = render_series(series)
         assert "/(1-t^2)" in text and "/(1-t^-2)" in text
@@ -235,5 +247,5 @@ class TestRationalSeries:
         found = detect_period(gd)
         assert found is not None
         assert found <= (cutoff, period)
-        series = rational_series(gd, *found)
+        series = rational_series(gd)
         assert series_matches_window(gd, series)

@@ -427,7 +427,7 @@ class TestInverse:
 
     def test_unipotent_inverse_negates_parameter(self):
         plus = exp_nilpotent(NILPOTENT_B1)
-        minus = exp_nilpotent(-NILPOTENT_B1)
+        minus = exp_nilpotent(Matrix.zero(3, 3) - NILPOTENT_B1)
         assert inverse(plus) == minus
 
     def test_singular(self):
@@ -469,7 +469,8 @@ class TestExpNilpotent:
     def test_exp_of_negation_inverts(self, upper):
         a, b, c = upper
         m = Matrix.from_rows([[0, a, b], [0, 0, c], [0, 0, 0]])
-        assert (exp_nilpotent(m) @ exp_nilpotent(-m)).is_identity()
+        negated = Matrix.from_rows([[0, -a, -b], [0, 0, -c], [0, 0, 0]])
+        assert (exp_nilpotent(m) @ exp_nilpotent(negated)).is_identity()
 
 
 class TestOrder:

@@ -33,6 +33,7 @@ from gderive.sl2 import (
     derivation_matrix,
     family_sigma,
     fixed_param_dimension,
+    _specialise,
     known_components,
     verify_decomposition,
 )
@@ -276,20 +277,19 @@ class TestDerivationMatrix:
         )
 
     def test_classification_table(self):
-        # (a, b, c) -> (nilpotent, case, ranks of powers 1..3)
+        # (a, b, c) -> (nilpotent, ranks of powers 1..3)
         table = [
-            ((0, 1, 0), True, "bc=0, a=0", (2, 1, 0)),
-            ((2, 1, 1), True, "bc!=0, a^2=4bc", (2, 1, 0)),
-            ((1, 1, 1), False, "bc!=0, a^2!=4bc", (2, 2, 2)),
-            ((1, 0, 0), False, "bc=0, a!=0", (2, 2, 2)),
-            ((0, 0, 0), True, "bc=0, a=0", (0, 0, 0)),
+            ((0, 1, 0), True, (2, 1, 0)),
+            ((2, 1, 1), True, (2, 1, 0)),
+            ((1, 1, 1), False, (2, 2, 2)),
+            ((1, 0, 0), False, (2, 2, 2)),
+            ((0, 0, 0), True, (0, 0, 0)),
         ]
-        for args, nil, case, ranks in table:
+        for args, nil, ranks in table:
             got = classify_derivation(*args)
             assert got.nilpotent is nil
             assert got.predicted_nilpotent is nil
             assert got.consistent
-            assert got.case == case
             assert tuple(got.ranks[n] for n in (1, 2, 3)) == ranks
 
     @given(
@@ -366,7 +366,7 @@ class TestFamilySigma:
                 b, c = point["b"], point["c"]
                 generator = derivation_matrix(2 * b * c, b, b * c * c)
             value = Matrix.from_rows(
-                [[_const(e.substitute(point)) for e in row] for row in grid]
+                [[_const(e) for e in _specialise(row, point)] for row in grid]
             )
             assert value == exp_nilpotent(generator)
 
@@ -374,14 +374,14 @@ class TestFamilySigma:
         grid = family_sigma(Sl2Family.symbolic("b"))
         val = {"y": F(3, 5)}
         specialized = Matrix.from_rows(
-            [[_const(e.substitute(val)) for e in row] for row in grid]
+            [[_const(e) for e in _specialise(row, val)] for row in grid]
         )
         assert specialized == family_sigma(Sl2Family.fixed("b", b=F(3, 5)))
 
         grid = family_sigma(Sl2Family.symbolic("ab"))
         val = {"b": F(1), "c": F(1)}
         specialized = Matrix.from_rows(
-            [[_const(e.substitute(val)) for e in row] for row in grid]
+            [[_const(e) for e in _specialise(row, val)] for row in grid]
         )
         assert specialized == family_sigma(Sl2Family.fixed("ab", a=2, b=1))
 
@@ -438,7 +438,7 @@ class TestRawIdeals:
 
     def test_family_b_raw_equals_displayed_plus_diagonal(self):
         rep = derivation_ideal(Sl2Family.symbolic("b"))
-        assert rep.ring == RING_ONE_PARAM
+        assert rep.raw.variables == RING_ONE_PARAM
         assert len(rep.raw.generators) == 20
         displayed = Ideal.make(
             RING_ONE_PARAM,
@@ -461,13 +461,13 @@ class TestRawIdeals:
 
     def test_family_ab_simplified(self):
         rep = derivation_ideal(Sl2Family.symbolic("ab"))
-        assert rep.ring == RING_TWO_PARAM
+        assert rep.raw.variables == RING_TWO_PARAM
         assert len(rep.raw.generators) == 27
         assert strs(rep.simplified) == SIMPLIFIED_AB
 
     def test_fixed_ideal_specializes_symbolic(self):
         rep = derivation_ideal(Sl2Family.fixed("b", b=1))
-        assert rep.ring == X_VARS
+        assert rep.raw.variables == X_VARS
         # At b=1 the twisted space is the single unipotent direction, so
         # the simplified basis pins eight coordinates.
         assert len(rep.simplified.generators) == 8
@@ -628,27 +628,25 @@ class TestFixedDimensions:
     def test_family_b_values(self):
         dims = {}
         for b in (0, 1, -2):
-            r = fixed_param_dimension(Sl2Family.symbolic("b"), {"b": F(b)})
+            r = fixed_param_dimension(Sl2Family.fixed("b", b=b))
             dims[b] = r.dimension
             assert r.paper_claim == 4
             assert r.matches_claim is False
         assert dims == {0: 3, 1: 1, -2: 1}
 
     def test_family_b_basis_at_one(self):
-        r = fixed_param_dimension(Sl2Family.symbolic("b"), {"b": F(1)})
+        r = fixed_param_dimension(Sl2Family.fixed("b", b=1))
         assert r.basis == (
             Matrix.from_rows([[0, 1, -1], [0, 0, -2], [0, 0, 0]]),
         )
 
     def test_family_c_values(self):
         dims = {
-            c: fixed_param_dimension(
-                Sl2Family.symbolic("c"), {"c": F(c)}
-            ).dimension
+            c: fixed_param_dimension(Sl2Family.fixed("c", c=c)).dimension
             for c in (0, 1, -2)
         }
         assert dims == {0: 3, 1: 1, -2: 1}
-        r = fixed_param_dimension(Sl2Family.symbolic("c"), {"c": F(1)})
+        r = fixed_param_dimension(Sl2Family.fixed("c", c=1))
         assert r.basis == (
             Matrix.from_rows([[0, 0, 0], [1, 0, 0], [F(1, 2), F(-1, 2), 0]]),
         )
@@ -668,6 +666,11 @@ class TestFixedDimensions:
             ),
         )
 
+    def test_int_values_give_the_same_report(self):
+        assert fixed_param_dimension(
+            Sl2Family("ab", {"a": 2, "b": 1})
+        ) == fixed_param_dimension(Sl2Family.fixed("ab", a=2, b=1))
+
     def test_symbolic_family_requires_values(self):
         with pytest.raises(GDeriveError):
             fixed_param_dimension(Sl2Family.symbolic("b"))
@@ -678,11 +681,11 @@ class TestFixedDimensions:
         from gderive.linalg import rank
 
         cases = [
-            (fixed_param_dimension(Sl2Family.symbolic("b"), {"b": F(1)}),
+            (fixed_param_dimension(Sl2Family.fixed("b", b=1)),
              sigma_for("b", b=1)),
-            (fixed_param_dimension(Sl2Family.symbolic("b"), {"b": F(-2)}),
+            (fixed_param_dimension(Sl2Family.fixed("b", b=-2)),
              sigma_for("b", b=-2)),
-            (fixed_param_dimension(Sl2Family.symbolic("c"), {"c": F(1)}),
+            (fixed_param_dimension(Sl2Family.fixed("c", c=1)),
              sigma_for("c", c=1)),
             (fixed_param_dimension(Sl2Family.fixed("ab", a=2, b=1)),
              sigma_for("ab", a=2, b=1)),

@@ -9,6 +9,8 @@ code uses it (a name read, an attribute or an import alias, never a
 string) in another ``gderive`` module, elsewhere in its own module, or in
 ``perfbench/*.py``. A method passes only through an attribute read
 (``x.name``): a local variable that shares its name does not reach it.
+So does a field of a ``Record`` subclass (an annotated name in its class
+body): a field that only its constructor sets has no reader.
 
 Only reads in live code count. The walk repeats until nothing changes,
 and each round drops the definitions that the previous round found
@@ -17,10 +19,14 @@ count as users: a name that only tests reach belongs on the allowlist
 below, with the reason the tests keep it, and reads inside it count for
 nothing either.
 
-An attribute read cannot tell apart two classes' methods of one name, so
-every method name defined in more than one class is listed in
+An attribute read cannot tell apart two classes' members of one name, so
+every method or field name defined in more than one class is listed in
 ``SHARED_METHOD_NAMES``, with a line of live library code that reaches
-each class's method.
+each class's member.
+
+The operators reach a dunder such as ``__add__`` with no attribute to
+read, so ``OPERATOR_CALLERS`` names, for each arithmetic operator a
+library class defines, a line of live library code that applies it.
 """
 
 from __future__ import annotations
@@ -39,8 +45,6 @@ KEPT_FOR_TESTS = {
     "algebra.algebra_to_json_dict": "writes the algebra files of the CLI tests",
     "sl2.Component.evaluate":
         "specialises p2 at sample points in the acceptance tests' reference code",
-    "sl2._constant_value":
-        "specialises p2 at sample points in the acceptance tests' reference code",
     "polynomials.MultiPoly.leading_term":
         "drives the acceptance tests' reference S-polynomial and division",
 }
@@ -52,18 +56,35 @@ READ_FROM_STRINGS = {
         "perfbench/run.py prints it from the environment probe it runs",
 }
 
-# For each method name defined in two or more classes: per class, a line
-# of library code ("module: stripped line") that calls that class's method.
+# For each method or field name defined in two or more classes: per
+# class, a line of library code ("module: stripped line") that reads that
+# class's member.
 SHARED_METHOD_NAMES = {
     "_combine": {
         "linalg.Matrix": "linalg: return self._combine(other, add)",
         "polynomials.MultiPoly": "polynomials: return self._combine(other, 1)",
     },
+    "basis": {
+        "derivations.DerivationSpace": "reproduce: for m in space.basis:",
+        "linalg.Subspace":
+            'cli: "basis": [_vector_list(v) for v in report.intersection.basis],',
+        "sl2.FixedDimensionReport": 'cli: "basis": _basis_dicts(fixed.basis),',
+    },
     "dim": {
+        "algebra.LieAlgebra": "derivations: n = g.dim",
         "derivations.DerivationSpace":
             "hilbert: return derivation_space(g, power, kind=kind).dim",
         "linalg.Subspace":
-            "sl2: return FixedDimensionReport(f.tag, fixed.values, space.dim, basis, 4)",
+            "sl2: return FixedDimensionReport(space.dim, square_maps(space.rows, 3), 4)",
+    },
+    "dimension": {
+        "derivations.IntersectionReport": 'cli: "dimension": report.dimension,',
+        "sl2.ComponentVerdict": 'cli: "dimension": verdict.dimension,',
+        "sl2.FixedDimensionReport": 'cli: "dimension": fixed.dimension,',
+    },
+    "finite_order": {
+        "hilbert.GradedDims": "hilbert: if gd.finite_order is not None:",
+        "hilbert.RationalSeries": "hilbert: if self.finite_order is not None:",
     },
     "identity": {
         "linalg.Matrix": "hilbert: dims = {0: dim(Matrix.identity(sigma.matrix.rows))}",
@@ -75,11 +96,63 @@ SHARED_METHOD_NAMES = {
         "polynomials.MultiPoly":
             "polynomials: return remainder(p, groebner(ideal, guard)).is_zero",
     },
+    "kind": {
+        "derivations.DerivationSpace": 'cli: "kind": space.kind,',
+        "hilbert.GradedDims": 'cli: "kind": gd.kind,',
+    },
+    "name": {
+        "algebra.LieAlgebra": 'cli: "name": g.name,',
+        "sl2.Component": 'cli: "name": component.name,',
+    },
+    "ok": {
+        "algebra.ValidationReport": 'cli: "valid": report.ok,',
+        "reproduce.Row": 'cli: "ok": row.ok,',
+    },
+    "raw": {
+        "sl2.DecompositionReport":
+            'cli: out["raw_generator_count"] = len(report.raw.generators)',
+        "sl2.DerivationIdealReport": "sl2: contains(reduced, report.raw, guard),",
+    },
+    "simplified": {
+        "sl2.DecompositionReport":
+            'cli: out["ideal_generators"] = [str(p) for p in report.simplified.generators]',
+        "sl2.DerivationIdealReport":
+            "sl2: product_in = contains(report.simplified, product, guard)",
+    },
+    "variables": {
+        "polynomials.Ideal":
+            "sl2: component.ideal.variables, groebner(component.ideal, guard)",
+        "polynomials.MultiPoly":
+            "sl2: ring = tuple(v for v in polys[0].variables if v not in assignment)",
+    },
     "zero": {
         "linalg.Matrix":
             "linalg: return Matrix.from_rows(entries) if rows else Matrix.zero(0, cols)",
         "polynomials.MultiPoly": "polynomials: return MultiPoly.zero(self.variables)",
     },
+}
+
+
+# The arithmetic operators and the dunder each applies.
+OPERATORS = {
+    ast.Add: "__add__",
+    ast.Sub: "__sub__",
+    ast.Mult: "__mul__",
+    ast.MatMult: "__matmul__",
+    ast.Pow: "__pow__",
+    ast.USub: "__neg__",
+}
+
+# For each operator dunder a library class defines: a line of library
+# code ("module: stripped line") that applies it to that class.
+OPERATOR_CALLERS = {
+    "linalg.Matrix.__add__":
+        "reproduce: sigma_bracket(a, sigma_bracket(b, c, sigma), sigma)",
+    "linalg.Matrix.__matmul__": "derivations: return tau.inverse_matrix @ d",
+    "linalg.Matrix.__sub__": "derivations: return sigma.matrix @ (a @ b - b @ a)",
+    "polynomials.MultiPoly.__add__": "sl2: residual[r] += x[m][r].scale(c)",
+    "polynomials.MultiPoly.__mul__": "sl2: term = x[i][p] * sigma[q][j]",
+    "polynomials.MultiPoly.__sub__": "sl2: residual[r] -= x[j][q].scale(c)",
 }
 
 
@@ -95,12 +168,17 @@ class Piece:
         self.method = method
         self.names = set()
         self.attrs = {}  # attribute name -> line numbers of its reads
+        self.operators = {}  # operator dunder -> line numbers applying it
         for tree in nodes:
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     self.names.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     self.attrs.setdefault(node.attr, set()).add(node.lineno)
+                elif isinstance(node, (ast.BinOp, ast.AugAssign, ast.UnaryOp)):
+                    dunder = OPERATORS.get(type(node.op))
+                    if dunder:
+                        self.operators.setdefault(dunder, set()).add(node.lineno)
                 elif isinstance(node, ast.alias):
                     self.names.add(node.name.rpartition(".")[2])
                     if node.asname:
@@ -134,12 +212,37 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def _is_method(member) -> bool:
-    """A function in a class body that only an attribute read reaches:
-    any but a dunder."""
-    return isinstance(
-        member, (ast.FunctionDef, ast.AsyncFunctionDef)
-    ) and not _is_dunder(member.name)
+def _member_name(member, record: bool):
+    """The name of a class-body statement that only an attribute read
+    reaches: a function other than a dunder, or in a Record subclass an
+    annotated field. None for any other statement."""
+    if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return None if _is_dunder(member.name) else member.name
+    if record and isinstance(member, ast.AnnAssign):
+        return member.target.id
+    return None
+
+
+def _members(node: ast.ClassDef) -> list:
+    """(name, statement) for each method and, in a Record subclass, each
+    field of the class."""
+    record = any(isinstance(b, ast.Name) and b.id == "Record" for b in node.bases)
+    return [
+        (name, member) for member in node.body
+        if (name := _member_name(member, record)) is not None
+    ]
+
+
+def _operators(modules: dict) -> list:
+    """The labels of the arithmetic operator dunders library classes define."""
+    return sorted(
+        f"{name}.{node.name}.{member.name}"
+        for name, tree in modules.items()
+        for node in tree.body if isinstance(node, ast.ClassDef)
+        for member in node.body
+        if isinstance(member, ast.FunctionDef)
+        and member.name in OPERATORS.values()
+    )
 
 
 def _module_name(path: Path) -> str:
@@ -171,14 +274,15 @@ def _pieces(modules: dict) -> list:
                 labels = [f"{name}.{n}" for n in defined]
                 pieces.append(Piece(name, [node], labels, node))
                 continue
-            methods = [m for m in node.body if _is_method(m)]
+            members = _members(node)
+            kept = {id(m) for _, m in members}
             rest = node.bases + node.keywords + node.decorator_list + [
-                m for m in node.body if not _is_method(m)
+                m for m in node.body if id(m) not in kept
             ]
             pieces.append(Piece(name, rest, [f"{name}.{node.name}"], node))
             pieces += [
-                Piece(name, [m], [f"{name}.{node.name}.{m.name}"], node, m.name)
-                for m in methods
+                Piece(name, [m], [f"{name}.{node.name}.{member}"], node, member)
+                for member, m in members
             ]
     return pieces
 
@@ -197,9 +301,9 @@ def _unreached(piece: Piece, live: list) -> list:
     ]
 
 
-def _walk():
+def _walk(modules=None):
     """(unreached labels, live pieces) once no round drops anything more."""
-    live = _pieces(_modules())
+    live = _pieces(modules or _modules())
     dropped = []
     while True:
         unreached = {id(p): _unreached(p, live) for p in live}
@@ -228,32 +332,65 @@ def test_walk_covers_private_names_and_constants():
     assert "__version__" in names
 
 
+def test_walk_reports_a_record_field_with_no_reader():
+    modules = _modules()
+    source = _sources()["sl2"].replace(
+        "class DerivationClassification(Record):\n",
+        "class DerivationClassification(Record):\n    case: str\n",
+    )
+    modules["sl2"] = ast.parse(source)
+    assert "sl2.DerivationClassification.case" in _walk(modules)[0]
+
+
 def test_shared_method_names_each_name_a_live_caller():
     modules = _modules()
     owners = {}
     for name, tree in modules.items():
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
-                for member in filter(_is_method, node.body):
-                    owners.setdefault(member.name, set()).add(f"{name}.{node.name}")
+                for member, _ in _members(node):
+                    owners.setdefault(member, set()).add(f"{name}.{node.name}")
     shared = {method: classes for method, classes in owners.items() if len(classes) > 1}
     assert {m: set(c) for m, c in SHARED_METHOD_NAMES.items()} == shared
     _, live = _walk()
     sources = _sources()
     for method, callers in SHARED_METHOD_NAMES.items():
         for cls, caller in callers.items():
-            module, _, text = caller.partition(": ")
-            lines = [
-                number
-                for number, line in enumerate(sources[module].splitlines(), 1)
-                if line.strip() == text
-            ]
-            assert lines, f"{cls}.{method}: no line {text!r} in {module}"
-            assert any(
-                number in piece.attrs.get(method, ())
-                for piece in live if piece.module == module
-                for number in lines
-            ), f"{cls}.{method}: {text!r} reads no .{method} in live code"
+            _assert_live_line(
+                f"{cls}.{method}", caller, live, sources,
+                lambda piece: piece.attrs.get(method, ()),
+            )
+
+
+def _assert_live_line(label, caller, live, sources, lines_of):
+    """The "module: stripped line" caller is a line of the module at
+    which a live piece's ``lines_of(piece)`` holds its number."""
+    module, _, text = caller.partition(": ")
+    lines = [
+        number
+        for number, line in enumerate(sources[module].splitlines(), 1)
+        if line.strip() == text
+    ]
+    assert lines, f"{label}: no line {text!r} in {module}"
+    assert any(
+        number in lines_of(piece)
+        for piece in live if piece.module == module
+        for number in lines
+    ), f"{label}: {text!r} in {module} is not live code that reaches it"
+
+
+def test_operator_callers_each_apply_their_operator():
+    modules = _modules()
+    defined = [label for label in _operators(modules) if label not in KEPT_FOR_TESTS]
+    assert sorted(OPERATOR_CALLERS) == defined
+    _, live = _walk()
+    sources = _sources()
+    for label, caller in OPERATOR_CALLERS.items():
+        dunder = label.rpartition(".")[2]
+        _assert_live_line(
+            label, caller, live, sources,
+            lambda piece: piece.operators.get(dunder, ()),
+        )
 
 
 def test_perfbench_extra_names_exist():
