@@ -7,7 +7,10 @@ with the computed values carry status "discrepancy" and pass exactly
 when the computed values, not the displayed ones, come out again.
 """
 
+import json
+import os
 import random
+import threading
 from fractions import Fraction
 
 from .algebra import Automorphism, builtin, is_automorphism, make_automorphism
@@ -434,8 +437,119 @@ _RUNNERS = {
 }
 
 
+def _run_row(key: str) -> Row:
+    """Run one row; a GDeriveError becomes its "error" row."""
+    title, runner = _RUNNERS[key]
+    try:
+        ok, status, detail = runner()
+    except GDeriveError as exc:
+        ok, status, detail = False, "error", f"aborted: {exc}"
+    return Row(key, title, ok, status, detail)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _claim(tickets: int, selected: list):
+    """Yield the keys of the rows this process claims, one at a time,
+    until the ticket pipe is empty. A ticket is one byte, the index of a
+    row in ``selected``; a one-byte pipe read is atomic, so each row is
+    claimed by exactly one process."""
+    while ticket := os.read(tickets, 1):
+        yield selected[ticket[0]]
+
+
+def _read_all(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 65536):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _worker(tickets: int, report: int, selected: list):
+    """The body of a forked worker. It runs the rows it claims and writes
+    them, or the traceback of what stopped it, as one JSON line to
+    ``report``. It leaves by ``os._exit`` on every path, so it never
+    returns into its caller's stack, flushes the parent's stdio or runs
+    exit handlers."""
+    code = 1
+    try:
+        try:
+            rows = [
+                [row.key, row.ok, row.status, row.detail]
+                for row in map(_run_row, _claim(tickets, selected))
+            ]
+            payload = {"rows": rows}
+            code = 0
+        except BaseException:  # anything, so that the worker reaches os._exit
+            import traceback
+
+            payload = {"error": traceback.format_exc()}
+        with open(report, "w", encoding="utf-8") as out:
+            out.write(json.dumps(payload) + "\n")
+    finally:
+        os._exit(code)
+
+
+def _run_forked(selected: list, workers: int) -> list:
+    """Run the rows in this process and ``workers - 1`` forked ones, each
+    claiming the next row from one ticket pipe, and return them sorted
+    by key. No child outlives the call: on every path the
+    unclaimed tickets are drained, so each child stops after its current
+    row, and every child is reaped."""
+    tickets, feed = os.pipe()
+    os.write(feed, bytes(range(len(selected))))
+    os.close(feed)
+    children = {}  # pid -> read end of that child's report pipe
+    try:
+        for _ in range(workers - 1):
+            results, report = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no more processes: run the rest here
+                os.close(results)
+                os.close(report)
+                break
+            if pid == 0:
+                os.close(results)
+                _worker(tickets, report, selected)
+            os.close(report)
+            children[pid] = results
+        rows = [_run_row(key) for key in _claim(tickets, selected)]
+        reports = [_read_all(results) for results in children.values()]
+    finally:
+        while os.read(tickets, 64):
+            pass
+        os.close(tickets)
+        for results in children.values():
+            os.close(results)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
+    for report, code in zip(reports, codes):
+        payload = json.loads(report) if report else {}
+        if code != 0 or "rows" not in payload:
+            raise RuntimeError(
+                f"a reproduce worker exited with code {code}\n"
+                + payload.get("error", "and sent no rows")
+            )
+        rows += [
+            Row(key, _RUNNERS[key][0], ok, status, detail)
+            for key, ok, status, detail in payload["rows"]
+        ]
+    return sorted(rows, key=lambda row: row.key)
+
+
 def run(keys=None):
-    """Execute the suite (or a key subset) and return rows sorted by key."""
+    """Execute the suite (or a key subset) and return rows sorted by key.
+
+    The rows are independent of one another, so they run in one process
+    per usable CPU, forked after the imports; with one CPU, without
+    ``os.fork`` or with other threads running, they run here, one after
+    another."""
     if keys is None:
         selected = sorted(_RUNNERS)
     else:
@@ -447,12 +561,7 @@ def run(keys=None):
             if key not in selected:
                 selected.append(key)
         selected.sort()
-    rows = []
-    for key in selected:
-        title, runner = _RUNNERS[key]
-        try:
-            ok, status, detail = runner()
-        except GDeriveError as exc:
-            ok, status, detail = False, "error", f"aborted: {exc}"
-        rows.append(Row(key, title, ok, status, detail))
-    return rows
+    workers = min(len(selected), _usable_cpus())
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [_run_row(key) for key in selected]
+    return _run_forked(selected, workers)

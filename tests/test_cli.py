@@ -1128,7 +1128,8 @@ PINNED_HELP = {
 
 class TestStartup:
     """Building the parser loads no engine, a subcommand loads only the
-    engines it runs, and no run loads `dataclasses` or `inspect`."""
+    engines it runs, no run loads `dataclasses` or `inspect`, and
+    `reproduce` loads no process pool or `pickle`."""
 
     def test_parser_loads_no_engine(self):
         loaded = _modules_after("import gderive.cli; gderive.cli.build_parser()")
@@ -1163,7 +1164,12 @@ class TestStartup:
             "from gderive.cli import main\nassert main(['reproduce']) == 0"
         )
         assert "gderive.reproduce" in loaded
-        assert not loaded & {"dataclasses", "inspect"}
+        # The workers use only os and json: a process pool would cost
+        # about as much to import as the workers save.
+        assert not loaded & {
+            "dataclasses", "inspect", "multiprocessing", "concurrent.futures",
+            "pickle",
+        }
 
     @pytest.mark.skipif(
         sys.version_info[:2] != (3, 11),

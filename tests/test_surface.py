@@ -10,7 +10,9 @@ string) in another ``gderive`` module, elsewhere in its own module, or in
 ``perfbench/*.py``. A method passes only through an attribute read
 (``x.name``): a local variable that shares its name does not reach it.
 So does a field of a ``Record`` subclass (an annotated name in its class
-body): a field that only its constructor sets has no reader.
+body): a field that only its constructor sets has no reader. A read of
+the parsed command line, ``args.name`` in a ``cmd_*`` handler, reaches
+no field or method of that name.
 
 Only reads in live code count. The walk repeats until nothing changes,
 and each round drops the definitions that the previous round found
@@ -169,11 +171,12 @@ class Piece:
         self.names = set()
         self.attrs = {}  # attribute name -> line numbers of its reads
         self.operators = {}  # operator dunder -> line numbers applying it
+        options = _option_reads(nodes)
         for tree in nodes:
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     self.names.add(node.id)
-                elif isinstance(node, ast.Attribute):
+                elif isinstance(node, ast.Attribute) and id(node) not in options:
                     self.attrs.setdefault(node.attr, set()).add(node.lineno)
                 elif isinstance(node, (ast.BinOp, ast.AugAssign, ast.UnaryOp)):
                     dunder = OPERATORS.get(type(node.op))
@@ -187,6 +190,22 @@ class Piece:
     def reads(self, name: str) -> bool:
         """Whether this piece reads the name, as a top-level name may be."""
         return name in self.names or name in self.attrs
+
+
+def _option_reads(nodes) -> set:
+    """The ids of the attribute reads ``args.x`` in a ``cmd_*`` handler
+    whose one parameter is ``args``: they read the parsed command line,
+    not a record field or a method."""
+    return {
+        id(node)
+        for tree in nodes
+        for handler in ast.walk(tree)
+        if isinstance(handler, ast.FunctionDef) and handler.name.startswith("cmd_")
+        and [a.arg for a in handler.args.args] == ["args"]
+        for node in ast.walk(handler)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name) and node.value.id == "args"
+    }
 
 
 def _defined_names(node) -> list:
@@ -340,6 +359,17 @@ def test_walk_reports_a_record_field_with_no_reader():
     )
     modules["sl2"] = ast.parse(source)
     assert "sl2.DerivationClassification.case" in _walk(modules)[0]
+
+
+def test_walk_reports_a_field_that_only_a_command_line_option_reads():
+    modules = _modules()
+    source = _sources()["sl2"].replace(
+        "class FixedDimensionReport(Record):\n",
+        "class FixedDimensionReport(Record):\n    family: str\n",
+    )
+    assert source != _sources()["sl2"]
+    modules["sl2"] = ast.parse(source)
+    assert "sl2.FixedDimensionReport.family" in _walk(modules)[0]
 
 
 def test_shared_method_names_each_name_a_live_caller():
