@@ -330,39 +330,39 @@ def cmd_groebner(args) -> int:
     basis = groebner(ideal, args.degree_guard)
     out = {
         "vars": list(ideal.variables),
-        "basis": [str(p) for p in basis],
+        "basis": [str(p) for p in basis.generators],
     }
     _emit(out, args.format, lambda rep: rep["basis"] or ["0"])
     return 0
 
 
 def cmd_member(args) -> int:
-    from .polynomials import ideal_from_json_dict, member, poly_from_string
+    from .polynomials import groebner, ideal_from_json_dict, member, poly_from_string
 
     ideal = ideal_from_json_dict(_read_json(args.ideal))
     p = poly_from_string(ideal.variables, args.poly)
-    verdict = member(p, ideal, args.degree_guard)
+    verdict = member(p, groebner(ideal, args.degree_guard))
     out = {"poly": str(p), "member": verdict}
     _emit(out, args.format, lambda rep: [str(rep["member"]).lower()])
     return 0
 
 
 def cmd_contain(args) -> int:
-    from .polynomials import contains, ideal_from_json_dict
+    from .polynomials import contains, groebner, ideal_from_json_dict
 
     outer = ideal_from_json_dict(_read_json(args.outer))
     inner = ideal_from_json_dict(_read_json(args.inner))
-    verdict = contains(outer, inner, args.degree_guard)
+    verdict = contains(groebner(outer, args.degree_guard), inner)
     out = {"contains": verdict}
     _emit(out, args.format, lambda rep: [str(rep["contains"]).lower()])
     return 0
 
 
 def cmd_prime_check(args) -> int:
-    from .polynomials import ideal_from_json_dict, triangular_prime_check
+    from .polynomials import groebner, ideal_from_json_dict, triangular_prime_check
 
     ideal = ideal_from_json_dict(_read_json(args.ideal))
-    cert = triangular_prime_check(ideal, args.degree_guard)
+    cert = triangular_prime_check(groebner(ideal, args.degree_guard))
     out = {
         "certified": cert.certified,
         "leading_vars": list(cert.leading_vars),

@@ -11,13 +11,13 @@ made only where a caller reads ``terms``. Homogeneous-linear generators
 leave as sparse integer rows (``linear_rows``), the form the kernels of
 ``linalg`` take.
 
-Ideal calculations (membership, containment) divide by the unique reduced
-basis, which `groebner` completes with Buchberger's algorithm: pairs are
-taken smallest lcm first from a heap, and the Gebauer-Moeller criteria
-drop the pairs whose S-polynomials are known to reduce to zero. A degree
-guard bounds the number of new basis elements. Primality is certified
-only through the triangular-linear criterion (leading variables minus free
-variables), never decided in general.
+Only `groebner` completes a basis, with Buchberger's algorithm: pairs are
+taken smallest lcm first from a heap, the Gebauer-Moeller criteria drop
+the pairs whose S-polynomials are known to reduce to zero, and a degree
+guard bounds the number of new basis elements. Membership and containment
+divide by the reduced basis it returns, never completing it again.
+Primality is certified only through the triangular-linear criterion
+(leading variables minus free variables), never decided in general.
 """
 
 from __future__ import annotations
@@ -532,13 +532,9 @@ def _spoly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return _from_ints(f.variables, coeffs, m)
 
 
-def _check_guard(guard: int) -> None:
-    if not 0 <= guard <= MAX_GUARD:
-        raise InputError(f"degree guard must be between 0 and {MAX_GUARD}")
-
-
-def groebner(ideal: Ideal, guard: int = DEFAULT_GUARD) -> tuple:
-    """Reduced lex Groebner basis (monic, interreduced, sorted descending).
+def groebner(ideal: Ideal, guard: int = DEFAULT_GUARD) -> Ideal:
+    """Reduced lex Groebner basis (monic, interreduced, sorted descending),
+    as an ideal of the same ring; the zero ideal has the empty basis.
 
     Buchberger completion in the Gebauer-Moeller installation (Becker and
     Weispfenning, *Groebner Bases*, section 5.5, procedure UPDATE). Every
@@ -563,7 +559,8 @@ def groebner(ideal: Ideal, guard: int = DEFAULT_GUARD) -> tuple:
     Raises DegreeGuardExceeded when more than `guard` S-pair remainders
     are nonzero, and InputError when `guard` lies outside 0..MAX_GUARD.
     """
-    _check_guard(guard)
+    if not 0 <= guard <= MAX_GUARD:
+        raise InputError(f"degree guard must be between 0 and {MAX_GUARD}")
     basis = []   # every element ever added; indices never change
     leads = []   # leading exponent vector of basis[i]
     active = []  # indices of the elements that are not retired
@@ -609,7 +606,7 @@ def groebner(ideal: Ideal, guard: int = DEFAULT_GUARD) -> tuple:
         if not g.is_zero:
             update(g.monic())
     if not basis:
-        return ()
+        return Ideal(ideal.variables, ())
     generated = 0
     while queue:
         _, i, j = heappop(queue)
@@ -640,11 +637,14 @@ def groebner(ideal: Ideal, guard: int = DEFAULT_GUARD) -> tuple:
     for i, f in enumerate(keep):
         others = keep[:i] + keep[i + 1:]
         result.append(remainder(f, others).monic() if others else f)
-    return tuple(sorted(result, key=lambda f: f.num[0][0], reverse=True))
+    result.sort(key=lambda f: f.num[0][0], reverse=True)
+    return Ideal(ideal.variables, tuple(result))
 
 
-def member(p: MultiPoly, ideal: Ideal, guard: int = DEFAULT_GUARD) -> bool:
-    return remainder(p, groebner(ideal, guard)).is_zero
+def member(p: MultiPoly, basis: Ideal) -> bool:
+    """True iff p reduces to zero by the basis. A False means "not in the
+    ideal" only when the basis comes from `groebner`."""
+    return remainder(p, basis.generators).is_zero
 
 
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
@@ -655,18 +655,14 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
     ))
 
 
-def contains(outer: Ideal, inner: Ideal, guard: int = DEFAULT_GUARD) -> bool:
-    """True iff inner is a subset of outer (generator-wise membership).
-
-    The outer basis is completed once and divides every inner generator.
-    """
-    if outer.variables != inner.variables:
+def contains(basis: Ideal, inner: Ideal) -> bool:
+    """True iff every generator of inner reduces to zero by the basis of
+    the outer ideal. A False means "inner is not contained" only when the
+    basis comes from `groebner`."""
+    if basis.variables != inner.variables:
         raise DimensionMismatch("ideals live in different rings")
-    _check_guard(guard)
-    if not inner.generators:
-        return True
-    basis = groebner(outer, guard)
-    return all(remainder(g, basis).is_zero for g in inner.generators)
+    divisors = basis.generators
+    return all(remainder(g, divisors).is_zero for g in inner.generators)
 
 
 class PrimeCertificate(Record):
@@ -676,21 +672,21 @@ class PrimeCertificate(Record):
     reason: str
 
 
-def triangular_prime_check(
-    ideal: Ideal, guard: int = DEFAULT_GUARD
-) -> PrimeCertificate:
-    """Certify primality when the reduced basis is triangular-linear.
+def triangular_prime_check(basis: Ideal) -> PrimeCertificate:
+    """Certify primality when the basis is triangular-linear.
 
-    Every basis element must be a single variable minus a polynomial in
-    variables that are not leading variables of any element; the quotient
-    is then a polynomial ring over the free variables, hence a domain.
-    Anything else yields "not certified", never "not prime".
+    Every basis element must be, up to a scalar, a single variable minus
+    a polynomial in variables that are not leading variables of any
+    element; the quotient is then a polynomial ring over the free
+    variables, hence a domain. Such generators have coprime leading
+    terms, so they form a Groebner basis already: the check is sound on
+    any generating set, and complete on the reduced basis from
+    `groebner`. Anything else yields "not certified", never "not prime".
     """
-    basis = groebner(ideal, guard)
-    if not basis:
+    if not basis.generators:
         return PrimeCertificate(False, (), (), "zero ideal not certified")
     leading_positions = []
-    for f in basis:
+    for f in basis.generators:
         exps = f.num[0][0]
         if sum(exps) != 1:
             return PrimeCertificate(
@@ -700,16 +696,16 @@ def triangular_prime_check(
     if len(set(leading_positions)) != len(leading_positions):
         return PrimeCertificate(False, (), (), "repeated leading variable")
     lead_set = set(leading_positions)
-    for f in basis:
+    for f in basis.generators:
         for exps, _ in f.num[1:]:
             if any(exps[i] for i in lead_set):
                 return PrimeCertificate(
                     False, (), (),
                     f"tail of {poly_to_string(f)} touches a leading variable",
                 )
-    leading_vars = tuple(ideal.variables[i] for i in sorted(lead_set))
+    leading_vars = tuple(basis.variables[i] for i in sorted(lead_set))
     free_vars = tuple(
-        v for i, v in enumerate(ideal.variables) if i not in lead_set
+        v for i, v in enumerate(basis.variables) if i not in lead_set
     )
     return PrimeCertificate(True, leading_vars, free_vars, "triangular-linear")
 

@@ -239,8 +239,7 @@ def derivation_ideal(
     polynomial, parameter-dependent combinations.
     """
     ideal = _raw_ideal(f)
-    simplified = Ideal(ideal.variables, groebner(ideal, guard))
-    return DerivationIdealReport(ideal, simplified)
+    return DerivationIdealReport(ideal, groebner(ideal, guard))
 
 
 def _parameter_assignment(tag: str, values: dict) -> dict:
@@ -471,18 +470,18 @@ def verify_decomposition(
 ) -> DecompositionReport:
     """Certify the two-component decomposition of the residual variety.
 
-    Each basis is completed once and its reduced ideal handed on:
-    completing a reduced basis again returns it, every S-pair reducing
-    to zero.
+    Three completions in all: the residual ideal J and the two
+    components. Each reduced basis then answers the queries on its ideal
+    without being completed again: the prime check and the containment
+    of J's raw generators run on a component's basis, and the product of
+    the components is divided by J's basis.
     """
     report = derivation_ideal(Sl2Family.symbolic(f.tag), guard)
     p1, p2 = known_components(f)
     verdicts = []
     for component in (p1, p2):
-        reduced = Ideal(
-            component.ideal.variables, groebner(component.ideal, guard)
-        )
-        cert = triangular_prime_check(reduced, guard)
+        basis = groebner(component.ideal, guard)
+        cert = triangular_prime_check(basis)
         if cert.certified:
             dimension = len(cert.free_vars)
             source = "certified free variables"
@@ -499,13 +498,13 @@ def verify_decomposition(
                 cert,
                 dimension,
                 source,
-                contains(reduced, report.raw, guard),
+                contains(basis, report.raw),
                 _form_satisfies(report.raw, component.form, component),
                 claimed_ok,
             )
         )
     product = ideal_product(p1.ideal, p2.ideal)
-    product_in = contains(report.simplified, product, guard)
+    product_in = contains(report.simplified, product)
     return DecompositionReport(
         report.raw, report.simplified, tuple(verdicts), product_in
     )

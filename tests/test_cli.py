@@ -724,6 +724,39 @@ class TestPolynomialCommands:
         assert "error[InvalidInput]: degree guard must be between 0 and 1000000" in err
         assert "Traceback" not in err
 
+    # The handler completes the outer ideal before contains compares the
+    # rings or reads the inner ideal, so a completion error comes first:
+    # a tripped guard even when the inner ideal is zero or in another
+    # ring, and the guard's range before the rings.
+    @pytest.mark.parametrize("outer, inner, guard, code, message", [
+        ("trip", "empty", "0", 1, "error[DegreeGuardExceeded]"),
+        ("trip", "other", "0", 1, "error[DegreeGuardExceeded]"),
+        ("ideal", "other", "-1", 2,
+         "error[InvalidInput]: degree guard must be between 0 and 1000000"),
+        ("ideal", "other", "5000", 2,
+         "error[DimensionMismatch]: ideals live in different rings"),
+        ("trip", "ideal", "0", 1, "error[DegreeGuardExceeded]"),
+    ])
+    def test_contain_completes_the_outer_ideal_first(
+        self, capsys, files, outer, inner, guard, code, message
+    ):
+        docs = {
+            "trip": {"vars": ["x", "y"], "gens": ["x^2", "x*y + y^2"]},
+            "empty": {"vars": ["x", "y"], "gens": []},
+            "other": {"vars": ["x", "y", "z"], "gens": ["x"]},
+        }
+        paths = {"ideal": files["ideal"]}
+        for name, doc in docs.items():
+            paths[name] = str(files["tmp"] / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps(doc))
+        got, out, err = run(
+            capsys, "contain", "--outer", paths[outer], "--inner",
+            paths[inner], "--degree-guard", guard,
+        )
+        assert (got, out) == (code, "")
+        assert message in err
+        assert "Traceback" not in err
+
     def test_malformed_ideal_file(self, capsys, files):
         path = files["tmp"] / "broken.json"
         path.write_text('{"vars": ["x"]}')
@@ -917,6 +950,12 @@ PINNED_STDOUT = {
         "cf097a6d9c7bd227ae0785f99538e9e014fd7667e8e92cccab9a687f61a0c56d",
     ("sl2", "--family", "ab", "--fix", "a=2,b=1", "--report", "text"):
         "cbf0b532279d1500a86cf64fc7acf958bf8817c164d757395e718e52d2b562e8",
+    ("sl2", "--family", "ab", "--fix", "a=2,b=1"):
+        "3f585eb5483724122bb473042416720cb84abc1f9fb0403e272bc4115b2f7ec8",
+    ("sl2", "--family", "c", "--fix", "c=-2"):
+        "86a67f3a3bb28fe284b7db7eaf1775584175b5c70edd8e3240e5b1e0a65da4e4",
+    ("sl2", "--family", "c", "--fix", "c=-2", "--report", "text"):
+        "29f2c999aad4f6cdb68ca6c860c431ba7a9445c2456e929f76c659769ed02ae0",
     ("reproduce",):
         "f0c09c8ab1c52aa2c38753d0988358fe87fbe5ba16d1535f4989a69dd2461116",
     ("reproduce", "--format", "text"):
@@ -982,6 +1021,46 @@ PINNED_QUADRICS_STDOUT = (
     "47421aec9969b023b39aa96bf1ff2621c795d92d9dc37de59287f94b7e0b5eed"
 )
 
+# The ideal queries. "@name" stands for an ideal file written from the
+# literal document in PINNED_IDEALS; "zero" is the zero ideal.
+PINNED_IDEALS = {
+    "ideal": {"vars": ["x", "y"], "gens": ["x^2 - y", "x*y - x"]},
+    "inner": {"vars": ["x", "y"], "gens": ["x^3 - x"]},
+    "zero": {"vars": ["x", "y"], "gens": []},
+    "linear": {"vars": ["x", "y", "z"], "gens": ["3*y - 2*z", "2*x + y*z^2"]},
+}
+
+PINNED_IDEAL_STDOUT = {
+    ("member", "--ideal", "@ideal", "--poly", "x^3 - x"):
+        "fd299085998863a31b07d3af8712b229b3bc9a8bc4474e787708a21a26b10d3e",
+    ("member", "--ideal", "@ideal", "--poly", "x + 1", "--format", "text"):
+        "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0",
+    ("member", "--ideal", "@zero", "--poly", "x"):
+        "5b0d2a07f0af845ec43d12d1cc7f12dac7b6b19fdb795e9689a59a03f00366ea",
+    ("member", "--ideal", "@zero", "--poly", "0", "--format", "text"):
+        "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74",
+    ("contain", "--outer", "@ideal", "--inner", "@inner"):
+        "fbbc861702acfa598247c32d2c947ee1372a7e0c05f3266e01e58e33c0139077",
+    ("contain", "--outer", "@ideal", "--inner", "@inner", "--format", "text"):
+        "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74",
+    ("contain", "--outer", "@zero", "--inner", "@inner"):
+        "51a388bd656ada7485b2d8f94576c044f9e95c9138c7915d41c0bfa78f65b7ad",
+    ("contain", "--outer", "@ideal", "--inner", "@zero", "--format", "text"):
+        "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74",
+    ("prime-check", "--ideal", "@ideal"):
+        "a52dcab0e145b833be6e060bed7ab5331eaee301f3d946634672b784103ed961",
+    ("prime-check", "--ideal", "@linear"):
+        "0f87cf42f7b4358bc813a8f7cec67a4b512b727cde958527d8a69cd0ea4421b6",
+    ("prime-check", "--ideal", "@linear", "--format", "text"):
+        "5baeb3017309452c45a851eaae359de813fbd258eefa2de3fe7baa759793f0db",
+    ("prime-check", "--ideal", "@zero", "--format", "text"):
+        "b4ebb6662c08808a217deddcfc656509c9739b114a050903bf03166c55da5554",
+    ("groebner", "--ideal", "@zero"):
+        "1d8f308a583f03e920d18af6eb5c4e3be04aa12a98ab9bb1c29bd365d8225c8b",
+    ("groebner", "--ideal", "@zero", "--format", "text"):
+        "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+}
+
 
 class TestPinnedOutput:
     @pytest.mark.parametrize("argv", list(PINNED_STDOUT), ids=" ".join)
@@ -1009,6 +1088,18 @@ class TestPinnedOutput:
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == PINNED_QUADRICS_STDOUT
+
+    @pytest.mark.parametrize("argv", list(PINNED_IDEAL_STDOUT), ids=" ".join)
+    def test_ideal_stdout_digest(self, capsys, tmp_path, argv):
+        paths = {}
+        for name, doc in PINNED_IDEALS.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            paths[f"@{name}"] = str(path)
+        code, out, _ = run(capsys, *(paths.get(a, a) for a in argv))
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == PINNED_IDEAL_STDOUT[argv]
 
 
 # The linear commands on abelian(0) and on the one-dimensional abelian(1),

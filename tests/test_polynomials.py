@@ -97,6 +97,7 @@ def power(p, k):
 J = ring_ideal(SIXTEEN)
 P1 = ring_ideal(P1_GENS)
 P2 = ring_ideal(P2_GENS)
+TRIANGULAR_RING = ("v", "w", "x", "y", "z")
 
 
 class TestParsePrint:
@@ -173,7 +174,7 @@ class TestDivision:
         assert r == xy_poly("y")
 
     def test_multiple_of_member_reduces_to_zero(self):
-        basis = list(groebner(J))
+        basis = groebner(J).generators
         assert remainder(ring_poly("x22*y"), basis).is_zero
 
     @given(
@@ -321,9 +322,10 @@ class TestIntegerFrameDivision:
         gens = [g for g in gens if not g.is_zero]
         assume(gens and not p.is_zero)
         try:
-            basis = list(groebner(Ideal.make(gens[0].variables, gens), guard=30))
+            reduced = groebner(Ideal.make(gens[0].variables, gens), guard=30)
         except DegreeGuardExceeded:
             assume(False)
+        basis = reduced.generators
         assume(basis)
         assert remainder(p, basis) == reference_divide(p, basis)[1]
 
@@ -501,17 +503,19 @@ class TestExactCoefficients:
 class TestBuchberger:
     def test_already_reduced(self):
         basis = groebner(Ideal.make(("x", "y"), [xy_poly("x - y"), xy_poly("y^2")]))
-        assert list(basis) == [xy_poly("x - y"), xy_poly("y^2")]
+        assert basis == Ideal(("x", "y"), (xy_poly("x - y"), xy_poly("y^2")))
 
     def test_generates_y_cubed(self):
         basis = groebner(Ideal.make(("x", "y"), [xy_poly("x^2"), xy_poly("x*y + y^2")]))
-        assert list(basis) == [xy_poly("x^2"), xy_poly("x*y + y^2"), xy_poly("y^3")]
+        assert basis.generators == (
+            xy_poly("x^2"), xy_poly("x*y + y^2"), xy_poly("y^3"),
+        )
 
     def test_sixteen_relations_reduce_to_simplified_eight(self):
-        assert list(groebner(J)) == [ring_poly(t) for t in SIMPLIFIED]
+        assert groebner(J) == ring_ideal(SIMPLIFIED)
 
     def test_spolys_of_reduced_basis_vanish(self):
-        basis = list(groebner(J))
+        basis = groebner(J).generators
         from gderive.polynomials import _spoly
 
         for i in range(len(basis)):
@@ -550,9 +554,10 @@ class TestBuchberger:
         assume(gens)
         ideal = Ideal.make(variables, gens)
         try:
-            basis = list(groebner(ideal, guard=200))
+            reduced = groebner(ideal, guard=200)
         except DegreeGuardExceeded:
             assume(False)
+        basis = reduced.generators
         from gderive.polynomials import _spoly
 
         for i in range(len(basis)):
@@ -560,9 +565,8 @@ class TestBuchberger:
                 assert remainder(_spoly(basis[i], basis[j]), basis).is_zero
         for g in gens:
             assert remainder(g, basis).is_zero
-        # Callers complete a reduced basis again instead of keeping the
-        # original generators; that must give the same basis back.
-        assert list(groebner(Ideal(variables, tuple(basis)), guard=200)) == basis
+        # Completing a reduced basis again gives the same basis back.
+        assert groebner(reduced, guard=200) == reduced
 
 
 # A term is (exponent of x, of y, of z, integer coefficient).
@@ -587,17 +591,22 @@ def sympy():
     return pytest.importorskip("sympy")
 
 
+def _sympy_poly(sympy, symbols, g):
+    return sympy.Poly.from_dict(
+        {e: sympy.Rational(c.numerator, c.denominator) for e, c in g.terms},
+        *symbols, domain="QQ",
+    )
+
+
+def _sympy_groebner(sympy, ideal):
+    symbols = sympy.symbols(ideal.variables)
+    polys = [_sympy_poly(sympy, symbols, g) for g in ideal.generators]
+    return sympy.groebner(polys, *symbols, order="lex", domain="QQ")
+
+
 def _sympy_reduced_basis(sympy, ideal):
     """sympy's reduced lex basis of the ideal, made monic."""
-    symbols = sympy.symbols(ideal.variables)
-    polys = [
-        sympy.Poly.from_dict(
-            {e: sympy.Rational(c.numerator, c.denominator) for e, c in g.terms},
-            *symbols, domain="QQ",
-        )
-        for g in ideal.generators
-    ]
-    basis = sympy.groebner(polys, *symbols, order="lex", domain="QQ")
+    basis = _sympy_groebner(sympy, ideal)
     monic = [
         MultiPoly.from_terms(ideal.variables, {
             e: Fraction(int(c.p), int(c.q)) for e, c in p.monic().terms()
@@ -613,7 +622,7 @@ def _assert_matches_sympy(sympy, ideal):
         basis = groebner(ideal, guard=200)
     except DegreeGuardExceeded:
         assume(False)
-    assert basis == _sympy_reduced_basis(sympy, ideal)
+    assert basis.generators == _sympy_reduced_basis(sympy, ideal)
 
 
 class TestAgainstSympy:
@@ -651,6 +660,44 @@ class TestAgainstSympy:
         ])
         _assert_matches_sympy(sympy, ideal)
 
+    # Inner ideals mix random polynomials, mostly outside the ideal, with
+    # multiples of its generators, which lie inside.
+    @given(
+        st.sampled_from([("x", "y"), ("x", "y", "z")]),
+        st.lists(_TERMS, min_size=1, max_size=3),
+        st.lists(_TERMS, max_size=2),
+        st.lists(_TERMS, max_size=2),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_contains_agrees_with_member(
+        self, sympy, variables, gen_terms, other_terms, factor_terms
+    ):
+        ideal = Ideal.make(
+            variables, [_poly_from_terms(variables, t) for t in gen_terms]
+        )
+        assume(ideal.generators)
+        try:
+            basis = groebner(ideal, guard=200)
+        except DegreeGuardExceeded:
+            assume(False)
+        inner = Ideal.make(variables, [
+            _poly_from_terms(variables, t) for t in other_terms
+        ] + [
+            g * _poly_from_terms(variables, t)
+            for g, t in zip(ideal.generators, factor_terms)
+        ])
+        verdicts = [member(g, basis) for g in inner.generators]
+        assert contains(basis, inner) == all(verdicts)
+        assert verdicts == [
+            contains(basis, Ideal(variables, (g,))) for g in inner.generators
+        ]
+        expected = _sympy_groebner(sympy, ideal)
+        symbols = sympy.symbols(variables)
+        assert verdicts == [
+            expected.contains(_sympy_poly(sympy, symbols, g))
+            for g in inner.generators
+        ]
+
 
 class TestPairPruning:
     # S-pair reductions in completing the raw residual ideal of each sl2
@@ -683,13 +730,14 @@ class TestPairPruning:
 
 class TestMembership:
     def test_zero_in_everything(self):
-        assert member(MultiPoly.zero(RING), J)
+        assert member(MultiPoly.zero(RING), groebner(J))
+        assert member(MultiPoly.zero(RING), groebner(Ideal(RING, ())))
 
     def test_x22_is_a_member(self):
-        assert member(ring_poly("x22"), J)
+        assert member(ring_poly("x22"), groebner(J))
 
     def test_x32_is_not(self):
-        assert not member(ring_poly("x32"), J)
+        assert not member(ring_poly("x32"), groebner(J))
 
     def test_order_independence(self):
         forward = ("x", "y", "z")
@@ -698,9 +746,10 @@ class TestMembership:
         samples = ["x + y", "x*z + y*z", "x", "z", "x^2 - y^2", "y*z - z^2"]
         ideal_f = Ideal.make(forward, [poly_from_string(forward, g) for g in gens])
         ideal_b = Ideal.make(backward, [poly_from_string(backward, g) for g in gens])
+        basis_f, basis_b = groebner(ideal_f), groebner(ideal_b)
         for s in samples:
-            assert member(poly_from_string(forward, s), ideal_f) == member(
-                poly_from_string(backward, s), ideal_b
+            assert member(poly_from_string(forward, s), basis_f) == member(
+                poly_from_string(backward, s), basis_b
             )
 
 
@@ -708,19 +757,20 @@ class TestIdealOps:
     def test_product_with_unit(self):
         unit = Ideal.make(RING, [MultiPoly.const(RING, 1)])
         prod = ideal_product(J, unit)
-        assert contains(J, prod) and contains(prod, J)
+        assert contains(groebner(J), prod) and contains(groebner(prod), J)
 
     def test_product_contained_in_factors(self):
         prod = ideal_product(P1, P2)
-        assert contains(P1, prod)
-        assert contains(P2, prod)
+        assert contains(groebner(P1), prod)
+        assert contains(groebner(P2), prod)
 
     def test_family_b_decomposition_containments(self):
-        assert contains(P1, J)
-        assert contains(P2, J)
-        assert contains(J, ideal_product(P1, P2))
+        assert contains(groebner(P1), J)
+        assert contains(groebner(P2), J)
+        assert contains(groebner(J), ideal_product(P1, P2))
 
     def test_contains_completes_the_outer_basis_once(self, monkeypatch):
+        # The caller completes the outer ideal; contains completes nothing.
         calls = []
 
         def counting(ideal, *args):
@@ -728,9 +778,19 @@ class TestIdealOps:
             return groebner(ideal, *args)
 
         monkeypatch.setattr("gderive.polynomials.groebner", counting)
+        basis = polynomials.groebner(P1)
         assert len(J.generators) > 1
-        assert contains(P1, J)
+        assert contains(basis, J)
+        assert not contains(basis, ring_ideal(["x32"]))
         assert calls == [P1]
+
+    def test_empty_basis_keeps_its_ring(self):
+        zero = groebner(Ideal(RING, ()))
+        assert zero == Ideal(RING, ())
+        assert contains(zero, Ideal(RING, ()))
+        assert not contains(zero, J)
+        with pytest.raises(DimensionMismatch):
+            contains(zero, Ideal.make(("x", "y"), [xy_poly("x")]))
 
     def test_ring_mismatch(self):
         other = Ideal.make(("x", "y"), [xy_poly("x")])
@@ -756,6 +816,48 @@ class TestPrimeCheck:
     def test_unit_not_certified(self):
         cert = triangular_prime_check(Ideal.make(("x",), [poly_from_string(("x",), "1")]))
         assert not cert.certified
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_triangular_linear_generators_certified(self, data):
+        # Generators c*v + r with distinct leading variables v, c neither
+        # 0 nor 1, and each tail r in the free variables after v, so v
+        # leads in lex order; handed over in shuffled order.
+        n = len(TRIANGULAR_RING)
+        leading = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        assume(any(leading))
+        free = [k for k in range(n) if not leading[k]]
+        coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+        gens = []
+        for i in (k for k in range(n) if leading[k]):
+            lead = data.draw(coeffs.filter(lambda c: c not in (0, 1)))
+            terms = [(tuple(int(k == i) for k in range(n)), lead)]
+            for _ in range(data.draw(st.integers(0, 3))):
+                exps = [0] * n
+                for k in free:
+                    if k > i:
+                        exps[k] = data.draw(st.integers(0, 2))
+                terms.append((tuple(exps), data.draw(coeffs)))
+            gens.append(MultiPoly.from_terms(TRIANGULAR_RING, terms))
+        ideal = Ideal.make(TRIANGULAR_RING, data.draw(st.permutations(gens)))
+        cert = triangular_prime_check(ideal)
+        assert cert.certified
+        assert cert == triangular_prime_check(groebner(ideal))
+        assert cert.free_vars == tuple(TRIANGULAR_RING[k] for k in free)
+
+    def test_planted_non_prime_not_certified(self):
+        ideal = ring_ideal(["y*x11", "y*x12"])
+        for basis in (ideal, groebner(ideal)):
+            cert = triangular_prime_check(basis)
+            assert not cert.certified
+            assert cert.reason == "nonlinear leading term in x11*y"
+
+    def test_complete_only_on_the_reduced_basis(self):
+        ideal = Ideal.make(("x", "y"), [xy_poly("x - y"), xy_poly("x + y")])
+        cert = triangular_prime_check(ideal)
+        assert (cert.certified, cert.reason) == (False, "repeated leading variable")
+        cert = triangular_prime_check(groebner(ideal))
+        assert cert.certified and cert.free_vars == ()
 
 
 class TestSubstitution:

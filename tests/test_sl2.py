@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gderive import reproduce
 from gderive.algebra import Automorphism, builtin, make_automorphism
 from gderive.derivations import derivation_space, is_derivation_pair
 from gderive.errors import GDeriveError, InputError, ZeroParameterA
@@ -593,35 +594,50 @@ class TestDecompositionFamilyAB:
         # coordinates minus direction-times-recovered-scalar.
         rep = decompositions["ab"]
         _, p2 = known_components(Sl2Family.symbolic("ab"))
-        reduced = Ideal(p2.ideal.variables, groebner(p2.ideal))
+        reduced = groebner(p2.ideal)
         for g in rep.raw.generators:
             assert member(g, reduced)
 
 
+def _count_completions(monkeypatch) -> list:
+    """The ideals handed to every groebner call from here on."""
+    seen = []
+
+    def counting(ideal, *args):
+        seen.append(ideal)
+        return groebner(ideal, *args)
+
+    monkeypatch.setattr("gderive.polynomials.groebner", counting)
+    monkeypatch.setattr("gderive.sl2.groebner", counting)
+    return seen
+
+
 class TestSingleCompletion:
-    """verify_decomposition completes each ideal once and hands the
-    reduced basis on; completing a reduced basis again must return it."""
+    """verify_decomposition completes J and each component once and asks
+    every query of the reduced bases; completing a reduced basis again
+    must return it."""
 
     def test_raw_ideal_completed_once(self, monkeypatch):
-        seen = []
+        seen = _count_completions(monkeypatch)
+        for tag in ("b", "c", "ab"):
+            seen.clear()
+            rep = verify_decomposition(Sl2Family.symbolic(tag))
+            p1, p2 = known_components(Sl2Family.symbolic(tag))
+            assert seen == [rep.raw, p1.ideal, p2.ideal]
 
-        def counting(ideal, *args):
-            seen.append(ideal)
-            return groebner(ideal, *args)
-
-        monkeypatch.setattr("gderive.polynomials.groebner", counting)
-        monkeypatch.setattr("gderive.sl2.groebner", counting)
-        rep = verify_decomposition(Sl2Family.symbolic("b"))
-        assert seen.count(rep.raw) == 1
-        for component in known_components(Sl2Family.symbolic("b")):
-            assert seen.count(component.ideal) == 1
+    def test_reproduce_completes_nine_ideals(self, monkeypatch):
+        seen = _count_completions(monkeypatch)
+        monkeypatch.setattr(reproduce, "_usable_cpus", lambda: 1)
+        rows = reproduce.run(["thm1.6", "thm5.11", "thm5.12"])
+        assert [row.key for row in rows] == ["thm1.6", "thm5.11", "thm5.12"]
+        assert len(seen) == 9
 
     def test_reduced_bases_complete_to_themselves(self, decompositions):
         for tag, rep in decompositions.items():
-            assert groebner(rep.simplified) == rep.simplified.generators
+            assert groebner(rep.simplified) == rep.simplified
             for component in known_components(Sl2Family.symbolic(tag)):
                 basis = groebner(component.ideal)
-                assert groebner(Ideal(component.ideal.variables, basis)) == basis
+                assert groebner(basis) == basis
 
 
 class TestFixedDimensions:

@@ -96,7 +96,7 @@ SHARED_METHOD_NAMES = {
     "is_zero": {
         "linalg.Matrix": "sl2: nilpotent = d3.is_zero()",
         "polynomials.MultiPoly":
-            "polynomials: return remainder(p, groebner(ideal, guard)).is_zero",
+            "polynomials: return remainder(p, basis.generators).is_zero",
     },
     "kind": {
         "derivations.DerivationSpace": 'cli: "kind": space.kind,',
@@ -113,17 +113,17 @@ SHARED_METHOD_NAMES = {
     "raw": {
         "sl2.DecompositionReport":
             'cli: out["raw_generator_count"] = len(report.raw.generators)',
-        "sl2.DerivationIdealReport": "sl2: contains(reduced, report.raw, guard),",
+        "sl2.DerivationIdealReport": "sl2: contains(basis, report.raw),",
     },
     "simplified": {
         "sl2.DecompositionReport":
             'cli: out["ideal_generators"] = [str(p) for p in report.simplified.generators]',
         "sl2.DerivationIdealReport":
-            "sl2: product_in = contains(report.simplified, product, guard)",
+            "sl2: product_in = contains(report.simplified, product)",
     },
     "variables": {
         "polynomials.Ideal":
-            "sl2: component.ideal.variables, groebner(component.ideal, guard)",
+            "polynomials: return Ideal(ideal.variables, tuple(result))",
         "polynomials.MultiPoly":
             "sl2: ring = tuple(v for v in polys[0].variables if v not in assignment)",
     },
