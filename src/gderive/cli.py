@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .errors import GDeriveError, InputError, UnknownName
+from .errors import DimensionMismatch, GDeriveError, InputError, UnknownName
 from .limits import (
     DEFAULT_GUARD,
     DEFAULT_ORDER_BOUND,
@@ -352,6 +352,9 @@ def cmd_contain(args) -> int:
 
     outer = ideal_from_json_dict(_read_json(args.outer))
     inner = ideal_from_json_dict(_read_json(args.inner))
+    # A ring mismatch is an input error, reported before any completion.
+    if outer.variables != inner.variables:
+        raise DimensionMismatch("ideals live in different rings")
     verdict = contains(groebner(outer, args.degree_guard), inner)
     out = {"contains": verdict}
     _emit(out, args.format, lambda rep: [str(rep["contains"]).lower()])

@@ -40,6 +40,7 @@ from .linalg import (
 )
 from .record import Record
 from .sl2 import (
+    SL2,
     Sl2Family,
     _constant_value,
     _specialise,
@@ -61,10 +62,6 @@ class Row(Record):
     detail: str
 
 
-def _sl2():
-    return builtin("sl2")
-
-
 def _sigma_b(value) -> Matrix:
     return family_sigma(Sl2Family.fixed("b", b=value))
 
@@ -83,7 +80,7 @@ def _all_in_span(space: Subspace, matrices) -> bool:
 
 
 def _run_thm51():
-    g = _sl2()
+    g = SL2
     space = derivation_space(g, Automorphism.identity(g))
     generators = [
         derivation_matrix(1, 0, 0),
@@ -126,7 +123,7 @@ def _run_thm52():
 
 
 def _run_thm53():
-    g = _sl2()
+    g = SL2
     ok = True
     for v in (F(1), F(-2), F(3, 5)):
         upper = _sigma_b(v)
@@ -272,7 +269,7 @@ def _run_ex46():
 
 
 def _run_prop21():
-    g = _sl2()
+    g = SL2
     rng = random.Random(21)
 
     def sample():
@@ -307,7 +304,7 @@ def _run_prop21():
 
 
 def _run_thm13():
-    g = _sl2()
+    g = SL2
     sigma = make_automorphism(g, _sigma_b(F(1)))
     space = derivation_space(g, sigma, sigma)
     ok = space.dim == 3
@@ -341,7 +338,7 @@ def _run_thm13():
 
 
 def _run_prop41():
-    g = _sl2()
+    g = SL2
     cent = centroid(g)
     sigmas = [
         _sigma_b(F(1)),
@@ -375,7 +372,7 @@ def _run_prop41():
 
 
 def _run_rem37():
-    g = _sl2()
+    g = SL2
     identity = Automorphism.identity(g)
     tau = make_automorphism(g, _sigma_b(F(1)))
     report = intersection_report(
@@ -391,7 +388,7 @@ def _run_rem37():
 
 
 def _run_thm14():
-    g = _sl2()
+    g = SL2
     sigma = make_automorphism(g, _sigma_b(F(1)))
     gd = graded_dims(g, sigma, window=6)
     ok = gd.finite_order is None
@@ -496,12 +493,12 @@ def _worker(tickets: int, report: int, selected: list):
         os._exit(code)
 
 
-def _run_forked(selected: list, workers: int) -> list:
-    """Run the rows in this process and ``workers - 1`` forked ones, each
-    claiming the next row from one ticket pipe, and return them sorted
-    by key. No child outlives the call: on every path the
-    unclaimed tickets are drained, so each child stops after its current
-    row, and every child is reaped."""
+def _run_claimed(selected: list, workers: int) -> list:
+    """Run the rows in this process and ``workers - 1`` forked ones (none
+    when ``workers`` is 1), each claiming the next row from one ticket
+    pipe, and return them sorted by key. No child outlives the call: on
+    every path the unclaimed tickets are drained, so each child stops
+    after its current row, and every child is reaped."""
     tickets, feed = os.pipe()
     os.write(feed, bytes(range(len(selected))))
     os.close(feed)
@@ -547,9 +544,9 @@ def run(keys=None):
     """Execute the suite (or a key subset) and return rows sorted by key.
 
     The rows are independent of one another, so they run in one process
-    per usable CPU, forked after the imports; with one CPU, without
-    ``os.fork`` or with other threads running, they run here, one after
-    another."""
+    per usable CPU, forked after the imports. With one CPU, without
+    ``os.fork`` or with other threads running, there is one worker, this
+    process, and nothing is forked."""
     if keys is None:
         selected = sorted(_RUNNERS)
     else:
@@ -562,6 +559,6 @@ def run(keys=None):
                 selected.append(key)
         selected.sort()
     workers = min(len(selected), _usable_cpus())
-    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [_run_row(key) for key in selected]
-    return _run_forked(selected, workers)
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        workers = 1
+    return _run_claimed(selected, workers)

@@ -8,20 +8,20 @@ polynomial ring for a family lists the nine unknowns first and the
 family parameters last, in lexicographic order.
 
 Each family's automorphism is sigma = exp(G) for a nilpotent derivation
-G = D(a, b, c). At fixed parameters it is exp_nilpotent(G); the symbolic
-families use closed-form grids of exp(G) over the family ring, which the
-test suite proves equal to exp_nilpotent by interpolation. Fixed values
-enter a symbolic polynomial through one ring map, ``substitute_polys``
-with constant images (``_specialise``).
+G: exp_nilpotent(G) at fixed parameters, and a closed-form grid over the
+family ring when symbolic, which the test suite proves equal to
+exp_nilpotent. Fixed values enter a symbolic polynomial through one ring
+map, ``substitute_polys`` with constant images (``_specialise``).
 
-For each family the module reads the residual ideal J of the twisted
-identity off the structure table of sl2, and produces the candidate
-components p1 (untwisted slice) and p2 (parametric line family) and a
-verification report: containments, prime certificates, and a symbolic
-check that the parametric form zeroes every raw generator identically.
-Computed forms are authoritative; claimed forms and dimensions are
-carried alongside and compared, never silently substituted. A report
-holds what was computed, not the family it was asked for.
+The recorded data of each family is one entry of text in ``FAMILIES``,
+parsed by ``_grid``: the grid of sigma, the generators and forms of the
+components p1 (untwisted slice) and p2 (parametric line family), and the
+recorded dimensions and grids. The residual ideal J of the twisted
+identity is read off the structure table of sl2, and the components are
+checked against it: containments, prime certificates, and that each
+form zeroes every raw generator. Recorded claims are compared with what
+is computed, never substituted for it. A report holds what was
+computed, not the family it was asked for.
 """
 
 from __future__ import annotations
@@ -58,6 +58,90 @@ RING_ONE_PARAM = X_VARS + ("y",)
 RING_TWO_PARAM = X_VARS + ("b", "c")
 
 FAMILY_PARAMS = {"b": ("b",), "c": ("c",), "ab": ("a", "b")}
+
+# The recorded data of each family, as text: a grid lists its rows
+# separated by ";" and the entries of a row by ","; a list is one row.
+# "sigma" is exp(G) = I + G + G^2/2 over the family ring, for the
+# nilpotent G = D(0, y, 0), D(0, 0, y) and D(2bc, b, bc^2), the last
+# being D(a, b, a^2/4b) at c = a/2b. A component's fields are those of
+# `Component`, its "params" the values of the ring parameters in ring
+# order. A "published" grid has denominators (excluded locus a*b = 4 for
+# ab), so it stays text and gets no identity check.
+
+# On p1 the twisting parameter vanishes: a plain derivation D(u1, u2, u3).
+_P1_ONE_PARAM = {
+    "p1 gens": "x13, x22, x31, y, x11 + x33, x12 + 2*x23, x21 + 1/2*x32",
+    "p1 vars": ("u1", "u2", "u3"),
+    "p1 form": "u1, u2, 0; -2*u3, 0, -2*u2; 0, u3, -u1",
+    "p1 params": "0",
+    "p1 dim": 3,
+}
+
+FAMILIES = {
+    "b": {
+        "sigma": "1, y, -y^2; 0, 1, -2*y; 0, 0, 1",
+        **_P1_ONE_PARAM,
+        "p2 gens": "x11, x12, x13, x22, x23, x33, x21 + 1/2*x32, x31 - 1/2*x32*y",
+        "p2 vars": ("t", "y"),
+        "p2 form": "0, -1/2*t, 1/2*t*y; 0, 0, t; 0, 0, 0",
+        "p2 params": "y",
+        "p2 dim": 2,
+        "p2 recorded": "0, -1/2*t, 1/2*t*y; 0, 0, t; 0, 0, 0",
+        "fixed_claim": 4,
+    },
+    "c": {
+        "sigma": "1, 0, 0; -2*y, 1, 0; -y^2, y, 1",
+        **_P1_ONE_PARAM,
+        "p2 gens": "x11, x21, x22, x31, x32, x33, x12 + 2*x23, x13 + x23*y",
+        "p2 vars": ("t", "y"),
+        "p2 form": "0, 0, 0; -t, 0, 0; -1/2*t*y, 1/2*t, 0",
+        "p2 params": "y",
+        "p2 dim": 2,
+        # The recorded form of family c fails the identity.
+        "p2 recorded": "0, 0, 0; -2*t, 0, t; -2*t*y, 0, 0",
+        "fixed_claim": 4,
+    },
+    "ab": {
+        "sigma": (
+            "b^2*c^2 + 2*b*c + 1, b^2*c + b, -b^2; "
+            "-2*b^2*c^3 - 2*b*c^2, -2*b^2*c^2 + 1, 2*b^2*c - 2*b; "
+            "-b^2*c^4, -b^2*c^3 + b*c^2, b^2*c^2 - 2*b*c + 1"
+        ),
+        # sigma is the identity at b = 0 for every c, so c stays free on p1.
+        "p1 gens": "x13, x22, x31, b, x11 + x33, x12 + 2*x23, x21 + 1/2*x32",
+        "p1 vars": ("u1", "u2", "u3", "c"),
+        "p1 form": "u1, u2, 0; -2*u3, 0, -2*u2; 0, u3, -u1",
+        "p1 params": "0, c",
+        "p1 dim": 3,
+        # p2 is the line t*n, n the form at t = 1; its generators
+        # x_jk - n_kj*(1/2*x21 - 1/4*x32) recover t from x21 and x32.
+        "p2 gens": (
+            "x11 - 1/2*x21*b*c^2 - x21*c + 1/4*x32*b*c^2 + 1/2*x32*c, "
+            "x12 + x21*b*c^3 + x21*c^2 - 1/2*x32*b*c^3 - 1/2*x32*c^2, "
+            "x13 + 1/2*x21*b*c^4 - 1/4*x32*b*c^4, "
+            "-1/2*x21*b*c + 1/2*x21 + 1/4*x32*b*c + 1/4*x32, "
+            "x21*b*c^2 + x22 - 1/2*x32*b*c^2, "
+            "1/2*x21*b*c^3 - 1/2*x21*c^2 + x23 - 1/4*x32*b*c^3 + 1/4*x32*c^2, "
+            "1/2*x21*b + x31 - 1/4*x32*b, "
+            "-x21*b*c + x21 + 1/2*x32*b*c + 1/2*x32, "
+            "-1/2*x21*b*c^2 + x21*c + 1/4*x32*b*c^2 - 1/2*x32*c + x33"
+        ),
+        "p2 vars": ("t", "b", "c"),
+        "p2 form": (
+            "t*b*c^2 + 2*t*c, t*b*c + t, -t*b; "
+            "-2*t*b*c^3 - 2*t*c^2, -2*t*b*c^2, 2*t*b*c - 2*t; "
+            "-t*b*c^4, -t*b*c^3 + t*c^2, t*b*c^2 - 2*t*c"
+        ),
+        "p2 params": "b, c",
+        "p2 dim": 3,
+        "p2 published": (
+            "(ab+4)/(ab-4)*c, (-a^2b-2a)/(ab^2-4b)*c, (-a^3/4)/(ab^2-4b)*c; "
+            "(2ab^2+4b)/(a^2b-4a)*c, (-2ab)/(ab-4)*c, (a-a^2b/2)/(ab^2-4b)*c; "
+            "(-4b^3)/(a^2b-4a)*c, (4ab^2-8b)/(a^2b-4a)*c, c"
+        ),
+        "fixed_claim": 4,
+    },
+}
 
 
 class Sl2Family(Record):
@@ -137,41 +221,19 @@ def _generator_matrix(tag: str, values: dict) -> Matrix:
     return derivation_matrix(a, b, a * a / (4 * b))
 
 
-# exp(G) = I + G + G^2/2 for each family's nilpotent generator G, as
-# polynomials in the family parameters: G = D(0, y, 0), D(0, 0, y) and
-# D(2bc, b, bc^2), the last being D(a, b, a^2/4b) at c = a/2b.
-SYMBOLIC_SIGMA = {
-    "b": (
-        ("1", "y", "-y^2"),
-        ("0", "1", "-2*y"),
-        ("0", "0", "1"),
-    ),
-    "c": (
-        ("1", "0", "0"),
-        ("-2*y", "1", "0"),
-        ("-y^2", "y", "1"),
-    ),
-    "ab": (
-        ("b^2*c^2 + 2*b*c + 1", "b^2*c + b", "-b^2"),
-        ("-2*b^2*c^3 - 2*b*c^2", "-2*b^2*c^2 + 1", "2*b^2*c - 2*b"),
-        ("-b^2*c^4", "-b^2*c^3 + b*c^2", "b^2*c^2 - 2*b*c + 1"),
-    ),
-}
-
-
 def family_sigma(f: Sl2Family):
     """The automorphism of the family: exp_nilpotent of its generator when
     fixed; when symbolic, the closed-form grid of exp(G) over the family
     ring, which the test suite proves equal to exp_nilpotent."""
     if f.values is not None:
         return exp_nilpotent(_generator_matrix(f.tag, f.values))
-    return _matrix_of_strings(f.ring, SYMBOLIC_SIGMA[f.tag])
+    return _grid(f.ring, FAMILIES[f.tag]["sigma"])
 
 
-def _matrix_of_strings(ring, rows):
-    return tuple(
-        tuple(poly_from_string(ring, e) for e in row) for row in rows
-    )
+def _grid(ring, text):
+    """Recorded text as a grid over the named ring, or of text if None."""
+    parse = str.strip if ring is None else lambda e: poly_from_string(ring, e)
+    return tuple(tuple(map(parse, row.split(","))) for row in text.split(";"))
 
 
 # -- the residual ideal -------------------------------------------------------
@@ -296,129 +358,26 @@ def _constant_value(p: MultiPoly) -> Fraction:
     raise InputError("assignment does not evaluate the form to a constant")
 
 
-def _strings(ring, items):
-    return tuple(poly_from_string(ring, s) for s in items)
-
-
-P1_ONE_PARAM = (
-    "x13", "x22", "x31", "y",
-    "x11 + x33", "x12 + 2*x23", "x21 + 1/2*x32",
-)
-P2_FAMILY_B = (
-    "x11", "x12", "x13", "x22", "x23", "x33",
-    "x21 + 1/2*x32", "x31 - 1/2*x32*y",
-)
-P2_FAMILY_C = (
-    "x11", "x21", "x22", "x31", "x32", "x33",
-    "x12 + 2*x23", "x13 + x23*y",
-)
-P1_TWO_PARAM = (
-    "x13", "x22", "x31", "b",
-    "x11 + x33", "x12 + 2*x23", "x21 + 1/2*x32",
-)
-
-# Parameters that must vanish on the untwisted slice of each family.
-_VANISHING_PARAMS = ("y", "b")
-
-# Direction vector of the two-parameter line component, as matrix rows.
-AB_DIRECTION = (
-    ("2*c + b*c^2", "1 + b*c", "-1*b"),
-    ("-2*c^2 - 2*b*c^3", "-2*b*c^2", "2*b*c - 2"),
-    ("-1*b*c^4", "c^2 - b*c^3", "b*c^2 - 2*c"),
-)
-
-# Published grid for the two-parameter component; the denominators make
-# it a report-only artifact, excluded locus a*b = 4.
-AB_CLAIMED_FORM = (
-    ("(ab+4)/(ab-4)*c", "(-a^2b-2a)/(ab^2-4b)*c", "(-a^3/4)/(ab^2-4b)*c"),
-    ("(2ab^2+4b)/(a^2b-4a)*c", "(-2ab)/(ab-4)*c", "(a-a^2b/2)/(ab^2-4b)*c"),
-    ("(-4b^3)/(a^2b-4a)*c", "(4ab^2-8b)/(a^2b-4a)*c", "c"),
-)
-
-
-def _untwisted_component(ring, gens, param_names):
-    # V(p1): the twisting parameter vanishes and the matrix is a plain
-    # derivation. In the two-parameter family only b must vanish for the
-    # automorphism to collapse to the identity, so c stays free.
-    form_vars = ("u1", "u2", "u3") + tuple(
-        n for n in param_names if n not in _VANISHING_PARAMS
-    )
-    zero = MultiPoly.zero(form_vars)
-    u = [MultiPoly.var(form_vars, n) for n in ("u1", "u2", "u3")]
-    a, b, c = u
-    form = (
-        (a, b, zero),
-        (c.scale(-2), zero, b.scale(-2)),
-        (zero, c, a.scale(-1)),
-    )
-    parameter_values = {}
-    for name in param_names:
-        if name in form_vars:
-            parameter_values[name] = MultiPoly.var(form_vars, name)
-        else:
-            parameter_values[name] = zero
-    return Component(
-        "p1", Ideal.make(ring, _strings(ring, gens)), form, form_vars,
-        parameter_values, 3,
-    )
-
-
 def known_components(f: Sl2Family) -> tuple:
-    """(p1, p2) with their certified generator lists and parametrizations."""
-    if f.tag != "ab":
-        p1 = _untwisted_component(RING_ONE_PARAM, P1_ONE_PARAM, ("y",))
-        form_vars = ("t", "y")
-        t = MultiPoly.var(form_vars, "t")
-        y = MultiPoly.var(form_vars, "y")
-        zero = MultiPoly.zero(form_vars)
-        half = Fraction(1, 2)
-        if f.tag == "b":
-            gens = P2_FAMILY_B
-            form = claimed = (
-                (zero, t.scale(-half), (t * y).scale(half)),
-                (zero, zero, t),
-                (zero, zero, zero),
-            )
-        else:
-            # The recorded form of family c fails the identity.
-            gens = P2_FAMILY_C
-            form = (
-                (zero, zero, zero),
-                (t.scale(-1), zero, zero),
-                ((t * y).scale(-half), t.scale(half), zero),
-            )
-            claimed = (
-                (zero, zero, zero),
-                (t.scale(-2), zero, t),
-                ((t * y).scale(-2), zero, zero),
-            )
-        p2 = Component(
-            "p2",
-            Ideal.make(RING_ONE_PARAM, _strings(RING_ONE_PARAM, gens)),
-            form, form_vars, {"y": y}, 2, claimed_form=claimed,
-        )
-        return p1, p2
-    p1 = _untwisted_component(RING_TWO_PARAM, P1_TWO_PARAM, ("b", "c"))
-    form_vars = ("t", "b", "c")
-    t = MultiPoly.var(form_vars, "t")
-    direction = _matrix_of_strings(form_vars, [list(r) for r in AB_DIRECTION])
-    form = tuple(
-        tuple(t * e for e in row) for row in direction
-    )
-    scale_t = poly_from_string(RING_TWO_PARAM, "1/2*x21 - 1/4*x32")
-    gens = []
-    for j in range(3):
-        for k in range(3):
-            x = MultiPoly.var(RING_TWO_PARAM, X_VARS[3 * j + k])
-            n = AB_DIRECTION[k][j]
-            n_lifted = poly_from_string(RING_TWO_PARAM, n)
-            gens.append(x - n_lifted * scale_t)
-    p2 = Component(
-        "p2", Ideal.make(RING_TWO_PARAM, gens), form, form_vars,
-        {"b": MultiPoly.var(form_vars, "b"), "c": MultiPoly.var(form_vars, "c")},
-        3, claimed_form=AB_CLAIMED_FORM,
-    )
-    return p1, p2
+    """(p1, p2) of the family, parsed from its recorded data."""
+    entry = FAMILIES[f.tag]
+    components = []
+    for name in ("p1", "p2"):
+        variables = entry[name + " vars"]
+        text = entry.get(name + " recorded") or entry.get(name + " published")
+        ring = variables if name + " recorded" in entry else None
+        claimed = text and _grid(ring, text)
+        (params,) = _grid(variables, entry[name + " params"])
+        components.append(Component(
+            name,
+            Ideal.make(f.ring, _grid(f.ring, entry[name + " gens"])[0]),
+            _grid(variables, entry[name + " form"]),
+            variables,
+            dict(zip(f.ring[len(X_VARS):], params)),
+            entry[name + " dim"],
+            claimed,
+        ))
+    return tuple(components)
 
 
 # -- decomposition verification ----------------------------------------------
@@ -533,4 +492,5 @@ def fixed_param_dimension(f: Sl2Family) -> FixedDimensionReport:
         raise InputError("fixed parameter values are required")
     gens = _raw_ideal(f).generators
     space = kernel_of_rows(linear_rows(gens, X_VARS), 9)
-    return FixedDimensionReport(space.dim, square_maps(space.rows, 3), 4)
+    claim = FAMILIES[f.tag]["fixed_claim"]
+    return FixedDimensionReport(space.dim, square_maps(space.rows, 3), claim)

@@ -724,15 +724,16 @@ class TestPolynomialCommands:
         assert "error[InvalidInput]: degree guard must be between 0 and 1000000" in err
         assert "Traceback" not in err
 
-    # The handler completes the outer ideal before contains compares the
-    # rings or reads the inner ideal, so a completion error comes first:
-    # a tripped guard even when the inner ideal is zero or in another
-    # ring, and the guard's range before the rings.
+    # The handler compares the rings first, so a ring mismatch is reported
+    # as the input error it is, before the guard's range or a tripped
+    # guard; then it completes the outer ideal, so a tripped guard comes
+    # before reading the inner ideal, even when that is zero.
     @pytest.mark.parametrize("outer, inner, guard, code, message", [
         ("trip", "empty", "0", 1, "error[DegreeGuardExceeded]"),
-        ("trip", "other", "0", 1, "error[DegreeGuardExceeded]"),
+        ("trip", "other", "0", 2,
+         "error[DimensionMismatch]: ideals live in different rings"),
         ("ideal", "other", "-1", 2,
-         "error[InvalidInput]: degree guard must be between 0 and 1000000"),
+         "error[DimensionMismatch]: ideals live in different rings"),
         ("ideal", "other", "5000", 2,
          "error[DimensionMismatch]: ideals live in different rings"),
         ("trip", "ideal", "0", 1, "error[DegreeGuardExceeded]"),
@@ -904,9 +905,10 @@ class TestReproduce:
         assert report["all_ok"] is True
 
     def test_thm53_checks_the_symbolic_two_parameter_grid(self, monkeypatch):
-        wrong = [list(row) for row in sl2.SYMBOLIC_SIGMA["ab"]]
-        wrong[0][2] = "-b^2 + 1"
-        monkeypatch.setitem(sl2.SYMBOLIC_SIGMA, "ab", tuple(map(tuple, wrong)))
+        entry = sl2.FAMILIES["ab"]
+        wrong = entry["sigma"].replace(", -b^2;", ", -b^2 + 1;", 1)
+        assert wrong != entry["sigma"]
+        monkeypatch.setitem(entry, "sigma", wrong)
         assert reproduce.run(["thm5.3"])[0].ok is False
 
     def test_unknown_key(self, capsys):

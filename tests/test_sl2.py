@@ -19,12 +19,14 @@ from gderive.errors import GDeriveError, InputError, ZeroParameterA
 from gderive.linalg import Matrix, exp_nilpotent, matrix_to_vec
 from gderive.polynomials import (
     Ideal,
+    MultiPoly,
     contains,
     groebner,
     member,
     poly_from_string,
 )
 from gderive.sl2 import (
+    FAMILIES,
     RING_ONE_PARAM,
     RING_TWO_PARAM,
     X_VARS,
@@ -34,6 +36,7 @@ from gderive.sl2 import (
     derivation_matrix,
     family_sigma,
     fixed_param_dimension,
+    _grid,
     _specialise,
     known_components,
     verify_decomposition,
@@ -513,6 +516,56 @@ class TestComponents:
             assert params == {"b": b, "c": c}
             sig = sigma_for("ab", a=2 * b * c, b=b)
             assert is_derivation_pair(SL2, m, sig, ID_SL2)
+
+    @pytest.mark.parametrize("tag", sorted(FAMILIES))
+    def test_every_recorded_text_parses_in_its_ring(self, tag):
+        entry = FAMILIES[tag]
+        ring = Sl2Family.symbolic(tag).ring
+        assert [len(r) for r in _grid(ring, entry["sigma"])] == [3, 3, 3]
+        checked = {"sigma", "fixed_claim"}
+        for name in ("p1", "p2"):
+            variables = entry[name + " vars"]
+            assert len(_grid(ring, entry[name + " gens"])) == 1
+            (params,) = _grid(variables, entry[name + " params"])
+            assert len(params) == len(ring) - len(X_VARS)
+            for key in (name + " form", name + " recorded"):
+                if key in entry:
+                    grid = _grid(variables, entry[key])
+                    assert [len(r) for r in grid] == [3, 3, 3]
+            checked |= {
+                f"{name} {field}"
+                for field in ("gens", "vars", "params", "dim", "form", "recorded")
+            }
+        # The one grid kept as text has denominators, which do not parse.
+        texts = set(entry) - checked
+        assert texts == ({"p2 published"} if tag == "ab" else set())
+        for key in texts:
+            for row in _grid(None, entry[key]):
+                for e in row:
+                    if "/" in e:
+                        with pytest.raises(InputError):
+                            poly_from_string(entry["p2 vars"], e)
+
+    def test_two_parameter_generators_follow_the_form(self):
+        # n is the form at t = 1 over the family ring, and the generators
+        # are x_jk - n_kj*(1/2*x21 - 1/4*x32), recorded in (j, k) order.
+        entry = FAMILIES["ab"]
+        ring = RING_TWO_PARAM
+        at_one = {"t": MultiPoly.const(ring, 1)}
+        n = [
+            [e.substitute_polys(ring, at_one) for e in row]
+            for row in _grid(entry["p2 vars"], entry["p2 form"])
+        ]
+        scale = poly_from_string(ring, "1/2*x21 - 1/4*x32")
+        derived = [
+            MultiPoly.var(ring, X_VARS[3 * j + k]) - n[k][j] * scale
+            for j in range(3)
+            for k in range(3)
+        ]
+        recorded = [g.strip() for g in entry["p2 gens"].split(",")]
+        assert [str(g) for g in derived] == recorded
+        _, p2 = known_components(Sl2Family.symbolic("ab"))
+        assert p2.ideal.generators == tuple(derived)
 
     def test_recorded_two_parameter_form_keeps_denominators(self):
         _, p2 = known_components(Sl2Family.symbolic("ab"))

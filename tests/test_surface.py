@@ -77,7 +77,7 @@ SHARED_METHOD_NAMES = {
         "derivations.DerivationSpace":
             "hilbert: return derivation_space(g, power, kind=kind).dim",
         "linalg.Subspace":
-            "sl2: return FixedDimensionReport(space.dim, square_maps(space.rows, 3), 4)",
+            "sl2: return FixedDimensionReport(space.dim, square_maps(space.rows, 3), claim)",
     },
     "dimension": {
         "derivations.IntersectionReport": 'cli: "dimension": report.dimension,',
@@ -347,7 +347,7 @@ def test_walk_covers_private_names_and_constants():
         for node in ast.parse(path.read_text(encoding="utf-8")).body
         for node_name in _defined_names(node)
     }
-    assert {"X_VARS", "_VANISHING_PARAMS", "_raw_ideal", "Sl2Family"} <= names
+    assert {"X_VARS", "_ABELIAN_RE", "_raw_ideal", "Sl2Family"} <= names
     assert "__version__" in names
 
 
