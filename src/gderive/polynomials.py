@@ -18,6 +18,14 @@ guard bounds the number of new basis elements. Membership and containment
 divide by the reduced basis it returns, never completing it again.
 Primality is certified only through the triangular-linear criterion
 (leading variables minus free variables), never decided in general.
+
+Polynomial text (``poly_from_string``) is a sum of terms: a rational
+coefficient, factors ``name`` or ``name^k`` (k a nonnegative integer)
+joined by ``*``, or a coefficient, ``*`` and factors. Every term after the
+first needs a sign, ``+`` or ``-``, and a coefficient may carry its own
+``-``: ``x-3`` is x - 3, ``x - -3`` is x + 3. Whitespace may surround any
+token. Text that is not a run of tokens is rejected first; then terms are
+read left to right, each checked against ``MAX_EXPONENT`` as it ends.
 """
 
 from __future__ import annotations
@@ -289,107 +297,53 @@ def _times(a, b) -> dict:
 
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_TOKEN_RE = re.compile(
-    rf"\s*(?:(?P<rat>-?[0-9]+(?:/[0-9]+)?)|(?P<name>{_NAME})|(?P<op>[-+*^]))"
+_RAT = r"[0-9]+(?:/[0-9]+)?"
+# A run of tokens, each taken whole as a scanner takes it: the lookahead
+# and its back reference stand in for an atomic group, which needs
+# Python 3.11.
+_TOKENS = re.compile(rf"(?:\s*(?=(-?{_RAT}|{_NAME}|[-+*^]))\1)*")
+_FACTOR = re.compile(rf"({_NAME})(?:\s*\^\s*([0-9]+))?")
+_FACTORS = rf"{_NAME}(?:\s*\^\s*[0-9]+)?(?:\s*\*\s*{_NAME}(?:\s*\^\s*[0-9]+)?)*"
+# One term: sign, coefficient, factors after it, factors alone. The
+# whitespace after the sign sits in the sign's optional group, or two \s*
+# could split one run of blanks in quadratically many ways.
+_TERM = re.compile(
+    rf"\s*(?:([-+])\s*)?(?:(-?{_RAT})(?:\s*\*\s*({_FACTORS}))?|({_FACTORS}))"
 )
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if not match or match.end() == pos:
-            raise InputError(f"bad polynomial syntax at {text[pos:]!r}")
-        if match.group("rat") is not None:
-            tokens.append(("rat", match.group("rat")))
-        elif match.group("name") is not None:
-            tokens.append(("name", match.group("name")))
-        else:
-            tokens.append(("op", match.group("op")))
-        pos = match.end()
-    return tokens
-
-
 def poly_from_string(variables, text: str) -> MultiPoly:
-    """Parse a sum of monomials: rational coefficients, '*', '^', no parens."""
+    """Parse a sum of terms in the grammar of the module docstring."""
     variables = tuple(variables)
     index = {v: i for i, v in enumerate(variables)}
-    tokens = _tokenize(text)
-    if not tokens:
+    end = _TOKENS.match(text).end()
+    if text[end:].strip():
+        raise InputError(f"bad polynomial syntax at {text[end:]!r}")
+    if not end:
         raise InputError("empty polynomial string")
-    terms = {}
+    terms = []
     pos = 0
-
-    def parse_term(sign: Fraction, pos: int):
-        coeff = sign
+    while pos < end:
+        term = _TERM.match(text, pos)
+        # Every term after the first needs its sign.
+        if not term or (pos and not term[1]):
+            raise InputError(f"bad polynomial syntax at {text[pos:]!r}")
+        sign, coeff, tail, factors = term.groups()
+        coeff = parse_rational(coeff) if coeff else Fraction(1)
         exps = [0] * len(variables)
-        expect_factor = True
-        saw_factor = False
-        while pos < len(tokens):
-            kind, value = tokens[pos]
-            if expect_factor:
-                if kind == "rat":
-                    if saw_factor:
-                        raise InputError("coefficient must lead its term")
-                    coeff *= parse_rational(value)
-                    saw_factor = True
-                    pos += 1
-                elif kind == "name":
-                    if value not in index:
-                        raise UnknownVariable(f"variable {value!r} not in ring")
-                    power = 1
-                    pos += 1
-                    if pos + 1 < len(tokens) and tokens[pos] == ("op", "^"):
-                        kind2, value2 = tokens[pos + 1]
-                        if kind2 != "rat" or "/" in value2 or value2.startswith("-"):
-                            raise InputError("exponent must be a nonnegative integer")
-                        power = parse_rational(value2).numerator
-                        pos += 2
-                    exps[index[value]] += power
-                    saw_factor = True
-                else:
-                    raise InputError(f"unexpected {value!r} in polynomial")
-                expect_factor = False
-            else:
-                if kind == "op" and value == "*":
-                    expect_factor = True
-                    pos += 1
-                else:
-                    break
-        if not saw_factor:
-            raise InputError("empty term in polynomial")
-        if expect_factor:
-            raise InputError("dangling '*' in polynomial")
+        for name, power in _FACTOR.findall(tail or factors or ""):
+            if name not in index:
+                raise UnknownVariable(f"variable {name!r} not in ring")
+            # parse_rational reports digits past Python's int limit as input.
+            exps[index[name]] += parse_rational(power).numerator if power else 1
         for name, e in zip(variables, exps):
             if e > MAX_EXPONENT:
                 raise InputError(
                     f"exponent of {name} is {e}; at most {MAX_EXPONENT} is accepted"
                 )
-        return coeff, tuple(exps), pos
-
-    sign = Fraction(1)
-    if tokens[0] == ("op", "-"):
-        sign = Fraction(-1)
-        pos = 1
-    elif tokens[0] == ("op", "+"):
-        pos = 1
-    while True:
-        coeff, exps, pos = parse_term(sign, pos)
-        terms[exps] = terms.get(exps, 0) + coeff
-        if pos == len(tokens):
-            break
-        kind, value = tokens[pos]
-        if kind == "rat" and value.startswith("-"):
-            # A literal like "-3" straight after a term acts as "- 3".
-            sign = Fraction(-1)
-            tokens[pos] = ("rat", value[1:])
-        elif kind == "op" and value in "+-":
-            sign = Fraction(1) if value == "+" else Fraction(-1)
-            pos += 1
-        else:
-            raise InputError(f"expected + or - between terms, got {value!r}")
-    return MultiPoly.from_terms(variables, terms.items())
+        terms.append((tuple(exps), -coeff if sign == "-" else coeff))
+        pos = term.end()
+    return MultiPoly.from_terms(variables, terms)
 
 
 def poly_to_string(p: MultiPoly) -> str:

@@ -656,6 +656,10 @@ class TestPolynomialCommands:
             capsys, "member", "--ideal", files["ideal"], "--poly", "x + 1"
         )
         assert report["member"] is False
+        report = run_json(
+            capsys, "member", "--ideal", files["ideal"], "--poly", "x^3 - x "
+        )
+        assert report == {"poly": "x^3 - x", "member": True}
 
     @pytest.mark.parametrize("poly", [
         f"x^{MAX_EXPONENT + 1}", "x^1000000000", "x^60000*x^60000", "y*x^99999*x^2",

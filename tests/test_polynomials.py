@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -13,6 +15,7 @@ from gderive.errors import (
     InputError,
     UnknownVariable,
 )
+from gderive.limits import MAX_EXPONENT
 from gderive.linalg import kernel_of_rows
 from gderive import polynomials
 from gderive.polynomials import (
@@ -100,11 +103,44 @@ P2 = ring_ideal(P2_GENS)
 TRIANGULAR_RING = ("v", "w", "x", "y", "z")
 
 
+# Polynomials in x, y, z with exponents up to 3 and rational coefficients:
+# leading coefficients are as a rule neither 1 nor integers, and may be
+# negative.
+_rational_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    min_size=1, max_size=5,
+).map(lambda terms: MultiPoly.from_terms(("x", "y", "z"), terms.items()))
+
+
 class TestParsePrint:
     def test_round_trip(self):
         for text in SIXTEEN + SIMPLIFIED:
             p = ring_poly(text)
             assert ring_poly(poly_to_string(p)) == p
+
+    @given(_rational_polys, st.data())
+    def test_printed_text_reads_back_whatever_its_spacing(self, p, data):
+        # Operators and the words between them, with any whitespace at
+        # each boundary, before the first and after the last.
+        pieces = re.findall(r"[-+*^]|[^-+*^\s]+", str(p))
+        spaces = data.draw(st.lists(
+            st.sampled_from(["", " ", "  ", "\t"]),
+            min_size=len(pieces) + 1, max_size=len(pieces) + 1,
+        ))
+        text = "".join(s + piece for s, piece in zip(spaces, pieces)) + spaces[-1]
+        assert poly_from_string(p.variables, str(p)) == p
+        assert poly_from_string(p.variables, text) == p
+
+    @pytest.mark.parametrize("text, terms", [
+        ("x - -3", {(1, 0): 1, (0, 0): 3}),
+        ("--3", {(0, 0): 3}),
+        ("x-3/2", {(1, 0): 1, (0, 0): Fraction(-3, 2)}),
+        ("2 * x ^ 2", {(2, 0): 2}),
+        ("x^2 - y \t", {(2, 0): 1, (0, 1): -1}),
+    ])
+    def test_spellings(self, text, terms):
+        assert xy_poly(text) == MultiPoly.from_terms(("x", "y"), terms.items())
 
     def test_glued_minus(self):
         assert xy_poly("x^2-y") == xy_poly("x^2 - y")
@@ -117,16 +153,43 @@ class TestParsePrint:
     def test_repeated_variable_factors_multiply(self):
         assert xy_poly("x*x*y") == xy_poly("x^2*y")
 
-    @pytest.mark.parametrize(
-        "bad", ["(x)", "x y", "x**2", "x^-1", "x^1/2", "", "x +", "2*3", "x*"]
-    )
+    @pytest.mark.parametrize("bad", [
+        "(x)", "x y", "x**2", "x^-1", "x^1/2", "", " ", "x +", "2*3", "x*",
+        "z + (", f"x^{MAX_EXPONENT + 1}",
+    ])
     def test_rejects_bad_syntax(self, bad):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError) as raised:
             xy_poly(bad)
+        assert raised.type is InputError
 
     def test_unknown_variable(self):
-        with pytest.raises(UnknownVariable):
-            xy_poly("x + z")
+        # Terms are read left to right, so z is reported before the later
+        # term 2*3, which has two coefficients.
+        for text in ["x + z", "z + 2*3"]:
+            with pytest.raises(UnknownVariable):
+                xy_poly(text)
+
+    @pytest.mark.parametrize("text", [
+        "x" + " " * 20000 + "*", "x" + " " * 20000 + "+", "x + " * 5000 + "*",
+    ])
+    def test_rejects_long_text_in_linear_time(self, text):
+        # A whitespace run that two optional parts of a pattern could share
+        # would take quadratic time to reject.
+        start = time.perf_counter()
+        with pytest.raises(InputError):
+            xy_poly(text)
+        assert time.perf_counter() - start < 0.5
+
+    def test_patterns_need_no_python_311(self):
+        # pyproject.toml declares Python 3.10, whose re module has neither
+        # atomic groups nor possessive quantifiers. Escapes and character
+        # classes are blanked first, so a literal '+' reads as no quantifier.
+        patterns = [v for v in vars(polynomials).values() if isinstance(v, re.Pattern)]
+        assert patterns
+        for pattern in patterns:
+            bare = re.sub(r"\\.|\[[^\]]*\]", "c", pattern.pattern)
+            assert "(?>" not in bare
+            assert not re.search(r"[*+?}]\+", bare), pattern.pattern
 
 
 class TestArithmetic:
@@ -240,16 +303,6 @@ def reference_divide(p, divisors):
         [MultiPoly.from_terms(p.variables, q.items()) for q in quotients],
         MultiPoly.from_terms(p.variables, rest.items()),
     )
-
-
-# Polynomials in x, y, z with exponents up to 3 and rational coefficients:
-# leading coefficients are as a rule neither 1 nor integers, and may be
-# negative.
-_rational_polys = st.dictionaries(
-    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
-    st.fractions(min_value=-9, max_value=9, max_denominator=12),
-    min_size=1, max_size=5,
-).map(lambda terms: MultiPoly.from_terms(("x", "y", "z"), terms.items()))
 
 
 _ab_polys = st.dictionaries(
