@@ -1,8 +1,11 @@
 """Structure-constant Lie algebras over the rationals.
 
-An algebra is its dimension plus the bracket table on basis pairs i < j;
-the other half of the table is implied by antisymmetry. All indices are
-0-based internally and 1-based in files and reports.
+An algebra is its dimension plus its nonzero structure constants, held
+as one sparse integer table over one scale: ``table[i]`` is
+{j: {k: scale * c_ij^k}}, in both orders (i, j) and (j, i), and scale is
+the lcm of the constants' denominators. ``make_algebra`` builds it from
+the exact constants on the pairs i < j. All indices are 0-based
+internally and 1-based in files and reports.
 """
 
 from __future__ import annotations
@@ -27,48 +30,56 @@ from gderive.linalg import (
     parse_rational,
     rank,
 )
-from gderive.record import Record, replace
+from gderive.record import Record
 
 _ABELIAN_RE = re.compile(r"^abelian\(0*([0-9]+)\)$")
 
 
 class LieAlgebra(Record):
-    """Bilinear antisymmetric product given by structure constants."""
+    """Bilinear antisymmetric product given by structure constants, held
+    as the sparse integer ``table`` over ``scale`` of the module
+    docstring. Callers share both and must not modify them."""
 
     name: str
     dim: int
-    structure: dict
-    lie_validated: bool = False
+    table: list
+    scale: int
 
-    @cached_property
-    def integer_table(self):
-        """(table, scale) of :func:`structure_table`, built on first use."""
-        scale = lcm(*(
-            a.denominator for vec in self.structure.values() for a in vec
-        ))
-        table = [{} for _ in range(self.dim)]
-        for (i, j), cij in self.structure.items():
-            for k, a in enumerate(cij):
-                if a:
-                    a = a.numerator * (scale // a.denominator)
-                    table[i].setdefault(j, {})[k] = a
-                    table[j].setdefault(i, {})[k] = -a
-        return table, scale
+
+def make_algebra(name: str, dim: int, constants: dict) -> LieAlgebra:
+    """The algebra with [e_i, e_j] = sum_k c_ij^k e_k.
+
+    ``constants`` maps pairs i < j to their sparse exact constants
+    {k: c}; a pair left out brackets to zero. The table keeps the pairs
+    in the given order and each pair's k ascending. It drops zero
+    constants, and so a pair whose constants are all zero.
+    """
+    scale = lcm(*(c.denominator for ck in constants.values() for c in ck.values()))
+    table = [{} for _ in range(dim)]
+    for (i, j), ck in constants.items():
+        cij = {
+            k: c.numerator * (scale // c.denominator)
+            for k, c in sorted(ck.items()) if c
+        }
+        if cij:
+            table[i][j] = cij
+            table[j][i] = {k: -a for k, a in cij.items()}
+    return LieAlgebra(name, dim, table, scale)
 
 
 def bracket(g: LieAlgebra, x, y):
     """Bilinear extension of the structure constants."""
     if len(x) != g.dim or len(y) != g.dim:
         raise DimensionMismatch("vectors must have the algebra dimension")
-    x = [Fraction(a) if isinstance(a, int) else a for a in x]
-    y = [Fraction(a) if isinstance(a, int) else a for a in y]
-    out = [Fraction(0)] * g.dim
-    for (i, j), cij in g.structure.items():
-        coeff = x[i] * y[j] - x[j] * y[i]
-        if coeff:
-            for k, a in enumerate(cij):
-                out[k] += coeff * a
-    return tuple(out)
+    out = [0] * g.dim
+    for i, row in enumerate(g.table):
+        if x[i]:
+            for j, cij in row.items():
+                coeff = x[i] * y[j]
+                if coeff:
+                    for k, a in cij.items():
+                        out[k] += coeff * a
+    return tuple(Fraction(a) / g.scale for a in out)
 
 
 def ad(g: LieAlgebra, x) -> Matrix:
@@ -78,22 +89,11 @@ def ad(g: LieAlgebra, x) -> Matrix:
     return Matrix.from_rows(zip(*columns))
 
 
-def structure_table(g: LieAlgebra):
-    """The nonzero structure constants as a sparse integer table.
-
-    Returns (table, scale): table[i] is {j: {k: scale * c_ij^k}} over the
-    pairs with a nonzero bracket, in both orders (i, j) and (j, i), and
-    scale is the lcm of the constants' denominators. The table is built
-    once per algebra and shared by every caller, which must not modify it.
-    """
-    return g.integer_table
-
-
 def bracket_images(table, columns, coeff):
     """coeff * [e_m, x_c] as sparse {r: value}, indexed [c][m].
 
     ``columns`` holds the vectors x_c as sparse {p: value} dicts and
-    ``table`` comes from :func:`structure_table`, whose scale carries over.
+    ``table`` is an algebra's table, whose scale carries over.
     """
     out = []
     for column in columns:
@@ -127,7 +127,7 @@ def validate_lie(g: LieAlgebra) -> ValidationReport:
     the sorted triple of {a, b, k}, with a minus sign when k lies between a
     and b, where the triple's term is [[e_b, e_a], e_k].
     """
-    table, scale = structure_table(g)
+    table, scale = g.table, g.scale
     residuals = {}
     for a, row in enumerate(table):
         for b, cab in row.items():
@@ -158,13 +158,6 @@ def validate_lie(g: LieAlgebra) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def with_validation(g: LieAlgebra) -> LieAlgebra:
-    """Return g flagged lie_validated when the Jacobi report is clean."""
-    if validate_lie(g).ok:
-        return replace(g, lie_validated=True)
-    return g
-
-
 def is_automorphism(g: LieAlgebra, m: Matrix) -> bool:
     """Invertible and multiplicative on all basis pairs i < j."""
     n = g.dim
@@ -173,7 +166,7 @@ def is_automorphism(g: LieAlgebra, m: Matrix) -> bool:
     if rank(m) < n:
         return False
     columns, scale = integer_columns(m)
-    table, _ = structure_table(g)
+    table = g.table
     # images[j][p] is [e_p, m e_j], so [m e_i, m e_j] = sum_p m_pi images[j][p].
     images = bracket_images(table, columns, 1)
     for i in range(n):
@@ -233,27 +226,16 @@ def require_validated(sigma: Automorphism) -> Automorphism:
     return sigma
 
 
-def _relations(pairs) -> dict:
-    return {
-        (i, j): tuple(Fraction(a) for a in vec) for (i, j), vec in pairs.items()
-    }
-
-
 def builtin(name: str) -> LieAlgebra:
-    """Catalog of the worked example algebras, pre-validated."""
+    """Catalog of the worked example algebras, each a Lie algebra."""
     if name == "sl2":
-        structure = _relations({
-            (0, 1): (-1, 0, 0),
-            (0, 2): (0, 2, 0),
-            (1, 2): (0, 0, -1),
-        })
-        return with_validation(LieAlgebra("sl2", 3, structure))
+        return make_algebra(
+            "sl2", 3, {(0, 1): {0: -1}, (0, 2): {1: 2}, (1, 2): {2: -1}}
+        )
     if name == "heisenberg":
-        structure = _relations({(0, 1): (0, 0, 1)})
-        return with_validation(LieAlgebra("heisenberg", 3, structure))
+        return make_algebra("heisenberg", 3, {(0, 1): {2: 1}})
     if name == "example_4_6":
-        structure = _relations({(0, 1): (0, 1, 0), (0, 2): (0, 0, 2)})
-        return with_validation(LieAlgebra("example_4_6", 3, structure))
+        return make_algebra("example_4_6", 3, {(0, 1): {1: 1}, (0, 2): {2: 2}})
     match = _ABELIAN_RE.match(name)
     if match:
         digits = match.group(1)
@@ -262,8 +244,7 @@ def builtin(name: str) -> LieAlgebra:
             raise InputError(
                 f"{name} is too large: abelian(n) needs n <= {MAX_DIM}"
             )
-        n = int(digits)
-        return with_validation(LieAlgebra(name, n, {}))
+        return make_algebra(name, int(digits), {})
     raise UnknownName(f"no built-in algebra named {name!r}")
 
 
@@ -285,7 +266,7 @@ def algebra_from_json_dict(data: dict) -> LieAlgebra:
         raise InputError(f"dim is too large: an algebra needs dim <= {MAX_DIM}")
     if not isinstance(entries, list):
         raise InputError("brackets must be a list")
-    structure = {}
+    constants = {}
     for item in entries:
         try:
             i, j, result = item["left"], item["right"], item["result"]
@@ -293,7 +274,7 @@ def algebra_from_json_dict(data: dict) -> LieAlgebra:
             raise InputError("bracket entries need left, right, result") from exc
         if not (type(i) is int and type(j) is int and 1 <= i < j <= dim):
             raise InputError(f"bracket pair ({i},{j}) must satisfy 1 <= i < j <= dim")
-        if (i - 1, j - 1) in structure:
+        if (i - 1, j - 1) in constants:
             raise InputError(f"bracket pair ({i},{j}) is listed twice")
         if not isinstance(result, list) or not all(
             isinstance(term, list) and len(term) == 2 for term in result
@@ -301,22 +282,22 @@ def algebra_from_json_dict(data: dict) -> LieAlgebra:
             raise InputError(
                 "bracket result must be a list of [coefficient, index] pairs"
             )
-        vec = [Fraction(0)] * dim
+        terms = constants[(i - 1, j - 1)] = {}
         for coeff, k in result:
             if not (type(k) is int and 1 <= k <= dim):
                 raise InputError(f"component index {k} out of range")
-            vec[k - 1] += parse_rational(coeff)
-        structure[(i - 1, j - 1)] = tuple(vec)
-    return LieAlgebra(name, dim, structure)
+            terms[k - 1] = terms.get(k - 1, 0) + parse_rational(coeff)
+    return make_algebra(name, dim, constants)
 
 
 def algebra_to_json_dict(g: LieAlgebra) -> dict:
     brackets = []
-    for (i, j) in sorted(g.structure):
-        vec = g.structure[(i, j)]
-        result = [
-            [format_rational(a), k + 1] for k, a in enumerate(vec) if a
-        ]
-        if result:
-            brackets.append({"left": i + 1, "right": j + 1, "result": result})
+    for i, row in enumerate(g.table):
+        for j in sorted(row):
+            if i < j:
+                result = [
+                    [format_rational(Fraction(a, g.scale)), k + 1]
+                    for k, a in row[j].items()
+                ]
+                brackets.append({"left": i + 1, "right": j + 1, "result": result})
     return {"name": g.name, "dim": g.dim, "brackets": brackets}

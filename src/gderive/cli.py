@@ -61,15 +61,13 @@ def _read_json(path: str) -> dict:
 
 def load_algebra(spec: str, require_valid: bool = True) -> LieAlgebra:
     """An algebra from a JSON file, or a built-in by name."""
-    from .algebra import algebra_from_json_dict, builtin, with_validation
+    from .algebra import algebra_from_json_dict, builtin, validate_lie
 
     try:
         g = builtin(spec)
     except UnknownName:
-        g = None
-    if g is None:
-        g = with_validation(algebra_from_json_dict(_read_json(spec)))
-    if require_valid and not g.lie_validated:
+        g = algebra_from_json_dict(_read_json(spec))
+    if require_valid and not validate_lie(g).ok:
         raise InputError(f"algebra {g.name!r} fails the Jacobi identity")
     return g
 

@@ -36,7 +36,6 @@ from gderive.algebra import (
     bracket_images,
     require_acts_on,
     require_validated,
-    structure_table,
 )
 from gderive.errors import DimensionMismatch, InputError, NotSigmaStable
 from gderive.linalg import (
@@ -88,7 +87,7 @@ def _identity_rows(g: LieAlgebra, alpha, beta, gamma, sigma: Matrix, tau: Matrix
     on the coefficients only through their denominators.
     """
     n = g.dim
-    table, _ = structure_table(g)
+    table = g.table
     sig, ds = integer_columns(sigma)
     ta, dt = integer_columns(tau)
     # (a, b, c) is (alpha, beta, gamma) times den.
@@ -153,7 +152,7 @@ def is_derivation_pair(
     require_validated(sigma)
     require_validated(tau)
     require_acts_on(g, d)
-    table, _ = structure_table(g)
+    table = g.table
     columns, dd = integer_columns(d)
     sig, ds = integer_columns(sigma.matrix)
     ta, dt = integer_columns(tau.matrix)
@@ -253,7 +252,7 @@ def quasiderivation_witness(g: LieAlgebra, d: Matrix):
     """
     require_acts_on(g, d)
     n = g.dim
-    table, _ = structure_table(g)
+    table = g.table
     columns, scale = integer_columns(d)
     # images[j][p] is [e_p, D e_j]; both sides carry both scales.
     images = bracket_images(table, columns, 1)

@@ -82,10 +82,3 @@ class Record:
         raise AttributeError(
             f"{type(self).__name__} is immutable; cannot delete {name!r}"
         )
-
-
-def replace(record: Record, **changes) -> Record:
-    """A copy of the record with the given fields changed."""
-    values = dict(zip(record._fields, record._values()))
-    values.update(changes)
-    return type(record)(**values)

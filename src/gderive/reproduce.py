@@ -88,9 +88,8 @@ def _run_thm51():
         derivation_matrix(0, 0, 1),
     ]
     ok = space.dim == 3
-    solved = _span_of(space.basis)
     displayed = _span_of(generators)
-    ok = ok and _all_in_span(solved, generators)
+    ok = ok and _all_in_span(space.subspace, generators)
     ok = ok and _all_in_span(displayed, space.basis)
     return ok, "confirmed", "dimension 3; parametric family spans both ways"
 
@@ -293,7 +292,7 @@ def _run_prop21():
         twisted = [twist(d, tau) for d in left.basis]
         if _span_of(twisted).dim != left.dim:
             return False, "confirmed", "twist collapsed a basis"
-        if not _all_in_span(_span_of(right.basis), twisted):
+        if not _all_in_span(right.subspace, twisted):
             return False, "confirmed", "twist left the target space"
         checked += 1
     return (
@@ -321,8 +320,7 @@ def _run_thm13():
     inv = sigma.inverse_matrix
     moved = [inv @ d for d in basis]
     untwisted = derivation_space(g, Automorphism.identity(g))
-    target = _span_of(untwisted.basis)
-    ok = ok and _all_in_span(target, moved)
+    ok = ok and _all_in_span(untwisted.subspace, moved)
     ok = ok and _span_of(moved).dim == 3
     for a in basis:
         for b in basis:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from gderive.algebra import builtin, structure_table
+from gderive.algebra import builtin
 from gderive.errors import InputError, ZeroParameterA
 from gderive.linalg import (
     Matrix,
@@ -247,7 +247,7 @@ def _residual_polynomials(ring, sigma):
     """Coordinate r of D[e_i, e_j] - [D e_i, sigma e_j] - [e_i, D e_j] is
     sum_m c_ij^m x_mr - sum_pq x_ip sigma_qj c_pq^r - sum_q x_jq c_iq^r,
     read off the structure table, with x_mr the unknown X_VARS[n*m + r]."""
-    table, scale = structure_table(SL2)
+    table = SL2.table
     n = SL2.dim
     x = [[MultiPoly.var(ring, X_VARS[n * m + r]) for r in range(n)]
          for m in range(n)]
@@ -274,7 +274,7 @@ def _residual_polynomials(ring, sigma):
             key = poly.monic()
             if key not in seen:
                 seen.add(key)
-                raw.append(poly.scale(Fraction(1, scale)))
+                raw.append(poly.scale(Fraction(1, SL2.scale)))
     return raw
 
 

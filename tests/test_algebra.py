@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -9,16 +10,21 @@ from hypothesis import strategies as st
 from gderive.algebra import (
     MAX_DIM,
     Automorphism,
-    LieAlgebra,
     ad,
     algebra_from_json_dict,
     algebra_to_json_dict,
     bracket,
     builtin,
     is_automorphism,
+    make_algebra,
     make_automorphism,
-    structure_table,
     validate_lie,
+)
+from gderive.derivations import (
+    abg_space,
+    centroid,
+    derivation_space,
+    quasiderivation_witness,
 )
 from gderive.errors import (
     DimensionMismatch,
@@ -27,11 +33,16 @@ from gderive.errors import (
     UnvalidatedAutomorphism,
 )
 from gderive.linalg import Matrix, exp_nilpotent
-from gderive.record import replace
+
+# The constants the built-ins are made from, {(i, j): {k: c}} on i < j.
+RAW = {
+    "sl2": {(0, 1): {0: -1}, (0, 2): {1: 2}, (1, 2): {2: -1}},
+    "heisenberg": {(0, 1): {2: 1}},
+    "example_4_6": {(0, 1): {1: 1}, (0, 2): {2: 2}},
+}
 
 SL2 = builtin("sl2")
 HEISENBERG = builtin("heisenberg")
-EX46 = builtin("example_4_6")
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -48,17 +59,15 @@ def unipotent_upper(b):
 
 class TestValidation:
     def test_simple_algebra_satisfies_jacobi(self):
-        assert validate_lie(SL2).ok and SL2.lie_validated
+        assert validate_lie(SL2).ok
 
     def test_abelian_satisfies_jacobi(self):
         assert validate_lie(builtin("abelian(3)")).ok
 
     def test_tampered_relations_are_caught(self):
-        bad = LieAlgebra("bad", 3, {
-            (0, 1): (Fraction(-1), Fraction(0), Fraction(0)),
-            (0, 2): (Fraction(2), Fraction(0), Fraction(0)),
-            (1, 2): (Fraction(0), Fraction(0), Fraction(-1)),
-        })
+        bad = make_algebra(
+            "bad", 3, {(0, 1): {0: -1}, (0, 2): {0: 2}, (1, 2): {2: -1}}
+        )
         report = validate_lie(bad)
         assert not report.ok
         assert report.violations[0][:3] == (1, 2, 3)
@@ -72,10 +81,10 @@ def perturbed_algebras(draw):
     """A built-in algebra, or a random sparse table on four basis vectors,
     with a few structure constants moved by small fractions, so that many
     draws fail Jacobi, some with fractional residuals."""
-    base = draw(st.sampled_from([SL2, HEISENBERG, EX46, None]))
+    base = draw(st.sampled_from([*RAW, None]))
     if base is None:
         n = 4
-        structure = {}
+        constants = {}
         for i in range(n):
             for j in range(i + 1, n):
                 if draw(st.booleans()):
@@ -83,19 +92,18 @@ def perturbed_algebras(draw):
                         st.one_of(st.just(Fraction(0)), structure_fractions),
                         min_size=n, max_size=n,
                     ))
-                    structure[(i, j)] = tuple(vec)
+                    constants[(i, j)] = dict(enumerate(vec))
     else:
-        n = base.dim
-        structure = dict(base.structure)
+        n = 3
+        constants = {pair: dict(ck) for pair, ck in RAW[base].items()}
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for pair, k, delta in draw(st.lists(
         st.tuples(st.sampled_from(pairs), st.integers(0, n - 1), structure_fractions),
         max_size=2,
     )):
-        vec = list(structure.get(pair, (Fraction(0),) * n))
-        vec[k] += delta
-        structure[pair] = tuple(vec)
-    return LieAlgebra("perturbed", n, structure)
+        ck = constants.setdefault(pair, {})
+        ck[k] = ck.get(k, 0) + delta
+    return make_algebra("perturbed", n, constants)
 
 
 def reference_violations(g):
@@ -192,7 +200,7 @@ class TestBracket:
 
     def test_stored_pairs_are_antisymmetric(self):
         basis = Matrix.identity(3).entries
-        for (i, j) in SL2.structure:
+        for (i, j) in RAW["sl2"]:
             forward = bracket(SL2, basis[i], basis[j])
             backward = bracket(SL2, basis[j], basis[i])
             assert backward == tuple(-a for a in forward)
@@ -243,25 +251,48 @@ class TestAdjoint:
 
 
 class TestStructureTable:
-    @pytest.mark.parametrize("g", [SL2, HEISENBERG, EX46], ids=lambda g: g.name)
-    def test_matches_the_bracket_table(self, g):
-        table, scale = structure_table(g)
-        basis = Matrix.identity(g.dim).entries
+    @pytest.mark.parametrize("name", list(RAW))
+    def test_matches_the_bracket_table(self, name):
+        g, raw = builtin(name), RAW[name]
+        assert g.scale == 1
         for i in range(g.dim):
             for j in range(g.dim):
-                expected = {
-                    k: scale * a
-                    for k, a in enumerate(bracket(g, basis[i], basis[j])) if a
-                }
-                assert table[i].get(j, {}) == expected
+                if (i, j) in raw:
+                    expected = raw[(i, j)]
+                else:
+                    expected = {k: -c for k, c in raw.get((j, i), {}).items()}
+                assert g.table[i].get(j, {}) == expected
 
-    def test_built_once_per_algebra(self):
-        g = algebra_from_json_dict(algebra_to_json_dict(SL2))
-        first = structure_table(g)
-        assert structure_table(g) is first
-        fresh = replace(g, lie_validated=True)
-        assert structure_table(fresh) is not first
-        assert structure_table(fresh) == first
+    def test_fractions_share_one_scale(self):
+        g = make_algebra("x", 3, {
+            (1, 2): {0: Fraction(3, 4)},
+            (0, 1): {2: Fraction(1, 6), 1: Fraction(-2, 3), 0: 0},
+        })
+        assert g.scale == 12
+        assert g.table == [
+            {1: {1: -8, 2: 2}},
+            {2: {0: 9}, 0: {1: 8, 2: -2}},
+            {1: {0: -9}},
+        ]
+        # The pairs keep the given order and each pair its k ascending.
+        assert list(g.table[1]) == [2, 0]
+        assert list(g.table[0][1]) == [1, 2]
+
+    def test_solvers_leave_the_shared_table_alone(self):
+        # sl2 with its bracket halved: the same automorphisms, scale 2.
+        g = make_algebra("half sl2", 3, {
+            (0, 1): {0: Fraction(-1, 2)}, (0, 2): {1: 1}, (1, 2): {2: Fraction(-1, 2)},
+        })
+        table, kept = g.table, copy.deepcopy(g.table)
+        sigma = make_automorphism(g, unipotent_upper(1))
+        assert validate_lie(g).ok
+        assert is_automorphism(g, sigma.matrix)
+        assert derivation_space(g, sigma, kind="plus").dim == 1
+        d = derivation_space(g, Automorphism.identity(g)).basis[0]
+        assert centroid(g).dim == 1
+        assert abg_space(g, 1, 2, 3).dim == 0
+        assert quasiderivation_witness(g, d) is not None
+        assert g.table is table and table == kept and g.scale == 2
 
 
 class TestAutomorphisms:
@@ -319,8 +350,8 @@ class TestAutomorphisms:
 
 class TestBuiltins:
     def test_catalog(self):
-        assert SL2.dim == 3 and len(SL2.structure) == 3
-        assert HEISENBERG.dim == 3 and len(HEISENBERG.structure) == 1
+        assert SL2.dim == 3 and sum(map(len, SL2.table)) == 6
+        assert HEISENBERG.dim == 3 and sum(map(len, HEISENBERG.table)) == 2
         assert builtin("abelian(4)").dim == 4
 
     def test_unknown(self):
@@ -347,8 +378,39 @@ class TestJson:
                 {"left": 2, "right": 3, "result": [["-1", 3]]},
             ],
         }
-        loaded = algebra_from_json_dict(data)
-        assert loaded.structure == SL2.structure
+        assert algebra_from_json_dict(data) == SL2
+
+    @given(perturbed_algebras())
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_keeps_the_table(self, g):
+        assert algebra_from_json_dict(algebra_to_json_dict(g)) == g
+
+    def test_repeated_component_index_adds_up(self):
+        g = algebra_from_json_dict({
+            "name": "x",
+            "dim": 3,
+            "brackets": [{"left": 1, "right": 2,
+                          "result": [["1/2", 3], ["1", 1], ["1/3", 3]]}],
+        })
+        assert g == make_algebra("x", 3, {(0, 1): {0: 1, 2: Fraction(5, 6)}})
+        assert algebra_to_json_dict(g)["brackets"] == [
+            {"left": 1, "right": 2, "result": [["1", 1], ["5/6", 3]]},
+        ]
+
+    def test_cancelling_pair_drops_out(self):
+        g = algebra_from_json_dict({
+            "name": "x",
+            "dim": 3,
+            "brackets": [
+                {"left": 1, "right": 2, "result": [["1/2", 3], ["-1/2", 3]]},
+                {"left": 1, "right": 3, "result": [["2", 2]]},
+            ],
+        })
+        assert g.table == [{2: {1: 2}}, {}, {0: {1: -2}}]
+        assert g.scale == 1
+        assert algebra_to_json_dict(g)["brackets"] == [
+            {"left": 1, "right": 3, "result": [["2", 2]]},
+        ]
 
     def test_rejects_bad_pair_order(self):
         with pytest.raises(InputError):

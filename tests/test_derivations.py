@@ -15,13 +15,12 @@ from hypothesis import strategies as st
 
 from gderive.algebra import (
     Automorphism,
-    LieAlgebra,
     ad,
     bracket,
     builtin,
     is_automorphism,
+    make_algebra,
     make_automorphism,
-    with_validation,
 )
 from gderive.derivations import (
     DerivationSpace,
@@ -492,6 +491,19 @@ class TestAssemblerAgainstElementaryMatrices:
         for space, identity in cases:
             assert space.subspace == elementary_reference(g, *identity)
 
+    @given(st.sampled_from([SL2, HEIS, EX46]), st.sampled_from(["plain", "plus"]),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_subspace_is_the_span_of_its_basis_maps(self, g, kind, data):
+        """The reproduce rows test membership in ``space.subspace`` where
+        they once spanned ``space.basis``: the two are one subspace."""
+        first = data.draw(inner_automorphisms(g))
+        second = data.draw(inner_automorphisms(g))
+        sigma = make_automorphism(g, first.matrix @ second.matrix)
+        space = derivation_space(g, sigma, kind=kind)
+        span = Subspace.span(g.dim ** 2, [matrix_to_vec(m) for m in space.basis])
+        assert span == space.subspace
+
 
 class TestIdentityRows:
     """The assembled rows carry no zero entry and no empty row, and span
@@ -536,8 +548,8 @@ def random_brackets(draw):
         for j in range(i + 1, n):
             vec = tuple(draw(sparse_rationals) for _ in range(n))
             if any(vec):
-                structure[(i, j)] = vec
-    return LieAlgebra("random", n, structure)
+                structure[(i, j)] = dict(enumerate(vec))
+    return make_algebra("random", n, structure)
 
 
 @st.composite
@@ -645,8 +657,8 @@ def gl_algebra(n):
             if l == i:
                 vec[k * n + j] -= 1
             if any(vec):
-                structure[(a, b)] = tuple(vec)
-    return with_validation(LieAlgebra(f"gl{n}", dim, structure))
+                structure[(a, b)] = dict(enumerate(vec))
+    return make_algebra(f"gl{n}", dim, structure)
 
 
 def twisted_gl4():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gderive import _kernels
 from gderive._kernels import rref_int
-from gderive.algebra import LieAlgebra, make_automorphism
+from gderive.algebra import make_algebra, make_automorphism
 from gderive.derivations import derivation_space
 from gderive.errors import DimensionMismatch, InputError, NotNilpotent, SingularMatrix
 from gderive.linalg import (
@@ -333,8 +333,8 @@ def twisted_gl4():
             if l == i:
                 vec[k * n + j] -= 1
             if any(vec):
-                structure[(a, b)] = tuple(vec)
-    g = LieAlgebra("gl4", dim, structure)
+                structure[(a, b)] = dict(enumerate(vec))
+    g = make_algebra("gl4", dim, structure)
     p = Matrix.from_rows([
         [1 if r == c else (-1) ** (r + c) if c > r else 0 for c in range(n)]
         for r in range(n)

@@ -1,5 +1,5 @@
 """The frozen value records: construction, equality, hashing, repr,
-immutability, ``replace`` and cached members, for every record class."""
+immutability and cached members, for every record class."""
 
 from __future__ import annotations
 
@@ -8,11 +8,11 @@ from fractions import Fraction
 import pytest
 
 from gderive import algebra, derivations, hilbert, linalg, polynomials, reproduce, sl2
-from gderive.algebra import Automorphism, LieAlgebra, builtin
+from gderive.algebra import Automorphism, builtin
 from gderive.errors import InputError
 from gderive.linalg import Matrix
 from gderive.polynomials import poly_from_string
-from gderive.record import Record, replace
+from gderive.record import Record
 from gderive.sl2 import Sl2Family
 
 ENGINES = (algebra, derivations, hilbert, linalg, polynomials, reproduce, sl2)
@@ -120,17 +120,6 @@ def test_repr_names_each_field(cls):
     assert repr(r) == f"{cls.__qualname__}({shown})"
 
 
-def test_replace_keeps_the_other_fields():
-    structure = {(0, 1): (Fraction(1), Fraction(0))}
-    g = LieAlgebra("x", 2, structure)
-    validated = replace(g, lie_validated=True)
-    assert validated.lie_validated is True
-    assert (validated.name, validated.dim) == ("x", 2)
-    assert validated.structure is structure
-    assert g.lie_validated is False
-    assert replace(g) == g and replace(g) is not g
-
-
 def test_unhashable_field_makes_an_unhashable_record():
     with pytest.raises(TypeError):
         hash(builtin("sl2"))
@@ -139,8 +128,6 @@ def test_unhashable_field_makes_an_unhashable_record():
 def test_sl2_family_checks_its_tag():
     with pytest.raises(InputError):
         Sl2Family("zz")
-    with pytest.raises(InputError):
-        replace(Sl2Family("b"), tag="zz")
     with pytest.raises(InputError):
         Sl2Family("b", {"c": Fraction(1)})
 

@@ -115,6 +115,10 @@ SHARED_METHOD_NAMES = {
             'cli: out["raw_generator_count"] = len(report.raw.generators)',
         "sl2.DerivationIdealReport": "sl2: contains(basis, report.raw),",
     },
+    "scale": {
+        "algebra.LieAlgebra": "algebra: table, scale = g.table, g.scale",
+        "polynomials.MultiPoly": "sl2: residual[r] += x[m][r].scale(c)",
+    },
     "simplified": {
         "sl2.DecompositionReport":
             'cli: out["ideal_generators"] = [str(p) for p in report.simplified.generators]',
