@@ -188,13 +188,15 @@ def is_automorphism(g: LieAlgebra, m: Matrix) -> bool:
 
 
 class Automorphism(Record):
-    algebra: LieAlgebra
+    """An automorphism held as its matrix. ``make_automorphism`` checks a
+    matrix first; this constructor checks nothing, and builds the identity
+    and the powers of an automorphism, automorphisms by construction."""
+
     matrix: Matrix
-    validated: bool = False
 
     @staticmethod
     def identity(g: LieAlgebra) -> "Automorphism":
-        return Automorphism(g, Matrix.identity(g.dim), True)
+        return Automorphism(Matrix.identity(g.dim))
 
     @cached_property
     def inverse_matrix(self) -> Matrix:
@@ -217,13 +219,7 @@ def make_automorphism(g: LieAlgebra, m: Matrix) -> Automorphism:
         raise UnvalidatedAutomorphism(
             "matrix is not an automorphism of the algebra"
         )
-    return Automorphism(g, m, True)
-
-
-def require_validated(sigma: Automorphism) -> Automorphism:
-    if not sigma.validated:
-        raise UnvalidatedAutomorphism("automorphism was not validated")
-    return sigma
+    return Automorphism(m)
 
 
 def builtin(name: str) -> LieAlgebra:

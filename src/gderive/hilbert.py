@@ -10,7 +10,7 @@ or the least eventually periodic pattern detected inside the window.
 
 from __future__ import annotations
 
-from gderive.algebra import Automorphism, LieAlgebra, require_validated
+from gderive.algebra import Automorphism, LieAlgebra
 from gderive.derivations import derivation_space
 from gderive.errors import FiniteOrderInput, InputError, NoPeriod
 from gderive.limits import (
@@ -46,7 +46,6 @@ def graded_dims(
     sigma^(k-1) times sigma, or times one shared inverse for k < 0), and
     each order step is one matrix product.
     """
-    require_validated(sigma)
     if kind not in ("plain", "plus"):
         raise InputError(f"unknown grading kind {kind!r}")
     if not 1 <= window <= MAX_WINDOW:
@@ -62,8 +61,7 @@ def graded_dims(
         steps, top, window = ((1, sigma.matrix),), order - 1, order
 
     def dim(m: Matrix) -> int:
-        power = Automorphism(sigma.algebra, m, sigma.validated)
-        return derivation_space(g, power, kind=kind).dim
+        return derivation_space(g, Automorphism(m), kind=kind).dim
 
     dims = {0: dim(Matrix.identity(sigma.matrix.rows))}
     for sign, step in steps:

@@ -598,6 +598,8 @@ def groebner(ideal: Ideal, guard: int = DEFAULT_GUARD) -> Ideal:
 def member(p: MultiPoly, basis: Ideal) -> bool:
     """True iff p reduces to zero by the basis. A False means "not in the
     ideal" only when the basis comes from `groebner`."""
+    if p.variables != basis.variables:
+        raise DimensionMismatch("polynomial and ideal live in different rings")
     return remainder(p, basis.generators).is_zero
 
 
@@ -635,13 +637,15 @@ def triangular_prime_check(basis: Ideal) -> PrimeCertificate:
     variables, hence a domain. Such generators have coprime leading
     terms, so they form a Groebner basis already: the check is sound on
     any generating set, and complete on the reduced basis from
-    `groebner`. Anything else yields "not certified", never "not prime".
+    `groebner`: the zero ideal is certified with every variable free, and
+    a constant generator is reported as the unit ideal. Anything else
+    yields "not certified", never "not prime".
     """
-    if not basis.generators:
-        return PrimeCertificate(False, (), (), "zero ideal not certified")
     leading_positions = []
     for f in basis.generators:
         exps = f.num[0][0]
+        if not any(exps):
+            return PrimeCertificate(False, (), (), "unit ideal")
         if sum(exps) != 1:
             return PrimeCertificate(
                 False, (), (), f"nonlinear leading term in {poly_to_string(f)}"

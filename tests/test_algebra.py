@@ -312,7 +312,7 @@ class TestAutomorphisms:
 
     def test_make_automorphism_validates(self):
         sigma = make_automorphism(SL2, unipotent_upper(1))
-        assert sigma.validated
+        assert sigma.matrix == unipotent_upper(1)
         with pytest.raises(UnvalidatedAutomorphism):
             make_automorphism(SL2, Matrix.from_rows(
                 [[2, 0, 0], [0, 1, 0], [0, 0, 1]]

@@ -1060,7 +1060,7 @@ PINNED_IDEAL_STDOUT = {
     ("prime-check", "--ideal", "@linear", "--format", "text"):
         "5baeb3017309452c45a851eaae359de813fbd258eefa2de3fe7baa759793f0db",
     ("prime-check", "--ideal", "@zero", "--format", "text"):
-        "b4ebb6662c08808a217deddcfc656509c9739b114a050903bf03166c55da5554",
+        "d24bce958ca331f41840b855245ac9116cf768c89b641aae9c5749c26f764a78",
     ("groebner", "--ideal", "@zero"):
         "1d8f308a583f03e920d18af6eb5c4e3be04aa12a98ab9bb1c29bd365d8225c8b",
     ("groebner", "--ideal", "@zero", "--format", "text"):

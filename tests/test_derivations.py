@@ -39,8 +39,8 @@ from gderive.errors import (
     DimensionMismatch,
     InputError,
     NotSigmaStable,
-    UnvalidatedAutomorphism,
 )
+from gderive.hilbert import graded_dims
 from gderive.linalg import (
     Matrix,
     Subspace,
@@ -167,9 +167,6 @@ class TestDerivationSpaces:
         with pytest.raises(InputError):
             derivation_space(HEIS, make_automorphism(
                 HEIS, Matrix.identity(3)), kind="sideways")
-        unval = Automorphism(SL2, Matrix.identity(3), validated=False)
-        with pytest.raises(UnvalidatedAutomorphism):
-            derivation_space(SL2, unval)
         with pytest.raises(DimensionMismatch):
             is_derivation_pair(SL2, Matrix.identity(2), ID_SL2, ID_SL2)
 
@@ -505,6 +502,27 @@ class TestAssemblerAgainstElementaryMatrices:
         assert span == space.subspace
 
 
+class TestPowersAreAutomorphisms:
+    """``graded_dims`` builds each power sigma^k without a check, since a
+    power of an automorphism is one; ``make_automorphism`` agrees."""
+
+    @given(st.sampled_from([SL2, HEIS]), st.sampled_from(["plain", "plus"]),
+           st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_each_power_in_the_window_passes_the_check(self, g, kind, data):
+        first = data.draw(inner_automorphisms(g))
+        second = data.draw(inner_automorphisms(g))
+        sigma = make_automorphism(g, first.matrix @ second.matrix)
+        gd = graded_dims(g, sigma, kind, window=2)
+        for k, dim in gd.dims.items():
+            base = sigma.matrix if k >= 0 else sigma.inverse_matrix
+            m = Matrix.identity(g.dim)
+            for _ in range(abs(k)):
+                m = m @ base
+            power = make_automorphism(g, m)
+            assert derivation_space(g, power, kind=kind).dim == dim
+
+
 class TestIdentityRows:
     """The assembled rows carry no zero entry and no empty row, and span
     the same conditions as the dense reference."""
@@ -556,13 +574,13 @@ def random_brackets(draw):
 def unipotent_maps(draw, g):
     """Upper unitriangular sigma. The systems are linear in D for any
     invertible sigma, and random brackets rarely admit sigma as an
-    automorphism, so the validation flag is set directly."""
+    automorphism, so the unchecked constructor builds sigma."""
     n = g.dim
     m = Matrix.from_rows([
         [1 if r == c else draw(sparse_rationals) if c > r else 0 for c in range(n)]
         for r in range(n)
     ])
-    return Automorphism(g, m, True)
+    return Automorphism(m)
 
 
 class TestSolversAgainstDenseGrids:

@@ -28,7 +28,7 @@ def power(sigma, k):
     m = Matrix.identity(base.rows)
     for _ in range(abs(k)):
         m = m @ base
-    return Automorphism(sigma.algebra, m, sigma.validated)
+    return Automorphism(m)
 
 SL2 = builtin("sl2")
 HEIS = builtin("heisenberg")

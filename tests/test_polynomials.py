@@ -21,6 +21,7 @@ from gderive import polynomials
 from gderive.polynomials import (
     Ideal,
     MultiPoly,
+    PrimeCertificate,
     contains,
     groebner,
     ideal_from_json_dict,
@@ -792,6 +793,13 @@ class TestMembership:
     def test_x32_is_not(self):
         assert not member(ring_poly("x32"), groebner(J))
 
+    def test_ring_mismatch(self):
+        # The empty basis has no divisor whose ring division would check.
+        p = xy_poly("x - y")
+        for gens in ((), (poly_from_string(("z",), "z"),)):
+            with pytest.raises(DimensionMismatch):
+                member(p, groebner(Ideal(("z",), gens)))
+
     def test_order_independence(self):
         forward = ("x", "y", "z")
         backward = ("z", "y", "x")
@@ -868,17 +876,21 @@ class TestPrimeCheck:
 
     def test_unit_not_certified(self):
         cert = triangular_prime_check(Ideal.make(("x",), [poly_from_string(("x",), "1")]))
-        assert not cert.certified
+        assert (cert.certified, cert.reason) == (False, "unit ideal")
+
+    def test_zero_ideal_certified_with_every_variable_free(self):
+        cert = triangular_prime_check(groebner(Ideal(("x", "y"), ())))
+        assert cert == PrimeCertificate(True, (), ("x", "y"), "triangular-linear")
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_triangular_linear_generators_certified(self, data):
         # Generators c*v + r with distinct leading variables v, c neither
         # 0 nor 1, and each tail r in the free variables after v, so v
-        # leads in lex order; handed over in shuffled order.
+        # leads in lex order; handed over in shuffled order. With no
+        # leading variable the ideal is zero, also certified.
         n = len(TRIANGULAR_RING)
         leading = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-        assume(any(leading))
         free = [k for k in range(n) if not leading[k]]
         coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
         gens = []

@@ -10,9 +10,11 @@ string) in another ``gderive`` module, elsewhere in its own module, or in
 ``perfbench/*.py``. A method passes only through an attribute read
 (``x.name``): a local variable that shares its name does not reach it.
 So does a field of a ``Record`` subclass (an annotated name in its class
-body): a field that only its constructor sets has no reader. A read of
-the parsed command line, ``args.name`` in a ``cmd_*`` handler, reaches
-no field or method of that name.
+body): a field that only its constructor sets has no reader, and neither
+has one whose every read is an argument of its own class's constructor,
+which only copies it into the next instance. A read of the parsed
+command line, ``args.name`` in a ``cmd_*`` handler, reaches no field or
+method of that name.
 
 Only reads in live code count. The walk repeats until nothing changes,
 and each round drops the definitions that the previous round found
@@ -75,7 +77,7 @@ SHARED_METHOD_NAMES = {
     "dim": {
         "algebra.LieAlgebra": "derivations: n = g.dim",
         "derivations.DerivationSpace":
-            "hilbert: return derivation_space(g, power, kind=kind).dim",
+            "hilbert: return derivation_space(g, Automorphism(m), kind=kind).dim",
         "linalg.Subspace":
             "sl2: return FixedDimensionReport(space.dim, square_maps(space.rows, 3), claim)",
     },
@@ -167,21 +169,31 @@ class Piece:
     defines (none for code that always runs, such as imports); ``owner``
     is its top-level statement; ``method`` is set for a class's function."""
 
-    def __init__(self, module, nodes, labels=(), owner=None, method=None):
+    def __init__(
+        self, module, nodes, labels=(), owner=None, method=None, field=False
+    ):
         self.module = module
         self.labels = list(labels)
         self.owner = owner
         self.method = method
+        self.field = field
         self.names = set()
         self.attrs = {}  # attribute name -> line numbers of its reads
+        # attribute name -> for each read, the name of the call it is an
+        # argument of, or None
+        self.passed_to = {}
         self.operators = {}  # operator dunder -> line numbers applying it
         options = _option_reads(nodes)
+        calls = _call_arguments(nodes)
         for tree in nodes:
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     self.names.add(node.id)
                 elif isinstance(node, ast.Attribute) and id(node) not in options:
                     self.attrs.setdefault(node.attr, set()).add(node.lineno)
+                    self.passed_to.setdefault(node.attr, set()).add(
+                        calls.get(id(node))
+                    )
                 elif isinstance(node, (ast.BinOp, ast.AugAssign, ast.UnaryOp)):
                     dunder = OPERATORS.get(type(node.op))
                     if dunder:
@@ -210,6 +222,22 @@ def _option_reads(nodes) -> set:
         if isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name) and node.value.id == "args"
     }
+
+
+def _call_arguments(nodes) -> dict:
+    """For each attribute read that is an argument of a call, positional
+    or keyword: its id and the name of the called function or class."""
+    found = {}
+    for tree in nodes:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            for arg in call.args + [k.value for k in call.keywords]:
+                if isinstance(arg, ast.Attribute):
+                    found[id(arg)] = name
+    return found
 
 
 def _defined_names(node) -> list:
@@ -304,17 +332,23 @@ def _pieces(modules: dict) -> list:
             ]
             pieces.append(Piece(name, rest, [f"{name}.{node.name}"], node))
             pieces += [
-                Piece(name, [m], [f"{name}.{node.name}.{member}"], node, member)
+                Piece(
+                    name, [m], [f"{name}.{node.name}.{member}"], node, member,
+                    isinstance(m, ast.AnnAssign),
+                )
                 for member, m in members
             ]
     return pieces
 
 
 def _unreached(piece: Piece, live: list) -> list:
-    """The labels of the piece that no other live piece reads."""
+    """The labels of the piece that no other live piece reads. A read of a
+    field that is an argument of its own class's constructor is no read."""
     if piece.method is not None:
+        copies = {piece.owner.name} if piece.field else set()
         reached = any(
-            piece.method in other.attrs for other in live if other is not piece
+            other.passed_to.get(piece.method, set()) - copies
+            for other in live if other is not piece
         )
         return [] if reached else piece.labels
     others = [other for other in live if other.owner is not piece.owner]
@@ -363,6 +397,26 @@ def test_walk_reports_a_record_field_with_no_reader():
     )
     modules["sl2"] = ast.parse(source)
     assert "sl2.DerivationClassification.case" in _walk(modules)[0]
+
+
+def test_walk_reports_a_field_that_only_its_constructor_copies():
+    modules = _modules()
+    sources = _sources()
+    algebra = sources["algebra"].replace(
+        "    matrix: Matrix\n", "    matrix: Matrix\n    algebra: LieAlgebra = None\n"
+    )
+    copied = sources["hilbert"].replace(
+        "Automorphism(m)", "Automorphism(m, algebra=sigma.algebra)"
+    )
+    assert algebra != sources["algebra"] and copied != sources["hilbert"]
+    modules["algebra"] = ast.parse(algebra)
+    modules["hilbert"] = ast.parse(copied)
+    assert "algebra.Automorphism.algebra" in _walk(modules)[0]
+    # Passed to another function, the field is read.
+    modules["hilbert"] = ast.parse(
+        copied.replace("derivation_space(g,", "derivation_space(sigma.algebra,")
+    )
+    assert "algebra.Automorphism.algebra" not in _walk(modules)[0]
 
 
 def test_walk_reports_a_field_that_only_a_command_line_option_reads():
