@@ -6,13 +6,15 @@ as one sparse integer table over one scale: ``table[i]`` is
 the lcm of the constants' denominators. ``make_algebra`` builds it from
 the exact constants on the pairs i < j. All indices are 0-based
 internally and 1-based in files and reports.
+
+An automorphism is a plain ``Matrix``; ``require_automorphism`` checks
+one against the algebra a solver meets it on.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 from gderive.errors import (
@@ -26,7 +28,6 @@ from gderive.linalg import (
     Matrix,
     format_rational,
     integer_columns,
-    inverse,
     parse_rational,
     rank,
 )
@@ -187,23 +188,6 @@ def is_automorphism(g: LieAlgebra, m: Matrix) -> bool:
     return True
 
 
-class Automorphism(Record):
-    """An automorphism held as its matrix. ``make_automorphism`` checks a
-    matrix first; this constructor checks nothing, and builds the identity
-    and the powers of an automorphism, automorphisms by construction."""
-
-    matrix: Matrix
-
-    @staticmethod
-    def identity(g: LieAlgebra) -> "Automorphism":
-        return Automorphism(Matrix.identity(g.dim))
-
-    @cached_property
-    def inverse_matrix(self) -> Matrix:
-        """The inverse of the matrix, computed once per automorphism."""
-        return inverse(self.matrix)
-
-
 def require_acts_on(g: LieAlgebra, m: Matrix) -> None:
     """Raise DimensionMismatch, naming both sizes, unless m is dim x dim."""
     if m.rows != g.dim or m.cols != g.dim:
@@ -213,13 +197,14 @@ def require_acts_on(g: LieAlgebra, m: Matrix) -> None:
         )
 
 
-def make_automorphism(g: LieAlgebra, m: Matrix) -> Automorphism:
+def require_automorphism(g: LieAlgebra, m: Matrix) -> None:
+    """Raise unless m is an automorphism of g: DimensionMismatch for a
+    matrix of the wrong size, UnvalidatedAutomorphism for any other."""
     require_acts_on(g, m)
     if not is_automorphism(g, m):
         raise UnvalidatedAutomorphism(
             "matrix is not an automorphism of the algebra"
         )
-    return Automorphism(m)
 
 
 def builtin(name: str) -> LieAlgebra:

@@ -78,12 +78,6 @@ def load_matrix(path: str) -> Matrix:
     return Matrix.from_json_dict(_read_json(path))
 
 
-def load_automorphism(g: LieAlgebra, path: str) -> Automorphism:
-    from .algebra import make_automorphism
-
-    return make_automorphism(g, load_matrix(path))
-
-
 def _parse_bindings(items) -> dict:
     from .linalg import parse_rational
 
@@ -188,11 +182,11 @@ def cmd_derive(args) -> int:
     from .derivations import derivation_space
 
     g = load_algebra(args.algebra)
-    sigma = load_automorphism(g, args.sigma)
-    tau = load_automorphism(g, args.tau) if args.tau else None
+    sigma = load_matrix(args.sigma)
+    tau = load_matrix(args.tau) if args.tau else None
     if args.gens and args.kind != "minus":
         raise InputError(f"--gens applies to kind minus only, not kind {args.kind}")
-    gens = tuple(load_automorphism(g, path) for path in args.gens or [])
+    gens = tuple(load_matrix(path) for path in args.gens or [])
     if args.kind == "minus" and not gens:
         raise InputError("kind minus needs at least one --gens automorphism")
     space = derivation_space(g, sigma, tau, kind=args.kind, gens=gens)
@@ -252,8 +246,8 @@ def cmd_intersect(args) -> int:
     from .derivations import intersection_report
 
     g = load_algebra(args.algebra)
-    sigma = load_automorphism(g, args.sigma)
-    tau = load_automorphism(g, args.tau)
+    sigma = load_matrix(args.sigma)
+    tau = load_matrix(args.tau)
     witness = _parse_vector(args.witness) if args.witness is not None else None
     report = intersection_report(g, sigma, tau, witness)
     out = {
@@ -281,7 +275,7 @@ def cmd_hilbert(args) -> int:
     from .hilbert import detect_period, graded_dims, rational_series, render_series
 
     g = load_algebra(args.algebra)
-    sigma = load_automorphism(g, args.sigma)
+    sigma = load_matrix(args.sigma)
     gd = graded_dims(
         g, sigma, kind=args.kind, window=args.window, order_bound=args.order_bound
     )

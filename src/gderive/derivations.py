@@ -20,7 +20,9 @@ handed to ``kernel_of_rows`` or ``solve_rows`` without a dense grid.
 Beside the solvers: ``is_derivation_pair`` checks the defining identity
 apart from the assembler; ``twist``, ``sigma_bracket`` and ``restrict``
 transport, bracket and restrict the solved maps; ``intersection_report``
-meets two twisted spaces.
+meets two twisted spaces. sigma, tau and the generators are plain
+matrices, and every function here that meets them with g checks them
+with ``require_automorphism`` first.
 """
 
 from __future__ import annotations
@@ -30,11 +32,11 @@ from fractions import Fraction
 from functools import cached_property
 
 from gderive.algebra import (
-    Automorphism,
     LieAlgebra,
     bracket,
     bracket_images,
     require_acts_on,
+    require_automorphism,
 )
 from gderive.errors import DimensionMismatch, InputError, NotSigmaStable
 from gderive.linalg import (
@@ -43,6 +45,7 @@ from gderive.linalg import (
     _integer_vector,
     _make,
     integer_columns,
+    inverse,
     kernel_of_rows,
     solve_rows,
     square_maps,
@@ -138,7 +141,7 @@ def _commutation_rows(n: int, sigma: Matrix):
 
 
 def is_derivation_pair(
-    g: LieAlgebra, d: Matrix, sigma: Automorphism, tau: Automorphism
+    g: LieAlgebra, d: Matrix, sigma: Matrix, tau: Matrix
 ) -> bool:
     """Check the defining identity of Der_{sigma,tau} on basis pairs.
 
@@ -146,17 +149,19 @@ def is_derivation_pair(
     the integer columns of D, sigma and tau and the sparse structure
     table, independently of the assembler ``_identity_rows``. With
     column scales dd, ds, dt and table scale ts, both sides are compared
-    times dd * ds * dt * ts.
+    times dd * ds * dt * ts. sigma and tau must be automorphisms of g.
     """
     require_acts_on(g, d)
+    require_automorphism(g, sigma)
+    require_automorphism(g, tau)
     table = g.table
     columns, dd = integer_columns(d)
-    sig, ds = integer_columns(sigma.matrix)
-    ta, dt = integer_columns(tau.matrix)
+    sig, ds = integer_columns(sigma)
+    ta, dt = integer_columns(tau)
     # left[j][p] is [e_p, sigma e_j] and right[i][p] is [e_p, tau e_i].
     left = bracket_images(table, sig, 1)
     right = bracket_images(table, ta, 1)
-    for i, j in _identity_pairs(g.dim, 1, 1, sigma.matrix, tau.matrix):
+    for i, j in _identity_pairs(g.dim, 1, 1, sigma, tau):
         residual = {}
         for m, x in table[i].get(j, {}).items():
             x *= ds * dt
@@ -178,8 +183,8 @@ def is_derivation_pair(
 
 def derivation_space(
     g: LieAlgebra,
-    sigma: Automorphism,
-    tau: Automorphism = None,
+    sigma: Matrix,
+    tau: Matrix = None,
     kind: str = "plain",
     gens: tuple = (),
 ) -> DerivationSpace:
@@ -195,21 +200,24 @@ def derivation_space(
       in gens.
 
     Any other kind is an InputError, raised before the system is built.
+    sigma, a given tau and each of gens must be automorphisms of g; the
+    identity, tau's default, is one of every g.
     """
     if kind not in ("plain", "plus", "minus"):
         raise InputError(f"unknown kind {kind!r}")
+    require_automorphism(g, sigma)
     if tau is None:
-        tau = Automorphism.identity(g)
-    require_acts_on(g, sigma.matrix)
-    require_acts_on(g, tau.matrix)
+        tau = Matrix.identity(g.dim)
+    else:
+        require_automorphism(g, tau)
     n = g.dim
-    rows = _identity_rows(g, 1, 1, 1, sigma.matrix, tau.matrix)
+    rows = _identity_rows(g, 1, 1, 1, sigma, tau)
     if kind == "plus":
-        rows.extend(_commutation_rows(n, sigma.matrix))
+        rows.extend(_commutation_rows(n, sigma))
     elif kind == "minus":
         for other in gens:
-            require_acts_on(g, other.matrix)
-            rows.extend(_commutation_rows(n, other.matrix))
+            require_automorphism(g, other)
+            rows.extend(_commutation_rows(n, other))
     return DerivationSpace(kind, kernel_of_rows(rows, n * n))
 
 
@@ -225,16 +233,15 @@ def centroid(g: LieAlgebra) -> DerivationSpace:
     return DerivationSpace("centroid", kernel_of_rows(rows, g.dim ** 2))
 
 
-def twist(d: Matrix, tau: Automorphism) -> Matrix:
+def twist(d: Matrix, tau: Matrix) -> Matrix:
     """Compose with the inverse of tau: D -> tau^{-1} D."""
-    return tau.inverse_matrix @ d
+    return inverse(tau) @ d
 
 
-def sigma_bracket(d: Matrix, t: Matrix, sigma: Automorphism) -> Matrix:
-    """sigma [sigma^{-1} D, sigma^{-1} T], the transported commutator."""
-    inv = sigma.inverse_matrix
-    a, b = inv @ d, inv @ t
-    return sigma.matrix @ (a @ b - b @ a)
+def sigma_bracket(d: Matrix, t: Matrix, sigma_inv: Matrix) -> Matrix:
+    """sigma [sigma^{-1} D, sigma^{-1} T], the transported commutator,
+    computed as D sigma^{-1} T - T sigma^{-1} D from the caller's inverse."""
+    return d @ sigma_inv @ t - t @ sigma_inv @ d
 
 
 def quasiderivation_witness(g: LieAlgebra, d: Matrix):
@@ -297,15 +304,16 @@ class IntersectionReport(Record):
 
 
 def intersection_report(
-    g: LieAlgebra, sigma: Automorphism, tau: Automorphism, witness=None
+    g: LieAlgebra, sigma: Matrix, tau: Matrix, witness=None
 ) -> IntersectionReport:
-    """Dimension of Der_sigma meet Der_tau, plus the centralizer witness."""
+    """Dimension of Der_sigma meet Der_tau, plus the centralizer witness.
+    Each ``derivation_space`` call checks its automorphism."""
     first = derivation_space(g, sigma)
     second = derivation_space(g, tau)
     inter = subspace_intersect(first.subspace, second.subspace)
     witness_ok = None
     if witness is not None:
         witness = tuple(Fraction(a) if isinstance(a, int) else a for a in witness)
-        moved = sigma.inverse_matrix.apply(tau.matrix.apply(witness))
+        moved = inverse(sigma).apply(tau.apply(witness))
         witness_ok = all(a == 0 for a in bracket(g, witness, moved))
     return IntersectionReport(inter.dim, inter, witness, witness_ok)

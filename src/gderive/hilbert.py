@@ -6,11 +6,12 @@ order m only one cycle 0 <= k < m is stored since the dims repeat. Each
 grade is the dimension of one solved space, so no basis maps are built.
 A series is only built from a certified window: either the finite cycle,
 or the least eventually periodic pattern detected inside the window.
+sigma is a plain matrix, checked against the algebra before all else.
 """
 
 from __future__ import annotations
 
-from gderive.algebra import Automorphism, LieAlgebra
+from gderive.algebra import LieAlgebra, require_automorphism
 from gderive.derivations import derivation_space
 from gderive.errors import FiniteOrderInput, InputError, NoPeriod
 from gderive.limits import (
@@ -19,7 +20,7 @@ from gderive.limits import (
     MAX_ORDER_BOUND,
     MAX_WINDOW,
 )
-from gderive.linalg import Matrix, matrix_order
+from gderive.linalg import Matrix, inverse, matrix_order
 from gderive.record import Record
 
 
@@ -32,7 +33,7 @@ class GradedDims(Record):
 
 def graded_dims(
     g: LieAlgebra,
-    sigma: Automorphism,
+    sigma: Matrix,
     kind: str = "plain",
     window: int = DEFAULT_WINDOW,
     order_bound: int = DEFAULT_ORDER_BOUND,
@@ -44,8 +45,11 @@ def graded_dims(
     must lie in 1..MAX_WINDOW and order_bound in 1..MAX_ORDER_BOUND: each
     grade is one linear solve and at most one matrix product (sigma^k is
     sigma^(k-1) times sigma, or times one shared inverse for k < 0), and
-    each order step is one matrix product.
+    each order step is one matrix product. sigma must be an automorphism
+    of g; it is checked first, so a singular sigma is reported as no
+    automorphism, and each power is checked where it is solved.
     """
+    require_automorphism(g, sigma)
     if kind not in ("plain", "plus"):
         raise InputError(f"unknown grading kind {kind!r}")
     if not 1 <= window <= MAX_WINDOW:
@@ -54,16 +58,16 @@ def graded_dims(
         raise InputError(
             f"order bound must be between 1 and {MAX_ORDER_BOUND}"
         )
-    order = matrix_order(sigma.matrix, order_bound)
+    order = matrix_order(sigma, order_bound)
     if order is None:
-        steps, top = ((1, sigma.matrix), (-1, sigma.inverse_matrix)), window
+        steps, top = ((1, sigma), (-1, inverse(sigma))), window
     else:
-        steps, top, window = ((1, sigma.matrix),), order - 1, order
+        steps, top, window = ((1, sigma),), order - 1, order
 
     def dim(m: Matrix) -> int:
-        return derivation_space(g, Automorphism(m), kind=kind).dim
+        return derivation_space(g, m, kind=kind).dim
 
-    dims = {0: dim(Matrix.identity(sigma.matrix.rows))}
+    dims = {0: dim(Matrix.identity(g.dim))}
     for sign, step in steps:
         power = step
         for k in range(1, top + 1):

@@ -16,10 +16,8 @@ import random
 from fractions import Fraction
 
 from gderive.algebra import (
-    Automorphism,
     builtin,
     is_automorphism,
-    make_automorphism,
 )
 from gderive.derivations import (
     centroid,
@@ -75,7 +73,7 @@ F = Fraction
 SL2 = builtin("sl2")
 HEIS = builtin("heisenberg")
 EX46 = builtin("example_4_6")
-ID_SL2 = Automorphism.identity(SL2)
+ID_SL2 = Matrix.identity(SL2.dim)
 
 # Centroid, Der_sigma and intersection dimensions displayed for the
 # nilpotent example; refuted by exact computation, which gives (3, 4, 2).
@@ -251,7 +249,7 @@ class TestAcceptance:
                         )
                     )
                 assert is_derivation_pair(
-                    SL2, m, make_automorphism(SL2, sig), ID_SL2
+                    SL2, m, sig, ID_SL2
                 )
         for tag in ("c", "ab"):
             report = verify_decomposition(Sl2Family.symbolic(tag))
@@ -264,7 +262,7 @@ class TestAcceptance:
                 Sl2Family.fixed("b", b=v)
             )
             linear_pipeline = derivation_space(
-                SL2, make_automorphism(SL2, _sigma_b(F(v)))
+                SL2, _sigma_b(F(v))
             )
             assert polynomial_pipeline.dimension == linear_pipeline.dim
             stacked = Matrix.from_rows(
@@ -280,9 +278,7 @@ class TestAcceptance:
         assert tuple(dims) == (3, 1, 1)
 
     def test_criterion_07_nilpotent_example_displayed_dimensions(self):
-        shear = make_automorphism(
-            HEIS, Matrix.from_rows([[1, -1, 0], [0, 1, 0], [0, 0, 1]])
-        )
+        shear = Matrix.from_rows([[1, -1, 0], [0, 1, 0], [0, 0, 1]])
         cent = centroid(HEIS)
         twisted = derivation_space(HEIS, shear)
         inter = subspace_intersect(cent.subspace, twisted.subspace)
@@ -312,7 +308,7 @@ class TestAcceptance:
         assert dims != NILPOTENT_DISPLAYED_DIMS
 
     def test_criterion_08_solvable_example_restrictions(self):
-        space = derivation_space(EX46, Automorphism.identity(EX46))
+        space = derivation_space(EX46, Matrix.identity(EX46.dim))
         assert space.dim == 4
         displayed = [
             Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 0, 0]]),
@@ -351,12 +347,10 @@ class TestAcceptance:
             return base
 
         for _ in range(50):
-            sigma = make_automorphism(SL2, sample())
-            tau = make_automorphism(SL2, sample())
+            sigma = sample()
+            tau = sample()
             left = derivation_space(SL2, sigma, tau)
-            moved = make_automorphism(
-                SL2, inverse(tau.matrix) @ sigma.matrix
-            )
+            moved = inverse(tau) @ sigma
             right = derivation_space(SL2, moved)
             assert left.dim == right.dim
             twisted = [twist(d, tau) for d in left.basis]
@@ -366,20 +360,20 @@ class TestAcceptance:
                 assert all(_in_span(target, m) for m in twisted)
 
     def test_criterion_10_transported_bracket(self):
-        sigma = make_automorphism(SL2, _sigma_b(F(1)))
+        sigma = _sigma_b(F(1))
         space = derivation_space(SL2, sigma, sigma)
         basis = space.basis
         assert space.dim == 3
+        inv = inverse(sigma)
         for a in basis:
             for b in basis:
                 for c in basis:
                     jac = (
-                        sigma_bracket(a, sigma_bracket(b, c, sigma), sigma)
-                        + sigma_bracket(b, sigma_bracket(c, a, sigma), sigma)
-                        + sigma_bracket(c, sigma_bracket(a, b, sigma), sigma)
+                        sigma_bracket(a, sigma_bracket(b, c, inv), inv)
+                        + sigma_bracket(b, sigma_bracket(c, a, inv), inv)
+                        + sigma_bracket(c, sigma_bracket(a, b, inv), inv)
                     )
                     assert jac.is_zero()
-        inv = inverse(sigma.matrix)
         untwisted = derivation_space(SL2, ID_SL2)
         target = _span(untwisted.basis)
         moved = [inv @ d for d in basis]
@@ -387,7 +381,7 @@ class TestAcceptance:
         assert all(_in_span(target, m) for m in moved)
         for a in basis:
             for b in basis:
-                transported = inv @ sigma_bracket(a, b, sigma)
+                transported = inv @ sigma_bracket(a, b, inv)
                 plain = (inv @ a) @ (inv @ b) - (inv @ b) @ (inv @ a)
                 assert transported == plain
 
@@ -404,7 +398,7 @@ class TestAcceptance:
         ]
         bound_applied = False
         for matrix in samples:
-            space = derivation_space(SL2, make_automorphism(SL2, matrix))
+            space = derivation_space(SL2, matrix)
             inter = subspace_intersect(cent.subspace, space.subspace)
             assert inter.dim == 0
             for j in range(SL2.dim):
@@ -420,7 +414,7 @@ class TestAcceptance:
         assert bound_applied
 
     def test_criterion_12_centralizer_counterexample(self):
-        tau = make_automorphism(SL2, _sigma_b(F(1)))
+        tau = _sigma_b(F(1))
         report = intersection_report(
             SL2, ID_SL2, tau, witness=(F(1), F(0), F(0))
         )
@@ -428,15 +422,13 @@ class TestAcceptance:
         assert report.witness_in_centralizer is True
 
     def test_criterion_13_graded_window_and_series(self):
-        sigma = make_automorphism(SL2, _sigma_b(F(1)))
+        sigma = _sigma_b(F(1))
         gd = graded_dims(SL2, sigma, window=6)
         assert gd.dims == {k: (3 if k == 0 else 1) for k in range(-6, 7)}
         assert detect_period(gd) == (1, 1)
         series = rational_series(gd)
         assert series_matches_window(gd, series)
-        flip = make_automorphism(
-            SL2, Matrix.from_rows([[-1, 0, 0], [0, 1, 0], [0, 0, -1]])
-        )
+        flip = Matrix.from_rows([[-1, 0, 0], [0, 1, 0], [0, 0, -1]])
         flipped = graded_dims(SL2, flip)
         assert flipped.finite_order == 2
         finite = rational_series(flipped)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gderive.algebra import (
     MAX_DIM,
-    Automorphism,
     ad,
     algebra_from_json_dict,
     algebra_to_json_dict,
@@ -17,7 +16,7 @@ from gderive.algebra import (
     builtin,
     is_automorphism,
     make_algebra,
-    make_automorphism,
+    require_automorphism,
     validate_lie,
 )
 from gderive.derivations import (
@@ -32,7 +31,7 @@ from gderive.errors import (
     UnknownName,
     UnvalidatedAutomorphism,
 )
-from gderive.linalg import Matrix, exp_nilpotent
+from gderive.linalg import Matrix, exp_nilpotent, inverse
 
 # The constants the built-ins are made from, {(i, j): {k: c}} on i < j.
 RAW = {
@@ -284,11 +283,11 @@ class TestStructureTable:
             (0, 1): {0: Fraction(-1, 2)}, (0, 2): {1: 1}, (1, 2): {2: Fraction(-1, 2)},
         })
         table, kept = g.table, copy.deepcopy(g.table)
-        sigma = make_automorphism(g, unipotent_upper(1))
+        sigma = unipotent_upper(1)
         assert validate_lie(g).ok
-        assert is_automorphism(g, sigma.matrix)
+        assert is_automorphism(g, sigma)
         assert derivation_space(g, sigma, kind="plus").dim == 1
-        d = derivation_space(g, Automorphism.identity(g)).basis[0]
+        d = derivation_space(g, Matrix.identity(g.dim)).basis[0]
         assert centroid(g).dim == 1
         assert abg_space(g, 1, 2, 3).dim == 0
         assert quasiderivation_witness(g, d) is not None
@@ -310,29 +309,35 @@ class TestAutomorphisms:
     def test_singular_map_fails(self):
         assert not is_automorphism(SL2, Matrix.zero(3, 3))
 
-    def test_make_automorphism_validates(self):
-        sigma = make_automorphism(SL2, unipotent_upper(1))
-        assert sigma.matrix == unipotent_upper(1)
-        with pytest.raises(UnvalidatedAutomorphism):
-            make_automorphism(SL2, Matrix.from_rows(
+    def test_require_automorphism_validates(self):
+        assert require_automorphism(SL2, unipotent_upper(1)) is None
+        with pytest.raises(UnvalidatedAutomorphism) as info:
+            require_automorphism(SL2, Matrix.from_rows(
                 [[2, 0, 0], [0, 1, 0], [0, 0, 1]]
             ))
+        assert str(info.value) == "matrix is not an automorphism of the algebra"
+        # Singular, and an automorphism of another algebra of the same size.
+        with pytest.raises(UnvalidatedAutomorphism):
+            require_automorphism(SL2, Matrix.zero(3, 3))
+        diagonal = Matrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert is_automorphism(builtin("abelian(3)"), diagonal)
+        with pytest.raises(UnvalidatedAutomorphism):
+            require_automorphism(SL2, diagonal)
 
     def test_wrong_size_matrix_does_not_act_on_the_algebra(self):
         assert not is_automorphism(SL2, Matrix.identity(9))
         with pytest.raises(DimensionMismatch) as info:
-            make_automorphism(SL2, Matrix.identity(9))
+            require_automorphism(SL2, Matrix.identity(9))
         assert str(info.value) == (
             "matrix does not act on the algebra: "
             "a 9x9 matrix on an algebra of dimension 3"
         )
         with pytest.raises(DimensionMismatch, match="a 3x2 matrix"):
-            make_automorphism(SL2, Matrix.zero(3, 2))
+            require_automorphism(SL2, Matrix.zero(3, 2))
 
     def test_inverse_and_powers(self):
-        sigma = make_automorphism(SL2, unipotent_upper(1))
-        assert sigma.inverse_matrix == unipotent_upper(-1)
-        m, inv = sigma.matrix, sigma.inverse_matrix
+        m, inv = unipotent_upper(1), inverse(unipotent_upper(1))
+        assert inv == unipotent_upper(-1)
         assert m @ m @ m == unipotent_upper(3)
         assert inv @ inv == unipotent_upper(-2)
         assert m @ inv == Matrix.identity(3)
@@ -345,7 +350,7 @@ class TestAutomorphisms:
     def test_closed_under_product_and_inverse(self, a, b):
         m1, m2 = unipotent_upper(a), unipotent_upper(b)
         assert is_automorphism(SL2, m1 @ m2)
-        assert is_automorphism(SL2, make_automorphism(SL2, m1).inverse_matrix)
+        assert is_automorphism(SL2, inverse(m1))
 
 
 class TestBuiltins:

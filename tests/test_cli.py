@@ -259,6 +259,19 @@ class TestDerive:
         assert code == 2
         assert "error[UnvalidatedAutomorphism]" in err
 
+    @pytest.mark.parametrize("bad", ["bad_sigma", "projection"])
+    @pytest.mark.parametrize("slot", ["--tau", "--gens"])
+    def test_rejects_non_automorphism_in_each_slot(self, capsys, files, slot, bad):
+        argv = {"--sigma": files["identity"], "--tau": files["identity"],
+                "--kind": "minus", "--gens": files["flip"]}
+        argv[slot] = files[bad]
+        code, out, err = run(
+            capsys, "derive", "--algebra", files["sl2"],
+            *(a for pair in argv.items() for a in pair),
+        )
+        assert (code, out) == (2, "")
+        assert "error[UnvalidatedAutomorphism]" in err
+
     @pytest.mark.parametrize("slot", ["--sigma", "--tau", "--gens"])
     def test_rejects_matrix_of_the_wrong_size(self, capsys, files, slot):
         nine = files["tmp"] / "identity9.json"
@@ -579,6 +592,18 @@ class TestSmallSolvers:
         assert report["witness"] == ["1", "0", "0"]
         assert report["witness_in_centralizer"] is True
 
+    @pytest.mark.parametrize("bad", ["bad_sigma", "projection"])
+    @pytest.mark.parametrize("slot", ["--sigma", "--tau"])
+    def test_intersect_rejects_non_automorphism(self, capsys, files, slot, bad):
+        argv = {"--sigma": files["identity"], "--tau": files["sigma"]}
+        argv[slot] = files[bad]
+        code, out, err = run(
+            capsys, "intersect", "--algebra", files["sl2"],
+            *(a for pair in argv.items() for a in pair), "--witness", "1,0,0",
+        )
+        assert (code, out) == (2, "")
+        assert "error[UnvalidatedAutomorphism]" in err
+
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_intersect_empty_witness_is_rejected(self, capsys, files, fmt):
         code, out, err = run(
@@ -615,6 +640,17 @@ class TestHilbert:
         assert report["dims"] == {"0": 3, "1": 1}
         assert report["period"] is None
         assert report["series"] == "3 + t"
+
+    @pytest.mark.parametrize("bad", ["bad_sigma", "projection"])
+    def test_rejects_non_automorphism(self, capsys, files, bad):
+        # The projection is singular: it is reported as no automorphism,
+        # not as a matrix without an inverse.
+        code, out, err = run(
+            capsys, "hilbert", "--algebra", files["sl2"], "--sigma", files[bad],
+        )
+        assert (code, out) == (2, "")
+        assert "error[UnvalidatedAutomorphism]" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("window", ["0", "65", "1000000"])
     def test_window_out_of_range(self, capsys, files, window):
@@ -1009,6 +1045,26 @@ PINNED_LINEAR_STDOUT = {
         "d2cb46d4cc30cf11b1df06e410501fc7f37187bea2429dceea2e3fdb3535ce1a",
     ("hilbert", "--algebra", "heisenberg", "--sigma", "@heis_shear"):
         "36ae98680b55b8305bb349f90a48e2665e0b484d89091fd6c1a61aad4f535d4b",
+    ("derive", "--algebra", "sl2", "--sigma", "@sl2_b1", "--tau", "@sl2_c2"):
+        "014209e702895e0d95c8dfc582ebebffc3a57eeb1d9368eb15acdafdba88f4ce",
+    ("derive", "--algebra", "heisenberg", "--sigma", "@heis_shear", "--tau",
+     "@heis_shear", "--format", "text"):
+        "b4c3e19a46edb8305e80dc58817a050e8c163aeeda1bcad9db78ec4f08819929",
+    ("derive", "--algebra", "sl2", "--sigma", "@sl2_b1", "--kind", "minus",
+     "--gens", "@sl2_c2"):
+        "212473fc3b8aebe33ce2f5d864d246d5a4b087a8313b53e63bd4627a956b9a75",
+    ("derive", "--algebra", "heisenberg", "--sigma", "@heis_shear", "--kind",
+     "minus", "--gens", "@heis_shear"):
+        "82820e13dccd399d89bd5d389c4f33515d4c1bec67187baa8d549efcb4f97c4a",
+    ("intersect", "--algebra", "sl2", "--sigma", "@sl2_b1", "--tau",
+     "@sl2_c2"):
+        "aa550f5eea6b682b250066aa1b6f9a66213bd5094b781db795bfc4c0aee0d4cf",
+    ("intersect", "--algebra", "sl2", "--sigma", "@sl2_b1", "--tau",
+     "@sl2_c2", "--witness", "1,0,0"):
+        "20bccf83426bf16996b1e3b40b63fb8ac3a9733290f049aa3167a45a10619ee0",
+    ("intersect", "--algebra", "heisenberg", "--sigma", "@heis_shear",
+     "--tau", "@heis_shear", "--witness", "0,1,0", "--format", "text"):
+        "74f91db0fc5fbfff0572202a0483a2cc03e20d61e953f89b9b13e8ab045fcc18",
 }
 
 # Three dense quadrics in x, y, z (perfbench's dense_quadric_ideal drawn

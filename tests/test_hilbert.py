@@ -7,9 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gderive import derivations
-from gderive.algebra import Automorphism, builtin, make_automorphism
+from gderive.algebra import builtin
 from gderive.derivations import derivation_space
-from gderive.errors import FiniteOrderInput, InputError, NoPeriod
+from gderive.errors import (
+    FiniteOrderInput,
+    InputError,
+    NoPeriod,
+    UnvalidatedAutomorphism,
+)
 from gderive.hilbert import (
     GradedDims,
     detect_period,
@@ -18,46 +23,33 @@ from gderive.hilbert import (
     render_series,
     series_matches_window,
 )
-from gderive.linalg import Matrix, exp_nilpotent, square_maps
+from gderive.linalg import Matrix, exp_nilpotent, inverse, square_maps
 
 
 def power(sigma, k):
-    """sigma^k as repeated products of its matrix, or of its inverse for
-    k < 0."""
-    base = sigma.matrix if k >= 0 else sigma.inverse_matrix
+    """sigma^k as repeated products of sigma, or of its inverse for k < 0."""
+    base = sigma if k >= 0 else inverse(sigma)
     m = Matrix.identity(base.rows)
     for _ in range(abs(k)):
         m = m @ base
-    return Automorphism(m)
+    return m
 
 SL2 = builtin("sl2")
 HEIS = builtin("heisenberg")
 
 D_UPPER = Matrix.from_rows([[0, 1, 0], [0, 0, -2], [0, 0, 0]])
-SIGMA_UPPER = make_automorphism(SL2, exp_nilpotent(D_UPPER))
-FLIP = make_automorphism(
-    SL2, Matrix.from_rows([[-1, 0, 0], [0, 1, 0], [0, 0, -1]])
-)
-SHEAR = make_automorphism(
-    HEIS, Matrix.from_rows([[1, -1, 0], [0, 1, 0], [0, 0, 1]])
-)
-SIGMA_LOWER = make_automorphism(
-    SL2,
-    exp_nilpotent(Matrix.from_rows(
-        [[0, 0, 0], [Fraction(-4, 3), 0, 0], [0, Fraction(2, 3), 0]]
-    )),
-)
-HEIS_SCALING = make_automorphism(
-    HEIS,
-    Matrix.from_rows([[Fraction(1, 2), 0, 0], [0, 3, 0], [0, 0, Fraction(3, 2)]]),
+SIGMA_UPPER = exp_nilpotent(D_UPPER)
+FLIP = Matrix.from_rows([[-1, 0, 0], [0, 1, 0], [0, 0, -1]])
+SHEAR = Matrix.from_rows([[1, -1, 0], [0, 1, 0], [0, 0, 1]])
+SIGMA_LOWER = exp_nilpotent(Matrix.from_rows(
+    [[0, 0, 0], [Fraction(-4, 3), 0, 0], [0, Fraction(2, 3), 0]]
+))
+HEIS_SCALING = Matrix.from_rows(
+    [[Fraction(1, 2), 0, 0], [0, 3, 0], [0, 0, Fraction(3, 2)]]
 )
 # Der_{sigma^k} has dim 4 at even and 3 at odd k != 0 (plain kind).
-HEIS_ALTERNATING = make_automorphism(
-    HEIS, Matrix.from_rows([[-1, 0, 0], [0, 2, 0], [0, 0, -2]])
-)
-HEIS_ROTATION = make_automorphism(
-    HEIS, Matrix.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
-)
+HEIS_ALTERNATING = Matrix.from_rows([[-1, 0, 0], [0, 2, 0], [0, 0, -2]])
+HEIS_ROTATION = Matrix.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
 
 
 def synthetic(dims, window, finite_order=None):
@@ -66,7 +58,7 @@ def synthetic(dims, window, finite_order=None):
 
 class TestGradedDims:
     def test_identity_is_order_one(self):
-        gd = graded_dims(SL2, Automorphism.identity(SL2))
+        gd = graded_dims(SL2, Matrix.identity(SL2.dim))
         assert gd.finite_order == 1
         assert gd.dims == {0: 3}
         assert render_series(rational_series(gd)) == "3"
@@ -104,7 +96,7 @@ class TestGradedDims:
         for g, sigma in [(SL2, SIGMA_UPPER), (SL2, FLIP), (HEIS, SHEAR)]:
             for kind in ("plain", "plus"):
                 gd = graded_dims(g, sigma, kind, 2)
-                ident = Automorphism.identity(g)
+                ident = Matrix.identity(g.dim)
                 assert gd.dims[0] == derivation_space(g, ident).dim
 
     def test_plus_is_pointwise_bounded_by_plain(self):
@@ -152,6 +144,20 @@ class TestGradedDims:
             graded_dims(SL2, SIGMA_UPPER, "sideways", 3)
         with pytest.raises(InputError):
             graded_dims(SL2, SIGMA_UPPER, "plain", 0)
+
+    def test_sigma_must_be_an_automorphism_of_the_algebra(self):
+        # diag(2, 1, 1) is an automorphism of abelian(3), not of sl2.
+        foreign = Matrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+        abelian = graded_dims(builtin("abelian(3)"), foreign, window=2)
+        assert abelian.dims == {k: 9 for k in range(-2, 3)}
+        with pytest.raises(UnvalidatedAutomorphism):
+            graded_dims(SL2, foreign)
+        # A singular sigma is reported as no automorphism, before the
+        # order search or the inverse can meet it.
+        with pytest.raises(UnvalidatedAutomorphism):
+            graded_dims(SL2, Matrix.zero(3, 3), window=1)
+        with pytest.raises(UnvalidatedAutomorphism):
+            graded_dims(HEIS, SIGMA_UPPER)
 
 
 class TestDetectPeriod:

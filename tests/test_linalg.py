@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gderive import _kernels
 from gderive._kernels import rref_int
-from gderive.algebra import make_algebra, make_automorphism
+from gderive.algebra import make_algebra
 from gderive.derivations import derivation_space
 from gderive.errors import DimensionMismatch, InputError, NotNilpotent, SingularMatrix
 from gderive.linalg import (
@@ -345,7 +345,7 @@ def twisted_gl4():
         for i in range(n)
         for j in range(n)
     ])
-    return g, make_automorphism(g, sigma)
+    return g, sigma
 
 
 class TestPresolve:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gderive import reproduce
-from gderive.algebra import Automorphism, builtin, make_automorphism
+from gderive.algebra import builtin
 from gderive.derivations import derivation_space, is_derivation_pair
 from gderive.errors import GDeriveError, InputError, ZeroParameterA
 from gderive.linalg import Matrix, exp_nilpotent, matrix_to_vec
@@ -45,7 +45,7 @@ from gderive.sl2 import (
 F = Fraction
 
 SL2 = builtin("sl2")
-ID_SL2 = Automorphism.identity(SL2)
+ID_SL2 = Matrix.identity(SL2.dim)
 
 # The sixteen relations of the family-b ideal as displayed, before any
 # simplification; two of them coincide.
@@ -234,7 +234,7 @@ def grid_strs(form):
 
 
 def sigma_for(tag, **values):
-    return make_automorphism(SL2, family_sigma(Sl2Family.fixed(tag, **values)))
+    return family_sigma(Sl2Family.fixed(tag, **values))
 
 
 @pytest.fixture(scope="module")

@@ -77,7 +77,7 @@ SHARED_METHOD_NAMES = {
     "dim": {
         "algebra.LieAlgebra": "derivations: n = g.dim",
         "derivations.DerivationSpace":
-            "hilbert: return derivation_space(g, Automorphism(m), kind=kind).dim",
+            "hilbert: return derivation_space(g, m, kind=kind).dim",
         "linalg.Subspace":
             "sl2: return FixedDimensionReport(space.dim, square_maps(space.rows, 3), claim)",
     },
@@ -89,11 +89,6 @@ SHARED_METHOD_NAMES = {
     "finite_order": {
         "hilbert.GradedDims": "hilbert: if gd.finite_order is not None:",
         "hilbert.RationalSeries": "hilbert: if self.finite_order is not None:",
-    },
-    "identity": {
-        "linalg.Matrix": "hilbert: dims = {0: dim(Matrix.identity(sigma.matrix.rows))}",
-        "algebra.Automorphism":
-            "reproduce: space = derivation_space(g, Automorphism.identity(g))",
     },
     "is_zero": {
         "linalg.Matrix": "sl2: nilpotent = d3.is_zero()",
@@ -155,9 +150,10 @@ OPERATORS = {
 # code ("module: stripped line") that applies it to that class.
 OPERATOR_CALLERS = {
     "linalg.Matrix.__add__":
-        "reproduce: sigma_bracket(a, sigma_bracket(b, c, sigma), sigma)",
-    "linalg.Matrix.__matmul__": "derivations: return tau.inverse_matrix @ d",
-    "linalg.Matrix.__sub__": "derivations: return sigma.matrix @ (a @ b - b @ a)",
+        "reproduce: sigma_bracket(a, sigma_bracket(b, c, inv), inv)",
+    "linalg.Matrix.__matmul__": "derivations: return inverse(tau) @ d",
+    "linalg.Matrix.__sub__":
+        "derivations: return d @ sigma_inv @ t - t @ sigma_inv @ d",
     "polynomials.MultiPoly.__add__": "sl2: residual[r] += x[m][r].scale(c)",
     "polynomials.MultiPoly.__mul__": "sl2: term = x[i][p] * sigma[q][j]",
     "polynomials.MultiPoly.__sub__": "sl2: residual[r] -= x[j][q].scale(c)",
@@ -401,22 +397,25 @@ def test_walk_reports_a_record_field_with_no_reader():
 
 def test_walk_reports_a_field_that_only_its_constructor_copies():
     modules = _modules()
-    sources = _sources()
-    algebra = sources["algebra"].replace(
-        "    matrix: Matrix\n", "    matrix: Matrix\n    algebra: LieAlgebra = None\n"
+    hilbert = _sources()["hilbert"]
+    source = hilbert.replace(
+        "    dims: dict\n    finite_order: int = None\n",
+        "    dims: dict\n    finite_order: int = None\n    algebra: LieAlgebra = None\n",
     )
-    copied = sources["hilbert"].replace(
-        "Automorphism(m)", "Automorphism(m, algebra=sigma.algebra)"
+    copied = source.replace(
+        "    found = detect_period(gd)\n",
+        "    gd = GradedDims(gd.kind, gd.window, gd.dims, algebra=gd.algebra)\n"
+        "    found = detect_period(gd)\n",
     )
-    assert algebra != sources["algebra"] and copied != sources["hilbert"]
-    modules["algebra"] = ast.parse(algebra)
+    assert source != hilbert and copied != source
     modules["hilbert"] = ast.parse(copied)
-    assert "algebra.Automorphism.algebra" in _walk(modules)[0]
+    assert "hilbert.GradedDims.algebra" in _walk(modules)[0]
     # Passed to another function, the field is read.
-    modules["hilbert"] = ast.parse(
-        copied.replace("derivation_space(g,", "derivation_space(sigma.algebra,")
-    )
-    assert "algebra.Automorphism.algebra" not in _walk(modules)[0]
+    modules["hilbert"] = ast.parse(copied.replace(
+        "    found = detect_period(gd)\n",
+        "    graded_dims(gd.algebra, gd.dims[1])\n    found = detect_period(gd)\n",
+    ))
+    assert "hilbert.GradedDims.algebra" not in _walk(modules)[0]
 
 
 def test_walk_reports_a_field_that_only_a_command_line_option_reads():
