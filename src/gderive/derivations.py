@@ -18,11 +18,11 @@ diagonal. Every system is a list of sparse integer rows {column: int},
 handed to ``kernel_of_rows`` or ``solve_rows`` without a dense grid.
 
 Beside the solvers: ``is_derivation_pair`` checks the defining identity
-apart from the assembler; ``twist``, ``sigma_bracket`` and ``restrict``
-transport, bracket and restrict the solved maps; ``intersection_report``
-meets two twisted spaces. sigma, tau and the generators are plain
-matrices, and every function here that meets them with g checks them
-with ``require_automorphism`` first.
+apart from the assembler; ``sigma_bracket`` and ``restrict`` bracket
+and restrict the solved maps; ``intersection_report`` meets two twisted
+spaces. sigma, tau and the generators are plain matrices, and every
+function here that meets them with g checks them with
+``require_automorphism`` first.
 """
 
 from __future__ import annotations
@@ -231,11 +231,6 @@ def centroid(g: LieAlgebra) -> DerivationSpace:
     ident = Matrix.identity(g.dim)
     rows = _identity_rows(g, 1, 1, 0, ident, ident)
     return DerivationSpace("centroid", kernel_of_rows(rows, g.dim ** 2))
-
-
-def twist(d: Matrix, tau: Matrix) -> Matrix:
-    """Compose with the inverse of tau: D -> tau^{-1} D."""
-    return inverse(tau) @ d
 
 
 def sigma_bracket(d: Matrix, t: Matrix, sigma_inv: Matrix) -> Matrix:

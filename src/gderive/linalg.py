@@ -2,13 +2,14 @@
 
 Scalars are :class:`fractions.Fraction`; matrices use the column-as-image
 convention (column j holds the coordinates of the image of basis vector
-e_j). A ``Matrix`` holds one integer grid ``num`` over one positive
-denominator ``den``, in canonical form: the gcd of ``den`` and every
-entry of ``num`` is 1, so ``den`` is the lcm of the entries'
-denominators and equal matrices have equal grids. ``Matrix.from_rows``
-is the one grid constructor. Products, sums, the nilpotent exponential,
-``rank`` and ``inverse`` run on the integers; Fractions are made only
-where a caller reads ``entries``, built once and cached.
+e_j). A ``Matrix`` is a :class:`~gderive.record.Record` of its shape
+and one integer grid ``num`` over one positive denominator ``den``, in
+canonical form: the gcd of ``den`` and every entry of ``num`` is 1, so
+``den`` is the lcm of the entries' denominators and equal matrices have
+equal records. ``Matrix.from_rows`` is the one constructor from a grid
+of scalars. Products, sums, the nilpotent exponential, ``rank`` and
+``inverse`` run on the integers; Fractions are made only where a caller
+reads ``entries``, built once and cached.
 
 Row reduction delegates to the sparse integer kernel in
 :mod:`gderive._kernels`, so every result is exact and canonical. Linear
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
 from operator import add, mul, sub
@@ -74,53 +76,37 @@ def _coerce(value) -> Fraction:
     raise InputError(f"not an exact scalar: {value!r}")
 
 
-class Matrix:
+class Matrix(Record):
     """Immutable dense rational matrix, row-major: the integer grid ``num``
     over the positive denominator ``den``, in canonical form.
 
-    ``Matrix.from_rows`` takes a grid of exact scalars (ints, Fractions,
-    rational strings); ``entries`` are always Fractions.
+    Only ``from_rows`` (a grid of exact scalars: ints, Fractions,
+    rational strings), ``identity``, ``zero`` and ``_make`` build one,
+    since they bring the grid to canonical form. ``entries``, the grid of
+    Fractions, is built on first read and cached.
     """
 
-    __slots__ = ("rows", "cols", "num", "den", "_entries")
+    rows: int
+    cols: int
+    num: tuple
+    den: int
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Matrix is immutable; cannot set {name!r}")
+    # Products and kernels build matrices in bulk, so the record's
+    # constructor is written out for the four fields.
+    def __init__(self, rows: int, cols: int, num: tuple, den: int):
+        d = self.__dict__
+        d["rows"] = rows
+        d["cols"] = cols
+        d["num"] = num
+        d["den"] = den
 
-    def __delattr__(self, name):
-        raise AttributeError(f"Matrix is immutable; cannot delete {name!r}")
-
-    @property
+    @cached_property
     def entries(self) -> tuple:
-        """The grid of Fractions num / den, built on first access."""
-        grid = self._entries
-        if grid is None:
-            den = self.den
-            if den == 1:
-                grid = tuple(tuple(map(Fraction, row)) for row in self.num)
-            else:
-                grid = tuple(
-                    tuple(Fraction(a, den) for a in row) for row in self.num
-                )
-            _set(self, "_entries", grid)
-        return grid
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows and self.cols == other.cols
-            and self.den == other.den and self.num == other.num
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.num, self.den))
-
-    def __repr__(self) -> str:
-        return (
-            f"Matrix(rows={self.rows}, cols={self.cols}, "
-            f"entries={self.entries!r})"
-        )
+        """The grid of Fractions num / den."""
+        den = self.den
+        if den == 1:
+            return tuple(tuple(map(Fraction, row)) for row in self.num)
+        return tuple(tuple(Fraction(a, den) for a in row) for row in self.num)
 
     @staticmethod
     def from_rows(rows) -> "Matrix":
@@ -138,8 +124,8 @@ class Matrix:
                 tuple([a.numerator * (den // a.denominator) for a in row])
                 for row in grid
             )
-        m = object.__new__(Matrix)
-        _init(m, len(grid), ncols, num, den, grid)
+        m = Matrix(len(grid), ncols, num, den)
+        m.__dict__["entries"] = grid
         return m
 
     @staticmethod
@@ -241,18 +227,6 @@ class Matrix:
         return Matrix.from_rows(entries) if rows else Matrix.zero(0, cols)
 
 
-_set = object.__setattr__
-
-
-def _init(m: Matrix, rows: int, cols: int, num: tuple, den: int, grid) -> None:
-    """Fill the slots of a new Matrix, past its guard on assignment."""
-    _set(m, "rows", rows)
-    _set(m, "cols", cols)
-    _set(m, "num", num)
-    _set(m, "den", den)
-    _set(m, "_entries", grid)
-
-
 def _make(rows: int, cols: int, num, den: int) -> Matrix:
     """The matrix num / den, for a tuple of int rows and den > 0, brought
     to canonical form."""
@@ -260,9 +234,7 @@ def _make(rows: int, cols: int, num, den: int) -> Matrix:
     if g > 1:
         num = tuple(tuple(a // g for a in row) for row in num)
         den //= g
-    m = object.__new__(Matrix)
-    _init(m, rows, cols, num, den, None)
-    return m
+    return Matrix(rows, cols, num, den)
 
 
 def _scaled(num, k: int):

@@ -27,7 +27,6 @@ from gderive.derivations import (
     quasiderivation_witness,
     restrict,
     sigma_bracket,
-    twist,
 )
 from gderive.hilbert import (
     detect_period,
@@ -350,10 +349,11 @@ class TestAcceptance:
             sigma = sample()
             tau = sample()
             left = derivation_space(SL2, sigma, tau)
-            moved = inverse(tau) @ sigma
+            tau_inv = inverse(tau)
+            moved = tau_inv @ sigma
             right = derivation_space(SL2, moved)
             assert left.dim == right.dim
-            twisted = [twist(d, tau) for d in left.basis]
+            twisted = [tau_inv @ d for d in left.basis]
             if twisted:
                 assert rank(_span(twisted)) == left.dim
                 target = _span(right.basis)

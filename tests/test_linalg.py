@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gderive import _kernels
+from gderive import _kernels, linalg
 from gderive._kernels import rref_int
 from gderive.algebra import make_algebra
 from gderive.derivations import derivation_space
@@ -700,6 +701,47 @@ class TestIntegerBackedMatrix:
         assert Matrix.zero(0, 2) != Matrix.zero(0, 3)
         assert Matrix.zero(2, 0) != Matrix.zero(3, 0)
         assert Matrix.zero(1, 2) != Matrix.zero(2, 1)
+
+    def test_entries_are_built_once(self, monkeypatch):
+        coerced = []
+        real_coerce = linalg._coerce
+
+        def recording_coerce(value):
+            coerced.append(real_coerce(value))
+            return coerced[-1]
+
+        monkeypatch.setattr(linalg, "_coerce", recording_coerce)
+        m = Matrix.from_rows([[1, Fraction(1, 2)], ["3/4", 0]])
+        product = m @ m
+
+        def no_fraction(*args):
+            raise AssertionError("a second Fraction grid was built")
+
+        # from_rows keeps the grid it coerced as the entries: reading
+        # them makes no Fraction.
+        monkeypatch.setattr(linalg, "Fraction", no_fraction)
+        assert len(coerced) == 4
+        assert all(a is b for a, b in zip(chain.from_iterable(m.entries), coerced))
+        assert m.entries is m.entries
+        monkeypatch.undo()
+        # A product builds its entries on first read, once.
+        first = product.entries
+        assert product.entries is first
+        assert first == (
+            (Fraction(11, 8), Fraction(1, 2)), (Fraction(3, 4), Fraction(3, 8))
+        )
+
+    @pytest.mark.parametrize("num, den, grid", [
+        (((2, 4),), 2, [[1, 2]]),
+        (((2, 4),), 6, [["1/3", "2/3"]]),
+        (((0, 0), (0, 0)), 5, [[0, 0], [0, 0]]),
+    ])
+    def test_make_brings_its_grid_to_canonical_form(self, num, den, grid):
+        made = linalg._make(len(num), len(num[0]), num, den)
+        expected = Matrix.from_rows(grid)
+        assert canonical(made)
+        assert (made.num, made.den) == (expected.num, expected.den)
+        assert made == expected and hash(made) == hash(expected)
 
     def test_attributes_cannot_be_assigned(self):
         m = Matrix.from_rows([[1, Fraction(1, 2)]])

@@ -48,7 +48,23 @@ def test_every_annotated_engine_class_is_a_record():
                 and obj.__dict__.get("__annotations__")
             ):
                 assert issubclass(obj, Record), obj.__qualname__
-    assert len(RECORDS) == len(set(RECORDS)) >= 18
+    assert len(RECORDS) == len(set(RECORDS)) >= 19
+
+
+def test_only_records_define_value_methods():
+    # A second mechanism for immutable values (slots, an assignment guard,
+    # an equality or a hash of its own) belongs in a Record instead.
+    value_methods = {"__slots__", "__setattr__", "__delattr__", "__eq__", "__hash__"}
+    classes = [
+        obj
+        for module in ENGINES
+        for obj in vars(module).values()
+        if isinstance(obj, type) and obj.__module__ == module.__name__
+    ]
+    assert len(classes) >= len(RECORDS)
+    for cls in classes:
+        own = sorted(value_methods & vars(cls).keys())
+        assert not own or issubclass(cls, Record), (cls.__qualname__, own)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)

@@ -81,6 +81,10 @@ SHARED_METHOD_NAMES = {
         "linalg.Subspace":
             "sl2: return FixedDimensionReport(space.dim, square_maps(space.rows, 3), claim)",
     },
+    "den": {
+        "linalg.Matrix": "linalg: den = self.rows.den",
+        "polynomials.MultiPoly": "polynomials: if lead == self.den:",
+    },
     "dimension": {
         "derivations.IntersectionReport": 'cli: "dimension": report.dimension,',
         "sl2.ComponentVerdict": 'cli: "dimension": verdict.dimension,',
@@ -103,6 +107,10 @@ SHARED_METHOD_NAMES = {
         "algebra.LieAlgebra": 'cli: "name": g.name,',
         "sl2.Component": 'cli: "name": component.name,',
     },
+    "num": {
+        "linalg.Matrix": "linalg: return not any(map(any, self.num))",
+        "polynomials.MultiPoly": "polynomials: return not self.num",
+    },
     "ok": {
         "algebra.ValidationReport": 'cli: "valid": report.ok,',
         "reproduce.Row": 'cli: "ok": row.ok,',
@@ -111,6 +119,10 @@ SHARED_METHOD_NAMES = {
         "sl2.DecompositionReport":
             'cli: out["raw_generator_count"] = len(report.raw.generators)',
         "sl2.DerivationIdealReport": "sl2: contains(basis, report.raw),",
+    },
+    "rows": {
+        "linalg.Matrix": "algebra: if m.rows != n or m.cols != n:",
+        "linalg.Subspace": "derivations: images = h.rows @ d.transpose()",
     },
     "scale": {
         "algebra.LieAlgebra": "algebra: table, scale = g.table, g.scale",
@@ -151,7 +163,8 @@ OPERATORS = {
 OPERATOR_CALLERS = {
     "linalg.Matrix.__add__":
         "reproduce: sigma_bracket(a, sigma_bracket(b, c, inv), inv)",
-    "linalg.Matrix.__matmul__": "derivations: return inverse(tau) @ d",
+    "linalg.Matrix.__matmul__":
+        "reproduce: twisted = [tau_inv @ d for d in left.basis]",
     "linalg.Matrix.__sub__":
         "derivations: return d @ sigma_inv @ t - t @ sigma_inv @ d",
     "polynomials.MultiPoly.__add__": "sl2: residual[r] += x[m][r].scale(c)",
