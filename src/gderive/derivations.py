@@ -21,8 +21,8 @@ Beside the solvers: ``is_derivation_pair`` checks the defining identity
 apart from the assembler; ``sigma_bracket`` and ``restrict`` bracket
 and restrict the solved maps; ``intersection_report`` meets two twisted
 spaces. sigma, tau and the generators are plain matrices, and every
-function here that meets them with g checks them with
-``require_automorphism`` first.
+public function here that meets them with g checks them with
+``require_automorphism`` first; the private ``_solve`` trusts its caller.
 """
 
 from __future__ import annotations
@@ -210,13 +210,23 @@ def derivation_space(
         tau = Matrix.identity(g.dim)
     else:
         require_automorphism(g, tau)
+    if kind == "minus":
+        for other in gens:
+            require_automorphism(g, other)
+    return _solve(g, sigma, tau, kind, gens)
+
+
+def _solve(
+    g: LieAlgebra, sigma: Matrix, tau: Matrix, kind: str, gens: tuple
+) -> DerivationSpace:
+    """``derivation_space`` for a known kind and automorphisms of g that
+    the caller has checked: assemble the rows and reduce them."""
     n = g.dim
     rows = _identity_rows(g, 1, 1, 1, sigma, tau)
     if kind == "plus":
         rows.extend(_commutation_rows(n, sigma))
     elif kind == "minus":
         for other in gens:
-            require_automorphism(g, other)
             rows.extend(_commutation_rows(n, other))
     return DerivationSpace(kind, kernel_of_rows(rows, n * n))
 
@@ -294,8 +304,8 @@ def restrict(d: Matrix, h: Subspace) -> Matrix:
 class IntersectionReport(Record):
     dimension: int
     intersection: Subspace
-    witness: tuple = None
-    witness_in_centralizer: bool = None
+    witness: tuple
+    witness_in_centralizer: bool
 
 
 def intersection_report(

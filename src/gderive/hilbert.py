@@ -12,7 +12,7 @@ sigma is a plain matrix, checked against the algebra before all else.
 from __future__ import annotations
 
 from gderive.algebra import LieAlgebra, require_automorphism
-from gderive.derivations import derivation_space
+from gderive.derivations import _solve
 from gderive.errors import FiniteOrderInput, InputError, NoPeriod
 from gderive.limits import (
     DEFAULT_ORDER_BOUND,
@@ -28,7 +28,7 @@ class GradedDims(Record):
     kind: str
     window: int
     dims: dict
-    finite_order: int = None
+    finite_order: int
 
 
 def graded_dims(
@@ -46,8 +46,8 @@ def graded_dims(
     grade is one linear solve and at most one matrix product (sigma^k is
     sigma^(k-1) times sigma, or times one shared inverse for k < 0), and
     each order step is one matrix product. sigma must be an automorphism
-    of g; it is checked first, so a singular sigma is reported as no
-    automorphism, and each power is checked where it is solved.
+    of g; it is checked first and only once, so a singular sigma is
+    reported as no automorphism.
     """
     require_automorphism(g, sigma)
     if kind not in ("plain", "plus"):
@@ -64,10 +64,13 @@ def graded_dims(
     else:
         steps, top, window = ((1, sigma),), order - 1, order
 
-    def dim(m: Matrix) -> int:
-        return derivation_space(g, m, kind=kind).dim
+    # The identity and every power of the checked sigma are automorphisms.
+    ident = Matrix.identity(g.dim)
 
-    dims = {0: dim(Matrix.identity(g.dim))}
+    def dim(m: Matrix) -> int:
+        return _solve(g, m, ident, kind, ()).dim
+
+    dims = {0: dim(ident)}
     for sign, step in steps:
         power = step
         for k in range(1, top + 1):
@@ -113,9 +116,9 @@ class RationalSeries(Record):
     """
 
     polynomial_part: tuple
-    positive_tail: tuple = None
-    negative_tail: tuple = None
-    finite_order: int = None
+    positive_tail: tuple
+    negative_tail: tuple
+    finite_order: int
 
     def coefficient(self, k: int) -> int:
         if self.finite_order is not None:
@@ -146,7 +149,7 @@ def rational_series(gd: GradedDims) -> RationalSeries:
         poly = tuple(
             (k, gd.dims[k]) for k in range(gd.finite_order) if gd.dims[k]
         )
-        return RationalSeries(poly, finite_order=gd.finite_order)
+        return RationalSeries(poly, None, None, gd.finite_order)
     found = detect_period(gd)
     if found is None:
         raise NoPeriod("no eventual period is visible in the window")
@@ -161,7 +164,7 @@ def rational_series(gd: GradedDims) -> RationalSeries:
     neg = tuple(gd.dims[-start - i] for i in range(period))
     positive_tail = (pos, period, start) if any(pos) else None
     negative_tail = (neg, period, start) if any(neg) else None
-    return RationalSeries(poly, positive_tail, negative_tail)
+    return RationalSeries(poly, positive_tail, negative_tail, None)
 
 
 def series_matches_window(gd: GradedDims, series: RationalSeries) -> bool:

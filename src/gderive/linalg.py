@@ -93,7 +93,7 @@ class Matrix(Record):
 
     # Products and kernels build matrices in bulk, so the record's
     # constructor is written out for the four fields.
-    def __init__(self, rows: int, cols: int, num: tuple, den: int):
+    def __init__(self, rows: int, cols: int, num: tuple, den: int, /):
         d = self.__dict__
         d["rows"] = rows
         d["cols"] = cols

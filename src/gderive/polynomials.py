@@ -52,7 +52,8 @@ class MultiPoly(Record):
     """The polynomial sum(c x^e) / den: ``num`` holds the (exponent
     vector, int c) terms sorted descending, without zeros, over one
     ``den`` > 0, in canonical form: the gcd of ``den`` and every
-    coefficient is 1, so equal polynomials have equal fields.
+    coefficient is 1, so equal polynomials have equal fields, and the
+    record's ``==`` and ``hash`` over (variables, num, den) are exact.
 
     ``from_terms`` takes exact scalars (ints, Fractions, rational
     strings); ``terms``, the (exponent vector, Fraction) pairs, is built
@@ -63,24 +64,13 @@ class MultiPoly(Record):
     num: tuple
     den: int
 
-    # Built and compared in bulk by the Groebner engine, so the record
-    # methods are written out for the three fields.
-    def __init__(self, variables: tuple, num: tuple, den: int):
+    # Built in bulk by the Groebner engine, so the record's constructor
+    # is written out for the three fields.
+    def __init__(self, variables: tuple, num: tuple, den: int, /):
         d = self.__dict__
         d["variables"] = variables
         d["num"] = num
         d["den"] = den
-
-    def __eq__(self, other):
-        if other.__class__ is not MultiPoly:
-            return NotImplemented
-        return (
-            self.variables == other.variables and self.den == other.den
-            and self.num == other.num
-        )
-
-    def __hash__(self):
-        return hash((self.variables, self.num, self.den))
 
     @cached_property
     def terms(self) -> tuple:

@@ -1,13 +1,14 @@
 """Frozen value records.
 
-A record class lists its fields as class annotations, in order, with an
-optional default as the class attribute; :class:`Record` reads them once,
-when the class is made. Instances take their fields positionally or by
-keyword, compare equal only to instances of the same class with equal
-fields, hash as the tuple of their fields, print as ``Name(field=value,
-...)`` and refuse assignment and deletion. They keep a ``__dict__``, so a
-``functools.cached_property`` member (which writes to the instance dict
-directly) still works.
+A record class lists its fields as class annotations, in order;
+:class:`Record` reads them once, when the class is made. Instances take
+exactly their fields, by position, and trust them: the checks a value
+needs live in the named factory it enters through (``Matrix.from_rows``,
+``make_algebra``, ``Sl2Family.fixed`` ...). Instances compare equal only
+to instances of the same class with equal fields, hash as the tuple of
+their fields, print as ``Name(field=value, ...)`` and refuse assignment
+and deletion. They keep a ``__dict__``, so a ``functools.cached_property``
+member (which writes to the instance dict directly) still works.
 
 The base generates no code: it reads the field list once per class and
 runs the same few methods for every record, so defining the records
@@ -22,38 +23,15 @@ class Record:
 
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__dict__.get("__annotations__", {}))
-        cls._defaults = {
-            name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__
-        }
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *values):
         fields = self._fields
-        if len(args) > len(fields):
+        if len(values) != len(fields):
             raise TypeError(
                 f"{type(self).__name__} takes {len(fields)} fields, "
-                f"got {len(args)} positional arguments"
+                f"got {len(values)}"
             )
-        values = dict(zip(fields, args))
-        for name, value in kwargs.items():
-            if name not in fields:
-                raise TypeError(f"{type(self).__name__} has no field {name!r}")
-            if name in values:
-                raise TypeError(f"{type(self).__name__} got {name!r} twice")
-            values[name] = value
-        if len(values) < len(fields):
-            defaults = self._defaults
-            for name in fields:
-                if name not in values:
-                    if name not in defaults:
-                        raise TypeError(
-                            f"{type(self).__name__} is missing field {name!r}"
-                        )
-                    values[name] = defaults[name]
-        self.__dict__.update(values)
-        self.__post_init__()
-
-    def __post_init__(self):
-        """Checks a subclass runs on a new instance; none by default."""
+        self.__dict__.update(zip(fields, values))
 
     def _values(self) -> tuple:
         get = self.__dict__.__getitem__

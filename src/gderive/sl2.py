@@ -145,36 +145,36 @@ FAMILIES = {
 
 
 class Sl2Family(Record):
-    """One of the three automorphism families, symbolic or fixed."""
+    """One of the three automorphism families, symbolic (``values`` None)
+    or fixed; ``symbolic`` and ``fixed`` check the tag and the values."""
 
     tag: str
-    values: dict = None
-
-    def __post_init__(self):
-        if self.tag not in FAMILY_PARAMS:
-            raise InputError(f"unknown family {self.tag!r}")
-        if self.values is not None:
-            expected = set(FAMILY_PARAMS[self.tag])
-            if set(self.values) != expected:
-                raise InputError(
-                    f"family {self.tag!r} needs values for {sorted(expected)}"
-                )
-            if self.tag == "ab":
-                if self.values["a"] == 0:
-                    raise ZeroParameterA("the two-parameter family needs a != 0")
-                if self.values["b"] == 0:
-                    raise ZeroParameterA(
-                        "the two-parameter family needs b != 0; its defining "
-                        "matrix has b in a denominator"
-                    )
+    values: dict
 
     @classmethod
     def symbolic(cls, tag: str) -> "Sl2Family":
+        if tag not in FAMILY_PARAMS:
+            raise InputError(f"unknown family {tag!r}")
         return cls(tag, None)
 
     @classmethod
     def fixed(cls, tag: str, **values) -> "Sl2Family":
-        return cls(tag, {k: Fraction(v) for k, v in values.items()})
+        """The family at the given parameter values: exactly the family's
+        parameters, with a and b nonzero in the two-parameter family."""
+        values = {k: Fraction(v) for k, v in values.items()}
+        cls.symbolic(tag)  # checks the tag
+        expected = set(FAMILY_PARAMS[tag])
+        if set(values) != expected:
+            raise InputError(f"family {tag!r} needs values for {sorted(expected)}")
+        if tag == "ab":
+            if values["a"] == 0:
+                raise ZeroParameterA("the two-parameter family needs a != 0")
+            if values["b"] == 0:
+                raise ZeroParameterA(
+                    "the two-parameter family needs b != 0; its defining "
+                    "matrix has b in a denominator"
+                )
+        return cls(tag, values)
 
     @property
     def ring(self) -> tuple:
@@ -338,7 +338,7 @@ class Component(Record):
     form_variables: tuple
     parameter_values: dict
     claimed_dimension: int
-    claimed_form: tuple = None
+    claimed_form: tuple
 
     def evaluate(self, assignment: dict) -> tuple:
         """(derivation matrix, ring-parameter values) at rational points."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gderive import derivations
+from gderive import algebra, derivations
 from gderive.algebra import builtin
 from gderive.derivations import derivation_space
 from gderive.errors import (
@@ -158,6 +158,19 @@ class TestGradedDims:
             graded_dims(SL2, Matrix.zero(3, 3), window=1)
         with pytest.raises(UnvalidatedAutomorphism):
             graded_dims(HEIS, SIGMA_UPPER)
+
+    def test_sigma_is_checked_once(self, monkeypatch):
+        # The identity and the powers of a checked sigma are automorphisms.
+        checked = []
+        real = algebra.is_automorphism
+
+        def counting(g, m):
+            checked.append(m)
+            return real(g, m)
+
+        monkeypatch.setattr(algebra, "is_automorphism", counting)
+        assert len(graded_dims(SL2, SIGMA_UPPER, window=3).dims) == 7
+        assert checked == [SIGMA_UPPER]
 
 
 class TestDetectPeriod:

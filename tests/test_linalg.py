@@ -1015,9 +1015,24 @@ class TestJson:
         with pytest.raises(DimensionMismatch):
             Matrix.from_rows([[1, 2], [3]])
 
-    def test_only_from_rows_builds_a_grid(self):
+    def test_constructor_trusts_and_factories_canonicalise(self):
+        # The four-field constructor stores what it is given, unchecked
+        # and unreduced; a grid is checked and reduced by a factory.
+        raw = Matrix(2, 2, [[1, 2, 3]], 4)
+        assert (raw.rows, raw.cols, raw.num, raw.den) == (2, 2, [[1, 2, 3]], 4)
         with pytest.raises(TypeError):
-            Matrix(2, 2, [[1, 2, 3]])
+            Matrix(2, 2, [[1, 2]])
+        half = Fraction(1, 2)
+        assert Matrix(1, 1, ((2,),), 4) != Matrix.from_rows([[half]])
+        for made, grid in (
+            (Matrix.from_rows([["2/4", -1], [0, 3]]), [[half, "-2/2"], ["0/5", 3]]),
+            (Matrix.identity(2), [[1, 0], ["0/3", "4/4"]]),
+            (Matrix.zero(2, 3), [["0/7"] * 3, [0] * 3]),
+            (linalg._make(2, 2, ((3, -6), (0, 9)), 6), [[half, -1], [0, "3/2"]]),
+        ):
+            twin = Matrix.from_rows(grid)
+            assert canonical(made)
+            assert made == twin and hash(made) == hash(twin)
 
     def test_missing_keys(self):
         with pytest.raises(InputError):

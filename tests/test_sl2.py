@@ -737,8 +737,8 @@ class TestFixedDimensions:
 
     def test_int_values_give_the_same_report(self):
         assert fixed_param_dimension(
-            Sl2Family("ab", {"a": 2, "b": 1})
-        ) == fixed_param_dimension(Sl2Family.fixed("ab", a=2, b=1))
+            Sl2Family.fixed("ab", a=2, b=1)
+        ) == fixed_param_dimension(Sl2Family.fixed("ab", a=F(2), b=F(1)))
 
     def test_symbolic_family_requires_values(self):
         with pytest.raises(GDeriveError):

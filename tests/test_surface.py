@@ -77,7 +77,7 @@ SHARED_METHOD_NAMES = {
     "dim": {
         "algebra.LieAlgebra": "derivations: n = g.dim",
         "derivations.DerivationSpace":
-            "hilbert: return derivation_space(g, m, kind=kind).dim",
+            "hilbert: return _solve(g, m, ident, kind, ()).dim",
         "linalg.Subspace":
             "sl2: return FixedDimensionReport(space.dim, square_maps(space.rows, 3), claim)",
     },
@@ -412,12 +412,12 @@ def test_walk_reports_a_field_that_only_its_constructor_copies():
     modules = _modules()
     hilbert = _sources()["hilbert"]
     source = hilbert.replace(
-        "    dims: dict\n    finite_order: int = None\n",
-        "    dims: dict\n    finite_order: int = None\n    algebra: LieAlgebra = None\n",
+        "    dims: dict\n    finite_order: int\n",
+        "    dims: dict\n    finite_order: int\n    algebra: LieAlgebra\n",
     )
     copied = source.replace(
         "    found = detect_period(gd)\n",
-        "    gd = GradedDims(gd.kind, gd.window, gd.dims, algebra=gd.algebra)\n"
+        "    gd = GradedDims(gd.kind, gd.window, gd.dims, gd.finite_order, gd.algebra)\n"
         "    found = detect_period(gd)\n",
     )
     assert source != hilbert and copied != source
