@@ -111,16 +111,9 @@ def bracket_images(table, columns, coeff):
     return out
 
 
-class ValidationReport(Record):
-    violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_lie(g: LieAlgebra) -> ValidationReport:
-    """Check the Jacobi identity on every basis triple.
+def validate_lie(g: LieAlgebra) -> tuple:
+    """The violations of the Jacobi identity on basis triples, empty when
+    g is a Lie algebra.
 
     Violations are (i, j, k, residual) entries with 1-based indices, sorted
     by (i, j, k); antisymmetry holds by construction and is not rechecked.
@@ -156,7 +149,7 @@ def validate_lie(g: LieAlgebra) -> ValidationReport:
             violations.append((i + 1, j + 1, k + 1, tuple(
                 Fraction(residual.get(r, 0), scale * scale) for r in range(n)
             )))
-    return ValidationReport(tuple(violations))
+    return tuple(violations)
 
 
 def is_automorphism(g: LieAlgebra, m: Matrix) -> bool:

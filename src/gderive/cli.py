@@ -67,7 +67,7 @@ def load_algebra(spec: str, require_valid: bool = True) -> LieAlgebra:
         g = builtin(spec)
     except UnknownName:
         g = algebra_from_json_dict(_read_json(spec))
-    if require_valid and not validate_lie(g).ok:
+    if require_valid and validate_lie(g):
         raise InputError(f"algebra {g.name!r} fails the Jacobi identity")
     return g
 
@@ -128,11 +128,11 @@ def _basis_dicts(matrices) -> list:
     return [m.to_json_dict() for m in matrices]
 
 
-def _space_report(space) -> dict:
+def _space_report(space, kind: str) -> dict:
     return {
         "dimension": space.dim,
         "basis": _basis_dicts(space.basis),
-        "kind": space.kind,
+        "kind": kind,
     }
 
 
@@ -151,17 +151,17 @@ def cmd_check(args) -> int:
     from .algebra import validate_lie
 
     g = load_algebra(args.algebra, require_valid=False)
-    report = validate_lie(g)
+    violations = validate_lie(g)
     out = {
         "name": g.name,
         "dim": g.dim,
-        "valid": report.ok,
+        "valid": not violations,
         "violations": [
             {
                 "triple": [i, j, k],
                 "residual": _vector_list(residual),
             }
-            for i, j, k, residual in report.violations
+            for i, j, k, residual in violations
         ],
     }
 
@@ -190,7 +190,7 @@ def cmd_derive(args) -> int:
     if args.kind == "minus" and not gens:
         raise InputError("kind minus needs at least one --gens automorphism")
     space = derivation_space(g, sigma, tau, kind=args.kind, gens=gens)
-    _emit(_space_report(space), args.format, _space_lines)
+    _emit(_space_report(space, args.kind), args.format, _space_lines)
     return 0
 
 
@@ -199,7 +199,7 @@ def cmd_centroid(args) -> int:
 
     g = load_algebra(args.algebra)
     space = centroid(g)
-    _emit(_space_report(space), args.format, _space_lines)
+    _emit(_space_report(space, "centroid"), args.format, _space_lines)
     return 0
 
 
@@ -232,7 +232,7 @@ def cmd_abg(args) -> int:
     beta = parse_rational(args.beta)
     gamma = parse_rational(args.gamma)
     space = abg_space(g, alpha, beta, gamma)
-    out = _space_report(space)
+    out = _space_report(space, f"abg({alpha},{beta},{gamma})")
     out["alpha"], out["beta"], out["gamma"] = (
         format_rational(alpha),
         format_rational(beta),
@@ -251,9 +251,9 @@ def cmd_intersect(args) -> int:
     witness = _parse_vector(args.witness) if args.witness is not None else None
     report = intersection_report(g, sigma, tau, witness)
     out = {
-        "dimension": report.dimension,
+        "dimension": report.intersection.dim,
         "basis": [_vector_list(v) for v in report.intersection.basis],
-        "witness": _vector_list(report.witness) if report.witness else None,
+        "witness": _vector_list(witness) if witness else None,
         "witness_in_centralizer": report.witness_in_centralizer,
     }
 
@@ -289,7 +289,7 @@ def cmd_hilbert(args) -> int:
             period = {"cutoff": found[0], "period": found[1]}
             series_text = render_series(rational_series(gd))
     out = {
-        "kind": gd.kind,
+        "kind": args.kind,
         "window": gd.window,
         "finite_order": gd.finite_order,
         "dims": {str(k): v for k, v in sorted(gd.dims.items())},
@@ -383,6 +383,7 @@ def _form_grid(form) -> list:
 def cmd_sl2(args) -> int:
     from .linalg import format_rational
     from .sl2 import (
+        RECORDED_FIXED_DIMENSION,
         Sl2Family,
         derivation_ideal,
         fixed_param_dimension,
@@ -410,10 +411,10 @@ def cmd_sl2(args) -> int:
                 name: format_rational(value)
                 for name, value in sorted(family.values.items())
             },
-            "dimension": fixed.dimension,
+            "dimension": fixed.dim,
             "basis": _basis_dicts(fixed.basis),
-            "paper_claim": fixed.paper_claim,
-            "matches_claim": fixed.matches_claim,
+            "paper_claim": RECORDED_FIXED_DIMENSION,
+            "matches_claim": fixed.dim == RECORDED_FIXED_DIMENSION,
         }
     else:
         report = verify_decomposition(family, args.degree_guard)
@@ -481,7 +482,7 @@ def cmd_sl2(args) -> int:
                 body.append("  " + _matrix_line(m))
         return body
 
-    _emit(out, args.report, lines)
+    _emit(out, args.format, lines)
     return 0
 
 
@@ -653,12 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=VALUE",
         help="fix family parameters, repeatable or comma-separated",
     )
-    p.add_argument(
-        "--report",
-        choices=("json", "text"),
-        default="json",
-        help="output format (default %(default)s)",
-    )
+    _add_format(p)
     _add_guard(p)
     p.set_defaults(func=cmd_sl2)
 

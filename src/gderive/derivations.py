@@ -3,19 +3,21 @@
 The solvers are ``derivation_space`` (Der_{sigma,tau} and its two
 interiors), ``centroid``, ``abg_space`` and ``quasiderivation_witness``.
 Each assembles an explicit exact linear system in the n^2 entries of the
-unknown map and returns one solution, or a ``DerivationSpace``: its kind
-and the canonical kernel as a ``Subspace`` of Q^(n^2), read as n x n
-maps only when a caller reads ``basis``. All kernel systems are
-instances of one scaled identity,
+unknown map and returns one solution, or a ``DerivationSpace``: the
+canonical kernel as a ``Subspace`` of Q^(n^2), read as n x n maps only
+when a caller reads ``basis``. All kernel systems are instances of one
+scaled identity,
 
     alpha D([x,y]) = beta [D(x), sigma(y)] + gamma [tau(x), D(y)],
 
-assembled from the sparse structure-constant table by ``_identity_rows``.
-Its residual is antisymmetric in (x,y) and vanishes on the diagonal
-exactly when beta = gamma and sigma = tau; then the identity is imposed on
-basis pairs i < j only, and otherwise on every ordered pair including the
-diagonal. Every system is a list of sparse integer rows {column: int},
-handed to ``kernel_of_rows`` or ``solve_rows`` without a dense grid.
+assembled from the sparse structure-constant table by ``_identity_rows``;
+``_solve`` adds the rows D rho = rho D of the interiors and reduces, for
+every kernel solver. The residual is antisymmetric in (x,y) and vanishes
+on the diagonal exactly when beta = gamma and sigma = tau; then the
+identity is imposed on basis pairs i < j only, and otherwise on every
+ordered pair including the diagonal. Every system is a list of sparse
+integer rows {column: int}, handed to ``kernel_of_rows`` or
+``solve_rows`` without a dense grid.
 
 Beside the solvers: ``is_derivation_pair`` checks the defining identity
 apart from the assembler; ``sigma_bracket`` and ``restrict`` bracket
@@ -28,7 +30,6 @@ public function here that meets them with g checks them with
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
 
 from gderive.algebra import (
@@ -42,6 +43,7 @@ from gderive.errors import DimensionMismatch, InputError, NotSigmaStable
 from gderive.linalg import (
     Matrix,
     Subspace,
+    _coerce,
     _integer_vector,
     _make,
     integer_columns,
@@ -58,7 +60,6 @@ class DerivationSpace(Record):
     """The canonical kernel in the n^2 flattened entries; ``basis`` reads
     it as n x n maps on first use."""
 
-    kind: str
     subspace: Subspace
 
     @cached_property
@@ -213,22 +214,19 @@ def derivation_space(
     if kind == "minus":
         for other in gens:
             require_automorphism(g, other)
-    return _solve(g, sigma, tau, kind, gens)
+    commuting = {"plain": (), "plus": (sigma,), "minus": gens}[kind]
+    return _solve(g, (1, 1, 1), sigma, tau, commuting)
 
 
-def _solve(
-    g: LieAlgebra, sigma: Matrix, tau: Matrix, kind: str, gens: tuple
-) -> DerivationSpace:
-    """``derivation_space`` for a known kind and automorphisms of g that
-    the caller has checked: assemble the rows and reduce them."""
+def _solve(g: LieAlgebra, coefficients, sigma, tau, commuting) -> DerivationSpace:
+    """The D with alpha D[x,y] = beta [D x, sigma y] + gamma [tau x, D y],
+    (alpha, beta, gamma) the coefficients, that commute with each map in
+    ``commuting``; sigma, tau and those maps are checked by the caller."""
     n = g.dim
-    rows = _identity_rows(g, 1, 1, 1, sigma, tau)
-    if kind == "plus":
-        rows.extend(_commutation_rows(n, sigma))
-    elif kind == "minus":
-        for other in gens:
-            rows.extend(_commutation_rows(n, other))
-    return DerivationSpace(kind, kernel_of_rows(rows, n * n))
+    rows = _identity_rows(g, *coefficients, sigma, tau)
+    for other in commuting:
+        rows.extend(_commutation_rows(n, other))
+    return DerivationSpace(kernel_of_rows(rows, n * n))
 
 
 def centroid(g: LieAlgebra) -> DerivationSpace:
@@ -239,8 +237,7 @@ def centroid(g: LieAlgebra) -> DerivationSpace:
     is the first identity at (j,i) up to sign.
     """
     ident = Matrix.identity(g.dim)
-    rows = _identity_rows(g, 1, 1, 0, ident, ident)
-    return DerivationSpace("centroid", kernel_of_rows(rows, g.dim ** 2))
+    return _solve(g, (1, 1, 0), ident, ident, ())
 
 
 def sigma_bracket(d: Matrix, t: Matrix, sigma_inv: Matrix) -> Matrix:
@@ -278,13 +275,12 @@ def abg_space(g: LieAlgebra, alpha, beta, gamma) -> DerivationSpace:
     """Solutions of alpha D[x,y] = beta [D(x),y] + gamma [x,D(y)].
 
     The two sides have mismatched symmetry when beta != gamma, so the
-    system then runs over all ordered pairs including the diagonal.
+    system then runs over all ordered pairs including the diagonal. The
+    coefficients must be exact scalars.
     """
-    alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
     ident = Matrix.identity(g.dim)
-    rows = _identity_rows(g, alpha, beta, gamma, ident, ident)
-    kind = f"abg({alpha},{beta},{gamma})"
-    return DerivationSpace(kind, kernel_of_rows(rows, g.dim ** 2))
+    coefficients = tuple(map(_coerce, (alpha, beta, gamma)))
+    return _solve(g, coefficients, ident, ident, ())
 
 
 def restrict(d: Matrix, h: Subspace) -> Matrix:
@@ -302,23 +298,20 @@ def restrict(d: Matrix, h: Subspace) -> Matrix:
 
 
 class IntersectionReport(Record):
-    dimension: int
     intersection: Subspace
-    witness: tuple
     witness_in_centralizer: bool
 
 
 def intersection_report(
     g: LieAlgebra, sigma: Matrix, tau: Matrix, witness=None
 ) -> IntersectionReport:
-    """Dimension of Der_sigma meet Der_tau, plus the centralizer witness.
-    Each ``derivation_space`` call checks its automorphism."""
+    """Der_sigma meet Der_tau, and whether [w, sigma^-1 tau w] = 0 for a
+    witness w, if given. Each ``derivation_space`` call checks its map."""
     first = derivation_space(g, sigma)
     second = derivation_space(g, tau)
     inter = subspace_intersect(first.subspace, second.subspace)
     witness_ok = None
     if witness is not None:
-        witness = tuple(Fraction(a) if isinstance(a, int) else a for a in witness)
         moved = inverse(sigma).apply(tau.apply(witness))
         witness_ok = all(a == 0 for a in bracket(g, witness, moved))
-    return IntersectionReport(inter.dim, inter, witness, witness_ok)
+    return IntersectionReport(inter, witness_ok)

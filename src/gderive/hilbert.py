@@ -25,7 +25,6 @@ from gderive.record import Record
 
 
 class GradedDims(Record):
-    kind: str
     window: int
     dims: dict
     finite_order: int
@@ -68,7 +67,8 @@ def graded_dims(
     ident = Matrix.identity(g.dim)
 
     def dim(m: Matrix) -> int:
-        return _solve(g, m, ident, kind, ()).dim
+        commuting = (m,) if kind == "plus" else ()
+        return _solve(g, (1, 1, 1), m, ident, commuting).dim
 
     dims = {0: dim(ident)}
     for sign, step in steps:
@@ -77,7 +77,7 @@ def graded_dims(
             if k > 1:
                 power = power @ step
             dims[sign * k] = dim(power)
-    return GradedDims(kind, window, dict(sorted(dims.items())), order)
+    return GradedDims(window, dict(sorted(dims.items())), order)
 
 
 def detect_period(gd: GradedDims):

@@ -29,13 +29,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from gderive.algebra import builtin
+from gderive.derivations import DerivationSpace
 from gderive.errors import InputError, ZeroParameterA
 from gderive.linalg import (
     Matrix,
+    _coerce,
     exp_nilpotent,
     kernel_of_rows,
     rank,
-    square_maps,
 )
 from gderive.polynomials import (
     DEFAULT_GUARD,
@@ -87,7 +88,6 @@ FAMILIES = {
         "p2 params": "y",
         "p2 dim": 2,
         "p2 recorded": "0, -1/2*t, 1/2*t*y; 0, 0, t; 0, 0, 0",
-        "fixed_claim": 4,
     },
     "c": {
         "sigma": "1, 0, 0; -2*y, 1, 0; -y^2, y, 1",
@@ -99,7 +99,6 @@ FAMILIES = {
         "p2 dim": 2,
         # The recorded form of family c fails the identity.
         "p2 recorded": "0, 0, 0; -2*t, 0, t; -2*t*y, 0, 0",
-        "fixed_claim": 4,
     },
     "ab": {
         "sigma": (
@@ -139,9 +138,12 @@ FAMILIES = {
             "(2ab^2+4b)/(a^2b-4a)*c, (-2ab)/(ab-4)*c, (a-a^2b/2)/(ab^2-4b)*c; "
             "(-4b^3)/(a^2b-4a)*c, (4ab^2-8b)/(a^2b-4a)*c, c"
         ),
-        "fixed_claim": 4,
     },
 }
+
+
+# The recorded dimension of the solution space at any fixed parameter value.
+RECORDED_FIXED_DIMENSION = 4
 
 
 class Sl2Family(Record):
@@ -160,8 +162,9 @@ class Sl2Family(Record):
     @classmethod
     def fixed(cls, tag: str, **values) -> "Sl2Family":
         """The family at the given parameter values: exactly the family's
-        parameters, with a and b nonzero in the two-parameter family."""
-        values = {k: Fraction(v) for k, v in values.items()}
+        parameters as exact scalars, with a and b nonzero in the
+        two-parameter family."""
+        values = {k: _coerce(v) for k, v in values.items()}
         cls.symbolic(tag)  # checks the tag
         expected = set(FAMILY_PARAMS[tag])
         if set(values) != expected:
@@ -183,7 +186,7 @@ class Sl2Family(Record):
 
 def derivation_matrix(a, b, c) -> Matrix:
     """The general derivation of sl2 with the three free coefficients."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    a, b, c = map(_coerce, (a, b, c))
     return Matrix.from_rows([[a, b, 0], [-2 * c, 0, -2 * b], [0, c, -a]])
 
 
@@ -199,7 +202,7 @@ class DerivationClassification(Record):
 
 def classify_derivation(a, b, c) -> DerivationClassification:
     """Nilpotency dichotomy and iterated ranks for the derivation family."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    a, b, c = map(_coerce, (a, b, c))
     d = derivation_matrix(a, b, c)
     d2 = d @ d
     d3 = d2 @ d
@@ -471,26 +474,11 @@ def verify_decomposition(
 
 # -- fixed-parameter reports --------------------------------------------------
 
-class FixedDimensionReport(Record):
-    dimension: int
-    basis: tuple
-    paper_claim: int
-
-    @property
-    def matches_claim(self) -> bool:
-        return self.dimension == self.paper_claim
-
-
-def fixed_param_dimension(f: Sl2Family) -> FixedDimensionReport:
+def fixed_param_dimension(f: Sl2Family) -> DerivationSpace:
     """Exact solution space of a fixed family, via the symbolic ideal:
-    specialise, linearize, take the kernel.
-
-    The computed dimension is authoritative; the published family-level
-    claim (dimension 4 at any fixed parameter) is reported alongside.
-    """
+    specialise, linearize, take the kernel. Callers compare its dimension
+    with RECORDED_FIXED_DIMENSION, never substituted for it."""
     if f.values is None:
         raise InputError("fixed parameter values are required")
     gens = _raw_ideal(f).generators
-    space = kernel_of_rows(linear_rows(gens, X_VARS), 9)
-    claim = FAMILIES[f.tag]["fixed_claim"]
-    return FixedDimensionReport(space.dim, square_maps(space.rows, 3), claim)
+    return DerivationSpace(kernel_of_rows(linear_rows(gens, X_VARS), 9))

@@ -56,6 +56,7 @@ from gderive.polynomials import (
     triangular_prime_check,
 )
 from gderive.sl2 import (
+    RECORDED_FIXED_DIMENSION,
     RING_ONE_PARAM,
     Sl2Family,
     classify_derivation,
@@ -263,17 +264,17 @@ class TestAcceptance:
             linear_pipeline = derivation_space(
                 SL2, _sigma_b(F(v))
             )
-            assert polynomial_pipeline.dimension == linear_pipeline.dim
+            assert polynomial_pipeline.dim == linear_pipeline.dim
             stacked = Matrix.from_rows(
                 [
                     matrix_to_vec(m)
                     for m in polynomial_pipeline.basis + linear_pipeline.basis
                 ]
             )
-            assert rank(stacked) == polynomial_pipeline.dimension
-            assert polynomial_pipeline.paper_claim == 4
-            assert polynomial_pipeline.matches_claim is False
-            dims.append(polynomial_pipeline.dimension)
+            assert rank(stacked) == polynomial_pipeline.dim
+            assert RECORDED_FIXED_DIMENSION == 4
+            assert polynomial_pipeline.dim != RECORDED_FIXED_DIMENSION
+            dims.append(polynomial_pipeline.dim)
         assert tuple(dims) == (3, 1, 1)
 
     def test_criterion_07_nilpotent_example_displayed_dimensions(self):
@@ -418,7 +419,7 @@ class TestAcceptance:
         report = intersection_report(
             SL2, ID_SL2, tau, witness=(F(1), F(0), F(0))
         )
-        assert report.dimension == 0
+        assert report.intersection.dim == 0
         assert report.witness_in_centralizer is True
 
     def test_criterion_13_graded_window_and_series(self):

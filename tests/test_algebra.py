@@ -58,18 +58,18 @@ def unipotent_upper(b):
 
 class TestValidation:
     def test_simple_algebra_satisfies_jacobi(self):
-        assert validate_lie(SL2).ok
+        assert validate_lie(SL2) == ()
 
     def test_abelian_satisfies_jacobi(self):
-        assert validate_lie(builtin("abelian(3)")).ok
+        assert validate_lie(builtin("abelian(3)")) == ()
 
     def test_tampered_relations_are_caught(self):
         bad = make_algebra(
             "bad", 3, {(0, 1): {0: -1}, (0, 2): {0: 2}, (1, 2): {2: -1}}
         )
-        report = validate_lie(bad)
-        assert not report.ok
-        assert report.violations[0][:3] == (1, 2, 3)
+        violations = validate_lie(bad)
+        assert violations
+        assert violations[0][:3] == (1, 2, 3)
 
 
 structure_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=3)
@@ -179,7 +179,7 @@ class TestAgainstDenseReferences:
     @given(perturbed_algebras())
     @settings(max_examples=150, deadline=None)
     def test_jacobi_violations(self, g):
-        violations = validate_lie(g).violations
+        violations = validate_lie(g)
         assert violations == reference_violations(g)
         for *_, residual in violations:
             assert all(type(a) is Fraction for a in residual)
@@ -284,7 +284,7 @@ class TestStructureTable:
         })
         table, kept = g.table, copy.deepcopy(g.table)
         sigma = unipotent_upper(1)
-        assert validate_lie(g).ok
+        assert validate_lie(g) == ()
         assert is_automorphism(g, sigma)
         assert derivation_space(g, sigma, kind="plus").dim == 1
         d = derivation_space(g, Matrix.identity(g.dim)).basis[0]

@@ -226,6 +226,26 @@ class TestCheck:
             {"triple": [1, 2, 3], "residual": ["2", "0", "0"]}
         ]
 
+    @pytest.mark.parametrize("algebra, fmt, expected", [
+        ("sl2", "json", '{\n  "dim": 3,\n  "name": "sl2",\n  "valid": true,\n'
+                        '  "violations": []\n}\n'),
+        ("sl2", "text", "sl2: valid Lie algebra of dimension 3\n"),
+        ("bad_algebra", "json",
+         '{\n  "dim": 3,\n  "name": "broken",\n  "valid": false,\n'
+         '  "violations": [\n    {\n      "residual": [\n'
+         '        "2",\n        "0",\n        "0"\n      ],\n'
+         '      "triple": [\n        1,\n        2,\n        3\n'
+         '      ]\n    }\n  ]\n}\n'),
+        ("bad_algebra", "text",
+         "broken: 1 Jacobi violations\n  (1, 2, 3): [2, 0, 0]\n"),
+    ], ids=["sl2-json", "sl2-text", "violations-json", "violations-text"])
+    def test_exact_stdout(self, capsys, files, algebra, fmt, expected):
+        code, out, _ = run(
+            capsys, "check", "--algebra", files[algebra], "--format", fmt
+        )
+        assert code == 0
+        assert out == expected
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "--algebra", "no-such-file.json")
         assert code == 2
@@ -889,6 +909,13 @@ class TestSl2Command:
         )
         assert report["fixed"]["dimension"] == 1
 
+    def test_format_is_the_one_output_option(self, capsys):
+        code, out, _ = run(capsys, "sl2", "--family", "b", "--format", "text")
+        assert code == 0 and out.startswith("family b: ideal basis\n")
+        code, out, err = run(capsys, "sl2", "--family", "b", "--report", "text")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --report" in err
+
     def test_bad_fix_values(self, capsys):
         code, _, err = run(capsys, "sl2", "--family", "b", "--fix", "c=1")
         assert code == 2
@@ -978,25 +1005,25 @@ class TestReproduce:
 PINNED_STDOUT = {
     ("sl2", "--family", "b"):
         "66d8f462145dfd47aad577d8d516eb4783b3c23b30e3db622c1b48e3fa46130f",
-    ("sl2", "--family", "b", "--report", "text"):
+    ("sl2", "--family", "b", "--format", "text"):
         "e1379482914881d283cd32992c6904088b42562b9abcf71129b5b99a0f3d8b51",
     ("sl2", "--family", "c"):
         "c96a6d7eb3275113ea3c1a18b847c5bd54d51bb59d6b49aa97d6ad76969dbea5",
-    ("sl2", "--family", "c", "--report", "text"):
+    ("sl2", "--family", "c", "--format", "text"):
         "3a159f7f11afbd644c1f9c4389a4570c70dd39c23c83183baeeb64e79dd2c80b",
     ("sl2", "--family", "ab"):
         "702889c8e25546d6178f844ebdd5218f1f047dfd76f16212025df65fb106c61d",
-    ("sl2", "--family", "ab", "--report", "text"):
+    ("sl2", "--family", "ab", "--format", "text"):
         "0f748b374b140b934e8dda265e8b37636895e1ae03d5a122ed0021cd733634a0",
     ("sl2", "--family", "b", "--fix", "b=1"):
         "cf097a6d9c7bd227ae0785f99538e9e014fd7667e8e92cccab9a687f61a0c56d",
-    ("sl2", "--family", "ab", "--fix", "a=2,b=1", "--report", "text"):
+    ("sl2", "--family", "ab", "--fix", "a=2,b=1", "--format", "text"):
         "cbf0b532279d1500a86cf64fc7acf958bf8817c164d757395e718e52d2b562e8",
     ("sl2", "--family", "ab", "--fix", "a=2,b=1"):
         "3f585eb5483724122bb473042416720cb84abc1f9fb0403e272bc4115b2f7ec8",
     ("sl2", "--family", "c", "--fix", "c=-2"):
         "86a67f3a3bb28fe284b7db7eaf1775584175b5c70edd8e3240e5b1e0a65da4e4",
-    ("sl2", "--family", "c", "--fix", "c=-2", "--report", "text"):
+    ("sl2", "--family", "c", "--fix", "c=-2", "--format", "text"):
         "29f2c999aad4f6cdb68ca6c860c431ba7a9445c2456e929f76c659769ed02ae0",
     ("reproduce",):
         "f0c09c8ab1c52aa2c38753d0988358fe87fbe5ba16d1535f4989a69dd2461116",
@@ -1275,7 +1302,7 @@ PINNED_HELP = {
     ("groebner", "--help"):
         "582d4e8c0fa99f39f364d85a4163e29d5da6ed8fb01a3464c51243a94d9bab7e",
     ("sl2", "--help"):
-        "19d800287057f12a696382267fe92a080ce41ef0d8391439c2240ee258507813",
+        "10371ca17a7e078f2d666d02bd87ad07f8cf15109b7bb7524e2ea5b1c3263b4c",
 }
 
 

@@ -402,6 +402,13 @@ class TestAbgSpaces:
             HEIS, 1, 1, 1
         ).subspace
 
+    @pytest.mark.parametrize("slot", range(3))
+    def test_a_float_coefficient_is_not_an_exact_scalar(self, slot):
+        coefficients = [1, 1, 1]
+        coefficients[slot] = 0.1
+        with pytest.raises(InputError, match="not an exact scalar: 0.1"):
+            abg_space(HEIS, *coefficients)
+
 
 # Directions x with ad(x) nilpotent, so exp(b ad x) is an inner automorphism.
 NILPOTENT_DIRECTIONS = {
@@ -839,7 +846,7 @@ class TestIntersections:
         report = intersection_report(
             SL2, ID_SL2, SIGMA_UPPER, witness=(1, 0, 0)
         )
-        assert report.dimension == 0
+        assert report.intersection.dim == 0
         assert report.witness_in_centralizer is True
 
     def test_centroid_meets_twisted_space(self):
@@ -851,7 +858,7 @@ class TestIntersections:
     def test_space_meets_itself(self):
         space = derivation_space(HEIS, SHEAR)
         report = intersection_report(HEIS, SHEAR, SHEAR)
-        assert report.dimension == space.dim
+        assert report.intersection.dim == space.dim
 
 
 class TestAutomorphismChecks:

@@ -53,7 +53,7 @@ HEIS_ROTATION = Matrix.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
 
 
 def synthetic(dims, window, finite_order=None):
-    return GradedDims("plain", window, dims, finite_order)
+    return GradedDims(window, dims, finite_order)
 
 
 class TestGradedDims:

@@ -43,7 +43,7 @@ def test_every_annotated_engine_class_is_a_record():
                 and obj.__dict__.get("__annotations__")
             ):
                 assert issubclass(obj, Record), obj.__qualname__
-    assert len(RECORDS) == len(set(RECORDS)) >= 19
+    assert len(RECORDS) == len(set(RECORDS)) >= 17
 
 
 def test_only_records_define_value_methods():
@@ -168,7 +168,7 @@ def test_cached_property_computed_once_per_instance(monkeypatch):
     assert space.basis is first
     assert len(calls) == 1
     assert first == real_square_maps(space.subspace.rows, 3) and len(first) == 3
-    twin = derivations.DerivationSpace(space.kind, space.subspace)
+    twin = derivations.DerivationSpace(space.subspace)
     assert twin == space
     assert twin.basis == first
     assert len(calls) == 2

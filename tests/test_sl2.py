@@ -27,6 +27,7 @@ from gderive.polynomials import (
 )
 from gderive.sl2 import (
     FAMILIES,
+    RECORDED_FIXED_DIMENSION,
     RING_ONE_PARAM,
     RING_TWO_PARAM,
     X_VARS,
@@ -272,6 +273,23 @@ class TestFamilyConstruction:
             Sl2Family.fixed("ab", a=0, b=1)
         with pytest.raises(ZeroParameterA):
             Sl2Family.fixed("ab", a=1, b=0)
+
+
+# Each factory that takes parameter values reads them as exact scalars:
+# a float is rejected, never converted to its binary fraction.
+FLOAT_INPUTS = {
+    "fixed b": lambda x: Sl2Family.fixed("b", b=x),
+    "fixed ab": lambda x: Sl2Family.fixed("ab", a=2, b=x),
+    "derivation_matrix": lambda x: derivation_matrix(0, x, 0),
+    "classify_derivation": lambda x: classify_derivation(1, 1, x),
+}
+
+
+@pytest.mark.parametrize("factory", sorted(FLOAT_INPUTS))
+def test_a_float_parameter_is_not_an_exact_scalar(factory):
+    with pytest.raises(InputError, match="not an exact scalar: 0.1"):
+        FLOAT_INPUTS[factory](0.1)
+    FLOAT_INPUTS[factory](F(1, 10))
 
 
 class TestDerivationMatrix:
@@ -522,7 +540,7 @@ class TestComponents:
         entry = FAMILIES[tag]
         ring = Sl2Family.symbolic(tag).ring
         assert [len(r) for r in _grid(ring, entry["sigma"])] == [3, 3, 3]
-        checked = {"sigma", "fixed_claim"}
+        checked = {"sigma"}
         for name in ("p1", "p2"):
             variables = entry[name + " vars"]
             assert len(_grid(ring, entry[name + " gens"])) == 1
@@ -698,9 +716,8 @@ class TestFixedDimensions:
         dims = {}
         for b in (0, 1, -2):
             r = fixed_param_dimension(Sl2Family.fixed("b", b=b))
-            dims[b] = r.dimension
-            assert r.paper_claim == 4
-            assert r.matches_claim is False
+            dims[b] = r.dim
+            assert r.dim != RECORDED_FIXED_DIMENSION == 4
         assert dims == {0: 3, 1: 1, -2: 1}
 
     def test_family_b_basis_at_one(self):
@@ -711,7 +728,7 @@ class TestFixedDimensions:
 
     def test_family_c_values(self):
         dims = {
-            c: fixed_param_dimension(Sl2Family.fixed("c", c=c)).dimension
+            c: fixed_param_dimension(Sl2Family.fixed("c", c=c)).dim
             for c in (0, 1, -2)
         }
         assert dims == {0: 3, 1: 1, -2: 1}
@@ -722,8 +739,8 @@ class TestFixedDimensions:
 
     def test_family_ab_fixed(self):
         r = fixed_param_dimension(Sl2Family.fixed("ab", a=2, b=1))
-        assert r.dimension == 1
-        assert r.matches_claim is False
+        assert r.dim == 1
+        assert r.dim != RECORDED_FIXED_DIMENSION
         third = F(1, 3)
         assert r.basis == (
             Matrix.from_rows(
@@ -761,9 +778,9 @@ class TestFixedDimensions:
         ]
         for r, sigma in cases:
             space = derivation_space(SL2, sigma)
-            assert r.dimension == space.dim
+            assert r.dim == space.dim
             stacked = Matrix.from_rows(
                 [matrix_to_vec(m) for m in r.basis + space.basis]
             )
             # Equal dimensions plus equal stacked rank force equal spans.
-            assert rank(stacked) == r.dimension
+            assert rank(stacked) == r.dim

@@ -72,23 +72,16 @@ SHARED_METHOD_NAMES = {
         "derivations.DerivationSpace": "reproduce: for m in space.basis:",
         "linalg.Subspace":
             'cli: "basis": [_vector_list(v) for v in report.intersection.basis],',
-        "sl2.FixedDimensionReport": 'cli: "basis": _basis_dicts(fixed.basis),',
     },
     "dim": {
         "algebra.LieAlgebra": "derivations: n = g.dim",
         "derivations.DerivationSpace":
-            "hilbert: return _solve(g, m, ident, kind, ()).dim",
-        "linalg.Subspace":
-            "sl2: return FixedDimensionReport(space.dim, square_maps(space.rows, 3), claim)",
+            "hilbert: return _solve(g, (1, 1, 1), m, ident, commuting).dim",
+        "linalg.Subspace": 'cli: "dimension": report.intersection.dim,',
     },
     "den": {
         "linalg.Matrix": "linalg: den = self.rows.den",
         "polynomials.MultiPoly": "polynomials: if lead == self.den:",
-    },
-    "dimension": {
-        "derivations.IntersectionReport": 'cli: "dimension": report.dimension,',
-        "sl2.ComponentVerdict": 'cli: "dimension": verdict.dimension,',
-        "sl2.FixedDimensionReport": 'cli: "dimension": fixed.dimension,',
     },
     "finite_order": {
         "hilbert.GradedDims": "hilbert: if gd.finite_order is not None:",
@@ -99,10 +92,6 @@ SHARED_METHOD_NAMES = {
         "polynomials.MultiPoly":
             "polynomials: return remainder(p, basis.generators).is_zero",
     },
-    "kind": {
-        "derivations.DerivationSpace": 'cli: "kind": space.kind,',
-        "hilbert.GradedDims": 'cli: "kind": gd.kind,',
-    },
     "name": {
         "algebra.LieAlgebra": 'cli: "name": g.name,',
         "sl2.Component": 'cli: "name": component.name,',
@@ -110,10 +99,6 @@ SHARED_METHOD_NAMES = {
     "num": {
         "linalg.Matrix": "linalg: return not any(map(any, self.num))",
         "polynomials.MultiPoly": "polynomials: return not self.num",
-    },
-    "ok": {
-        "algebra.ValidationReport": 'cli: "valid": report.ok,',
-        "reproduce.Row": 'cli: "ok": row.ok,',
     },
     "raw": {
         "sl2.DecompositionReport":
@@ -398,48 +383,65 @@ def test_walk_covers_private_names_and_constants():
     assert "__version__" in names
 
 
-def test_walk_reports_a_record_field_with_no_reader():
+# A module planted beside the library for the field tests below, so that
+# they hold whatever the library's own records become. The bare name at
+# its end is always-live code that reaches the handler, and through it
+# the rest of the module.
+PLANTED = """
+from gderive.record import Record
+
+
+class Planted(Record):
+    kept: int
+    unread: int
+    copied: int
+    planted_option: str
+
+
+def renew(p):
+    return Planted(p.kept, 0, p.copied, "")
+
+
+def cmd_planted(args):
+    planted = Planted(args.kept, 0, 0, "")
+    return renew(planted).kept, args.planted_option
+
+
+cmd_planted
+"""
+
+
+def _planted(source: str = PLANTED) -> list:
+    """The unreached labels of the library with ``source`` planted beside
+    it as the module ``planted``, whose handler must be live."""
     modules = _modules()
-    source = _sources()["sl2"].replace(
-        "class DerivationClassification(Record):\n",
-        "class DerivationClassification(Record):\n    case: str\n",
-    )
-    modules["sl2"] = ast.parse(source)
-    assert "sl2.DerivationClassification.case" in _walk(modules)[0]
+    modules["planted"] = ast.parse(source)
+    found = _walk(modules)[0]
+    assert not {"planted.cmd_planted", "planted.Planted.kept"} & set(found)
+    return found
+
+
+def test_walk_reports_a_record_field_with_no_reader():
+    assert "planted.Planted.unread" in _planted()
 
 
 def test_walk_reports_a_field_that_only_its_constructor_copies():
-    modules = _modules()
-    hilbert = _sources()["hilbert"]
-    source = hilbert.replace(
-        "    dims: dict\n    finite_order: int\n",
-        "    dims: dict\n    finite_order: int\n    algebra: LieAlgebra\n",
-    )
-    copied = source.replace(
-        "    found = detect_period(gd)\n",
-        "    gd = GradedDims(gd.kind, gd.window, gd.dims, gd.finite_order, gd.algebra)\n"
-        "    found = detect_period(gd)\n",
-    )
-    assert source != hilbert and copied != source
-    modules["hilbert"] = ast.parse(copied)
-    assert "hilbert.GradedDims.algebra" in _walk(modules)[0]
+    assert "planted.Planted.copied" in _planted()
     # Passed to another function, the field is read.
-    modules["hilbert"] = ast.parse(copied.replace(
-        "    found = detect_period(gd)\n",
-        "    graded_dims(gd.algebra, gd.dims[1])\n    found = detect_period(gd)\n",
-    ))
-    assert "hilbert.GradedDims.algebra" not in _walk(modules)[0]
+    passed = PLANTED.replace(
+        "def renew(p):\n",
+        "def renew(p):\n    abs(p.copied)\n",
+    )
+    assert passed != PLANTED
+    assert "planted.Planted.copied" not in _planted(passed)
 
 
 def test_walk_reports_a_field_that_only_a_command_line_option_reads():
-    modules = _modules()
-    source = _sources()["sl2"].replace(
-        "class FixedDimensionReport(Record):\n",
-        "class FixedDimensionReport(Record):\n    family: str\n",
-    )
-    assert source != _sources()["sl2"]
-    modules["sl2"] = ast.parse(source)
-    assert "sl2.FixedDimensionReport.family" in _walk(modules)[0]
+    assert "planted.Planted.planted_option" in _planted()
+    # Read from a record, not from the command line, the field is read.
+    read = PLANTED.replace("args.planted_option", "planted.planted_option")
+    assert read != PLANTED
+    assert "planted.Planted.planted_option" not in _planted(read)
 
 
 def test_shared_method_names_each_name_a_live_caller():
