@@ -382,11 +382,12 @@ def _form_grid(form) -> list:
 
 def cmd_sl2(args) -> int:
     from .linalg import format_rational
+    from .polynomials import groebner
     from .sl2 import (
         RECORDED_FIXED_DIMENSION,
         Sl2Family,
-        derivation_ideal,
         fixed_param_dimension,
+        residual_ideal,
         verify_decomposition,
     )
 
@@ -404,8 +405,9 @@ def cmd_sl2(args) -> int:
     }
 
     if bindings:
-        report = derivation_ideal(family, args.degree_guard)
-        fixed = fixed_param_dimension(family)
+        raw = residual_ideal(family)
+        simplified = groebner(raw, args.degree_guard)
+        fixed = fixed_param_dimension(raw)
         out["fixed"] = {
             "params": {
                 name: format_rational(value)
@@ -418,6 +420,7 @@ def cmd_sl2(args) -> int:
         }
     else:
         report = verify_decomposition(family, args.degree_guard)
+        raw, simplified = report.raw, report.simplified
         for verdict in report.components:
             component = verdict.component
             out["components"].append(
@@ -445,8 +448,8 @@ def cmd_sl2(args) -> int:
             "product_contained": report.product_contained,
             "all_verdicts": report.all_verdicts_true,
         }
-    out["ideal_generators"] = [str(p) for p in report.simplified.generators]
-    out["raw_generator_count"] = len(report.raw.generators)
+    out["ideal_generators"] = [str(p) for p in simplified.generators]
+    out["raw_generator_count"] = len(raw.generators)
 
     def lines(rep):
         body = [f"family {rep['family']}: ideal basis"]

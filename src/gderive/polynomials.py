@@ -15,7 +15,8 @@ Only `groebner` completes a basis, with Buchberger's algorithm: pairs are
 taken smallest lcm first from a heap, the Gebauer-Moeller criteria drop
 the pairs whose S-polynomials are known to reduce to zero, and a degree
 guard bounds the number of new basis elements. Membership and containment
-divide by the reduced basis it returns, never completing it again.
+divide by the reduced basis it returns, never completing it again, and
+division trusts the divisors it is handed.
 Primality is certified only through the triangular-linear criterion
 (leading variables minus free variables), never decided in general.
 
@@ -377,7 +378,8 @@ def remainder(p: MultiPoly, divisors) -> MultiPoly:
 
     No term of the remainder is divisible by any divisor's leading term;
     the first divisor whose leading term divides is always chosen, so the
-    result is deterministic for a fixed divisor list.
+    result is deterministic for a fixed divisor list. Divisors come from
+    `Ideal.make` or `groebner`, in p's ring and nonzero, and are trusted.
 
     Division runs in one integer frame. The work polynomial is W / d for
     integer coefficients W and one denominator d. Each divisor enters as a
@@ -389,11 +391,6 @@ def remainder(p: MultiPoly, divisors) -> MultiPoly:
     was popped at, and the remainder leaves the frame as those terms
     rescaled to the final d.
     """
-    divisors = list(divisors)
-    for g in divisors:
-        p._check_ring(g)
-        if g.is_zero:
-            raise DimensionMismatch("zero divisor in division")
     frames = [g._divisor_frame for g in divisors]
     d = p.den
     work = {tuple(map(neg, e)): c for e, c in p.num}
@@ -462,7 +459,6 @@ def _spoly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     leading monomials. With F and G the integer terms of f and g and m the
     lcm of their leading integers, it is (m/F0 x^uf F - m/G0 x^ug G) / m,
     and the leading terms cancel."""
-    f._check_ring(g)
     (ef, cf), (eg, cg) = f.num[0], g.num[0]
     l = _exp_lcm(ef, eg)
     uf, ug = _exp_sub(l, ef), _exp_sub(l, eg)

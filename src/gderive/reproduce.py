@@ -44,11 +44,13 @@ from .sl2 import (
     SL2,
     Sl2Family,
     _constant_value,
+    _parameter_assignment,
     _specialise,
     classify_derivation,
     derivation_matrix,
     family_sigma,
     fixed_param_dimension,
+    residual_ideal,
     verify_decomposition,
 )
 
@@ -139,7 +141,7 @@ def _run_thm53():
     symbolic = family_sigma(Sl2Family.symbolic("ab"))
     for a, b in ((F(2), F(1)), (F(1), F(3))):
         sig = family_sigma(Sl2Family.fixed("ab", a=a, b=b))
-        at = {"b": b, "c": a / (2 * b)}
+        at = _parameter_assignment("ab", {"a": a, "b": b})
         ok = ok and sig == Matrix.from_rows(
             [[_constant_value(e) for e in _specialise(row, at)] for row in symbolic]
         )
@@ -166,9 +168,8 @@ def _run_thm16():
 
 
 def _run_cor510():
-    dims = tuple(
-        fixed_param_dimension(Sl2Family.fixed("b", b=v)).dim for v in (0, 1, -2)
-    )
+    fixed = [residual_ideal(Sl2Family.fixed("b", b=v)) for v in (0, 1, -2)]
+    dims = tuple(fixed_param_dimension(raw).dim for raw in fixed)
     ok = dims == (3, 1, 1) and RECORDED_FIXED_DIMENSION not in dims
     return (
         ok,

@@ -17,11 +17,12 @@ The recorded data of each family is one entry of text in ``FAMILIES``,
 parsed by ``_grid``: the grid of sigma, the generators and forms of the
 components p1 (untwisted slice) and p2 (parametric line family), and the
 recorded dimensions and grids. The residual ideal J of the twisted
-identity is read off the structure table of sl2, and the components are
-checked against it: containments, prime certificates, and that each
-form zeroes every raw generator. Recorded claims are compared with what
-is computed, never substituted for it. A report holds what was
-computed, not the family it was asked for.
+identity is an ``Ideal`` read off the structure table of sl2 by its one
+builder, ``residual_ideal``, and completed by ``groebner``. The
+components are checked against it: containments, prime certificates,
+and that each form zeroes every raw generator. Recorded claims are
+compared with what is computed, never substituted for it. A report
+holds what was computed, not the family it was asked for.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ class Sl2Family(Record):
         return cls(tag, None)
 
     @classmethod
-    def fixed(cls, tag: str, **values) -> "Sl2Family":
+    def fixed(cls, tag: str, /, **values) -> "Sl2Family":
         """The family at the given parameter values: exactly the family's
         parameters as exact scalars, with a and b nonzero in the
         two-parameter family."""
@@ -241,11 +242,6 @@ def _grid(ring, text):
 
 # -- the residual ideal -------------------------------------------------------
 
-class DerivationIdealReport(Record):
-    raw: Ideal
-    simplified: Ideal
-
-
 def _residual_polynomials(ring, sigma):
     """Coordinate r of D[e_i, e_j] - [D e_i, sigma e_j] - [e_i, D e_j] is
     sum_m c_ij^m x_mr - sum_pq x_ip sigma_qj c_pq^r - sum_q x_jq c_iq^r,
@@ -281,9 +277,12 @@ def _residual_polynomials(ring, sigma):
     return raw
 
 
-def _raw_ideal(f: Sl2Family) -> Ideal:
-    """The nonzero residual coordinates over all ordered basis pairs,
-    deduplicated up to scale, with fixed parameter values substituted."""
+def residual_ideal(f: Sl2Family) -> Ideal:
+    """The residual ideal J of the family, its one builder: the nonzero
+    residual coordinates over all ordered basis pairs, deduplicated up to
+    scale, with fixed values substituted. Complete it with `groebner`:
+    linear interreduction cannot reach the reduced basis, since some
+    simplifications need polynomial, parameter-dependent combinations."""
     sigma = family_sigma(Sl2Family.symbolic(f.tag))
     raw = _residual_polynomials(f.ring, sigma)
     if f.values is not None:
@@ -292,26 +291,10 @@ def _raw_ideal(f: Sl2Family) -> Ideal:
     return Ideal.make(raw[0].variables if raw else X_VARS, raw)
 
 
-def derivation_ideal(
-    f: Sl2Family, guard: int = DEFAULT_GUARD
-) -> DerivationIdealReport:
-    """Residual ideal of the family, raw and fully reduced.
-
-    Raw generators are the nonzero residual coordinates over all ordered
-    basis pairs, deduplicated up to scale. The simplified set is the
-    reduced lexicographic basis of the same ideal; plain linear
-    interreduction cannot reach it, since some simplifications require
-    polynomial, parameter-dependent combinations.
-    """
-    ideal = _raw_ideal(f)
-    return DerivationIdealReport(ideal, groebner(ideal, guard))
-
-
 def _parameter_assignment(tag: str, values: dict) -> dict:
-    if tag == "b":
-        return {"y": values["b"]}
-    if tag == "c":
-        return {"y": values["c"]}
+    """The values of the ring parameters; the one place c = a/2b is set."""
+    if tag != "ab":
+        return {"y": values[tag]}
     a, b = values["a"], values["b"]
     return {"b": b, "c": Fraction(a) / (2 * b)}
 
@@ -438,7 +421,8 @@ def verify_decomposition(
     of J's raw generators run on a component's basis, and the product of
     the components is divided by J's basis.
     """
-    report = derivation_ideal(Sl2Family.symbolic(f.tag), guard)
+    raw = residual_ideal(Sl2Family.symbolic(f.tag))
+    simplified = groebner(raw, guard)
     p1, p2 = known_components(f)
     verdicts = []
     for component in (p1, p2):
@@ -453,32 +437,26 @@ def verify_decomposition(
         claimed = component.claimed_form
         claimed_ok = None
         if claimed is not None and not isinstance(claimed[0][0], str):
-            claimed_ok = _form_satisfies(report.raw, claimed, component)
+            claimed_ok = _form_satisfies(raw, claimed, component)
         verdicts.append(
             ComponentVerdict(
                 component,
                 cert,
                 dimension,
                 source,
-                contains(basis, report.raw),
-                _form_satisfies(report.raw, component.form, component),
+                contains(basis, raw),
+                _form_satisfies(raw, component.form, component),
                 claimed_ok,
             )
         )
-    product = ideal_product(p1.ideal, p2.ideal)
-    product_in = contains(report.simplified, product)
-    return DecompositionReport(
-        report.raw, report.simplified, tuple(verdicts), product_in
-    )
+    product_in = contains(simplified, ideal_product(p1.ideal, p2.ideal))
+    return DecompositionReport(raw, simplified, tuple(verdicts), product_in)
 
 
 # -- fixed-parameter reports --------------------------------------------------
 
-def fixed_param_dimension(f: Sl2Family) -> DerivationSpace:
-    """Exact solution space of a fixed family, via the symbolic ideal:
-    specialise, linearize, take the kernel. Callers compare its dimension
-    with RECORDED_FIXED_DIMENSION, never substituted for it."""
-    if f.values is None:
-        raise InputError("fixed parameter values are required")
-    gens = _raw_ideal(f).generators
-    return DerivationSpace(kernel_of_rows(linear_rows(gens, X_VARS), 9))
+def fixed_param_dimension(raw: Ideal) -> DerivationSpace:
+    """The solution space of a fixed family: the kernel of the rows of its
+    `residual_ideal`, linear in X_VARS; a symbolic family's ideal raises
+    DimensionMismatch. Callers compare its dim with RECORDED_FIXED_DIMENSION."""
+    return DerivationSpace(kernel_of_rows(linear_rows(raw.generators, X_VARS), 9))

@@ -60,11 +60,11 @@ from gderive.sl2 import (
     RING_ONE_PARAM,
     Sl2Family,
     classify_derivation,
-    derivation_ideal,
     derivation_matrix,
     family_sigma,
     fixed_param_dimension,
     known_components,
+    residual_ideal,
     verify_decomposition,
 )
 
@@ -209,11 +209,11 @@ class TestAcceptance:
             assert is_automorphism(SL2, sig)
 
     def test_criterion_04_one_parameter_upper_decomposition(self):
-        report = derivation_ideal(Sl2Family.symbolic("b"))
+        raw = residual_ideal(Sl2Family.symbolic("b"))
         p1, p2 = known_components(Sl2Family.symbolic("b"))
-        assert contains(p1.ideal, report.raw)
-        assert contains(p2.ideal, report.raw)
-        assert contains(report.raw, ideal_product(p1.ideal, p2.ideal))
+        assert contains(p1.ideal, raw)
+        assert contains(p2.ideal, raw)
+        assert contains(raw, ideal_product(p1.ideal, p2.ideal))
         assert triangular_prime_check(p1.ideal).certified
         assert triangular_prime_check(p2.ideal).certified
         mapping = {}
@@ -259,7 +259,7 @@ class TestAcceptance:
         dims = []
         for v in (0, 1, -2):
             polynomial_pipeline = fixed_param_dimension(
-                Sl2Family.fixed("b", b=v)
+                residual_ideal(Sl2Family.fixed("b", b=v))
             )
             linear_pipeline = derivation_space(
                 SL2, _sigma_b(F(v))
@@ -439,15 +439,15 @@ class TestAcceptance:
 
     def test_criterion_14_groebner_self_checks(self):
         for tag in ("b", "c", "ab"):
-            report = derivation_ideal(Sl2Family.symbolic(tag))
-            ideal = report.raw
-            basis = report.simplified.generators
+            ideal = residual_ideal(Sl2Family.symbolic(tag))
+            simplified = groebner(ideal)
+            basis = simplified.generators
             for i in range(len(basis)):
                 for j in range(i + 1, len(basis)):
                     assert remainder(_spoly(basis[i], basis[j]), basis).is_zero
             for g in ideal.generators:
                 assert _certified_member(g, basis)
-            assert contains(report.simplified, ideal)
+            assert contains(simplified, ideal)
         rng = random.Random(14)
         names = ("w", "x", "y", "z")
         for _ in range(20):

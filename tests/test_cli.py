@@ -843,6 +843,17 @@ class TestPolynomialCommands:
         assert "Traceback" not in err
 
 
+# --fix bindings for the fuzz test: the families' parameter names, the
+# factory's own argument names and other identifiers, bound to rationals
+# or to junk text.
+_FIX_NAMES = st.sampled_from(
+    ["tag", "cls", "values", "self", "a", "b", "c", "y"]
+) | st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True)
+_FIX_VALUES = st.fractions(min_value=-100, max_value=100, max_denominator=50).map(
+    str
+) | st.text(max_size=12)
+
+
 class TestSl2Command:
     def test_symbolic_family_b(self, capsys):
         report = run_json(capsys, "sl2", "--family", "b")
@@ -937,6 +948,37 @@ class TestSl2Command:
         assert code == 2
         assert out == ""
         assert "error[InvalidInput]" in err and "twice" in err
+
+    @pytest.mark.parametrize("family", ["b", "c", "ab"])
+    @pytest.mark.parametrize("fix", ["tag=1", "cls=1", "b=1,tag=2"])
+    def test_factory_argument_names_are_wrong_parameters(
+        self, capsys, family, fix
+    ):
+        code, out, err = run(capsys, "sl2", "--family", family, "--fix", fix)
+        assert code == 2
+        assert out == ""
+        assert f"error[InvalidInput]: family {family!r} needs values for" in err
+        assert "Traceback" not in err
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        family=st.sampled_from(["b", "c", "ab"]),
+        fixes=st.lists(st.tuples(_FIX_NAMES, _FIX_VALUES), min_size=1, max_size=3),
+    )
+    def test_fix_fuzz(self, family, fixes):
+        argv = ["sl2", "--family", family, "--fix",
+                ",".join(f"{name}={value}" for name, value in fixes)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert json.loads(out.getvalue())["fixed"]["dimension"] in (1, 3)
+        else:
+            assert code == 2
+            assert out.getvalue() == ""
+            match = re.match(r"gderive: error\[(\w+)\]: ", err.getvalue())
+            assert match and match.group(1) in _ERROR_CODES
 
     def test_byte_identical_reruns(self, capsys):
         code, first, _ = run(capsys, "sl2", "--family", "c")

@@ -33,7 +33,7 @@ from gderive.polynomials import (
     remainder,
     triangular_prime_check,
 )
-from gderive.sl2 import Sl2Family, _raw_ideal, _specialise
+from gderive.sl2 import Sl2Family, _specialise, residual_ideal
 
 # The ten-variable ring of the twisted-derivation ideal study, in its
 # declared lex order.
@@ -773,7 +773,7 @@ class TestPairPruning:
                 reductions.append(p)
             return reduce(p, divisors)
 
-        ideal = _raw_ideal(Sl2Family.symbolic(tag))
+        ideal = residual_ideal(Sl2Family.symbolic(tag))
         expected = groebner(ideal)
         monkeypatch.setattr(polynomials, "_spoly", recording_spoly)
         monkeypatch.setattr(polynomials, "remainder", counting_remainder)

@@ -43,7 +43,7 @@ def test_every_annotated_engine_class_is_a_record():
                 and obj.__dict__.get("__annotations__")
             ):
                 assert issubclass(obj, Record), obj.__qualname__
-    assert len(RECORDS) == len(set(RECORDS)) >= 17
+    assert len(RECORDS) == len(set(RECORDS)) >= 16
 
 
 def test_only_records_define_value_methods():

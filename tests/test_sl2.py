@@ -33,13 +33,13 @@ from gderive.sl2 import (
     X_VARS,
     Sl2Family,
     classify_derivation,
-    derivation_ideal,
     derivation_matrix,
     family_sigma,
     fixed_param_dimension,
     _grid,
     _specialise,
     known_components,
+    residual_ideal,
     verify_decomposition,
 )
 
@@ -267,6 +267,11 @@ class TestFamilyConstruction:
             Sl2Family.fixed("b", c=1)
         with pytest.raises(InputError):
             Sl2Family.fixed("ab", a=1)
+        # The tag is positional only: a value under the name of one of
+        # the factory's own arguments is a wrong parameter name.
+        for name in ("tag", "cls", "values", "self"):
+            with pytest.raises(InputError, match="needs values for"):
+                Sl2Family.fixed("b", **{name: 1})
 
     def test_degenerate_two_parameter_values_rejected(self):
         with pytest.raises(ZeroParameterA):
@@ -455,13 +460,13 @@ def _const(p):
 class TestRawIdeals:
     @pytest.mark.parametrize("tag", sorted(RAW_GENERATORS))
     def test_raw_generators_pinned_in_order(self, tag):
-        raw = derivation_ideal(Sl2Family.symbolic(tag)).raw
+        raw = residual_ideal(Sl2Family.symbolic(tag))
         assert tuple(str(g) for g in raw.generators) == RAW_GENERATORS[tag]
 
     def test_family_b_raw_equals_displayed_plus_diagonal(self):
-        rep = derivation_ideal(Sl2Family.symbolic("b"))
-        assert rep.raw.variables == RING_ONE_PARAM
-        assert len(rep.raw.generators) == 20
+        raw = residual_ideal(Sl2Family.symbolic("b"))
+        assert raw.variables == RING_ONE_PARAM
+        assert len(raw.generators) == 20
         displayed = Ideal.make(
             RING_ONE_PARAM,
             [
@@ -469,30 +474,30 @@ class TestRawIdeals:
                 for s in DISPLAY_SIXTEEN + DIAGONAL_EXTRAS_B
             ],
         )
-        assert contains(displayed, rep.raw)
-        assert contains(rep.raw, displayed)
+        assert contains(displayed, raw)
+        assert contains(raw, displayed)
 
     def test_family_b_simplified(self):
-        rep = derivation_ideal(Sl2Family.symbolic("b"))
-        assert strs(rep.simplified) == SIMPLIFIED_B
+        simplified = groebner(residual_ideal(Sl2Family.symbolic("b")))
+        assert strs(simplified) == SIMPLIFIED_B
 
     def test_family_c_simplified(self):
-        rep = derivation_ideal(Sl2Family.symbolic("c"))
-        assert len(rep.raw.generators) == 20
-        assert strs(rep.simplified) == SIMPLIFIED_C
+        raw = residual_ideal(Sl2Family.symbolic("c"))
+        assert len(raw.generators) == 20
+        assert strs(groebner(raw)) == SIMPLIFIED_C
 
     def test_family_ab_simplified(self):
-        rep = derivation_ideal(Sl2Family.symbolic("ab"))
-        assert rep.raw.variables == RING_TWO_PARAM
-        assert len(rep.raw.generators) == 27
-        assert strs(rep.simplified) == SIMPLIFIED_AB
+        raw = residual_ideal(Sl2Family.symbolic("ab"))
+        assert raw.variables == RING_TWO_PARAM
+        assert len(raw.generators) == 27
+        assert strs(groebner(raw)) == SIMPLIFIED_AB
 
     def test_fixed_ideal_specializes_symbolic(self):
-        rep = derivation_ideal(Sl2Family.fixed("b", b=1))
-        assert rep.raw.variables == X_VARS
+        raw = residual_ideal(Sl2Family.fixed("b", b=1))
+        assert raw.variables == X_VARS
         # At b=1 the twisted space is the single unipotent direction, so
         # the simplified basis pins eight coordinates.
-        assert len(rep.simplified.generators) == 8
+        assert len(groebner(raw).generators) == 8
 
 
 class TestComponents:
@@ -696,6 +701,22 @@ class TestSingleCompletion:
             p1, p2 = known_components(Sl2Family.symbolic(tag))
             assert seen == [rep.raw, p1.ideal, p2.ideal]
 
+    def test_fixed_request_builds_the_ideal_once(self, monkeypatch, capsys):
+        from gderive import sl2
+        from gderive.cli import main
+
+        builds = []
+        build = sl2._residual_polynomials
+
+        def counting(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(sl2, "_residual_polynomials", counting)
+        assert main(["sl2", "--family", "b", "--fix", "b=1"]) == 0
+        capsys.readouterr()
+        assert len(builds) == 1
+
     def test_reproduce_completes_nine_ideals(self, monkeypatch):
         seen = _count_completions(monkeypatch)
         monkeypatch.setattr(reproduce, "_usable_cpus", lambda: 1)
@@ -711,34 +732,36 @@ class TestSingleCompletion:
                 assert groebner(basis) == basis
 
 
+def fixed_space(tag, **values):
+    """The solution space of a fixed family, read off its residual ideal."""
+    return fixed_param_dimension(residual_ideal(Sl2Family.fixed(tag, **values)))
+
+
 class TestFixedDimensions:
     def test_family_b_values(self):
         dims = {}
         for b in (0, 1, -2):
-            r = fixed_param_dimension(Sl2Family.fixed("b", b=b))
+            r = fixed_space("b", b=b)
             dims[b] = r.dim
             assert r.dim != RECORDED_FIXED_DIMENSION == 4
         assert dims == {0: 3, 1: 1, -2: 1}
 
     def test_family_b_basis_at_one(self):
-        r = fixed_param_dimension(Sl2Family.fixed("b", b=1))
+        r = fixed_space("b", b=1)
         assert r.basis == (
             Matrix.from_rows([[0, 1, -1], [0, 0, -2], [0, 0, 0]]),
         )
 
     def test_family_c_values(self):
-        dims = {
-            c: fixed_param_dimension(Sl2Family.fixed("c", c=c)).dim
-            for c in (0, 1, -2)
-        }
+        dims = {c: fixed_space("c", c=c).dim for c in (0, 1, -2)}
         assert dims == {0: 3, 1: 1, -2: 1}
-        r = fixed_param_dimension(Sl2Family.fixed("c", c=1))
+        r = fixed_space("c", c=1)
         assert r.basis == (
             Matrix.from_rows([[0, 0, 0], [1, 0, 0], [F(1, 2), F(-1, 2), 0]]),
         )
 
     def test_family_ab_fixed(self):
-        r = fixed_param_dimension(Sl2Family.fixed("ab", a=2, b=1))
+        r = fixed_space("ab", a=2, b=1)
         assert r.dim == 1
         assert r.dim != RECORDED_FIXED_DIMENSION
         third = F(1, 3)
@@ -753,13 +776,11 @@ class TestFixedDimensions:
         )
 
     def test_int_values_give_the_same_report(self):
-        assert fixed_param_dimension(
-            Sl2Family.fixed("ab", a=2, b=1)
-        ) == fixed_param_dimension(Sl2Family.fixed("ab", a=F(2), b=F(1)))
+        assert fixed_space("ab", a=2, b=1) == fixed_space("ab", a=F(2), b=F(1))
 
     def test_symbolic_family_requires_values(self):
         with pytest.raises(GDeriveError):
-            fixed_param_dimension(Sl2Family.symbolic("b"))
+            fixed_param_dimension(residual_ideal(Sl2Family.symbolic("b")))
 
     def test_agrees_with_linear_solver(self):
         # Two independent pipelines: polynomial specialization against
@@ -767,14 +788,10 @@ class TestFixedDimensions:
         from gderive.linalg import rank
 
         cases = [
-            (fixed_param_dimension(Sl2Family.fixed("b", b=1)),
-             sigma_for("b", b=1)),
-            (fixed_param_dimension(Sl2Family.fixed("b", b=-2)),
-             sigma_for("b", b=-2)),
-            (fixed_param_dimension(Sl2Family.fixed("c", c=1)),
-             sigma_for("c", c=1)),
-            (fixed_param_dimension(Sl2Family.fixed("ab", a=2, b=1)),
-             sigma_for("ab", a=2, b=1)),
+            (fixed_space("b", b=1), sigma_for("b", b=1)),
+            (fixed_space("b", b=-2), sigma_for("b", b=-2)),
+            (fixed_space("c", c=1), sigma_for("c", c=1)),
+            (fixed_space("ab", a=2, b=1), sigma_for("ab", a=2, b=1)),
         ]
         for r, sigma in cases:
             space = derivation_space(SL2, sigma)

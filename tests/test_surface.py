@@ -100,11 +100,6 @@ SHARED_METHOD_NAMES = {
         "linalg.Matrix": "linalg: return not any(map(any, self.num))",
         "polynomials.MultiPoly": "polynomials: return not self.num",
     },
-    "raw": {
-        "sl2.DecompositionReport":
-            'cli: out["raw_generator_count"] = len(report.raw.generators)',
-        "sl2.DerivationIdealReport": "sl2: contains(basis, report.raw),",
-    },
     "rows": {
         "linalg.Matrix": "algebra: if m.rows != n or m.cols != n:",
         "linalg.Subspace": "derivations: images = h.rows @ d.transpose()",
@@ -112,12 +107,6 @@ SHARED_METHOD_NAMES = {
     "scale": {
         "algebra.LieAlgebra": "algebra: table, scale = g.table, g.scale",
         "polynomials.MultiPoly": "sl2: residual[r] += x[m][r].scale(c)",
-    },
-    "simplified": {
-        "sl2.DecompositionReport":
-            'cli: out["ideal_generators"] = [str(p) for p in report.simplified.generators]',
-        "sl2.DerivationIdealReport":
-            "sl2: product_in = contains(report.simplified, product)",
     },
     "variables": {
         "polynomials.Ideal":
@@ -379,7 +368,7 @@ def test_walk_covers_private_names_and_constants():
         for node in ast.parse(path.read_text(encoding="utf-8")).body
         for node_name in _defined_names(node)
     }
-    assert {"X_VARS", "_ABELIAN_RE", "_raw_ideal", "Sl2Family"} <= names
+    assert {"X_VARS", "_ABELIAN_RE", "_residual_polynomials", "Sl2Family"} <= names
     assert "__version__" in names
 
 
