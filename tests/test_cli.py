@@ -1074,16 +1074,51 @@ PINNED_STDOUT = {
 }
 
 
-# The linear commands on built-in algebras. "@name" stands for a sigma file
-# written from the literal grid in PINNED_SIGMAS, so no library code makes
-# the input.
+# The linear commands on built-in algebras. "@name" stands for a matrix
+# file written from the literal grid in PINNED_SIGMAS, or an algebra file
+# written from the literal document in PINNED_ALGEBRAS, so no library code
+# makes the input.
 PINNED_SIGMAS = {
     "sl2_b1": [["1", "1", "-1"], ["0", "1", "-2"], ["0", "0", "1"]],
     "sl2_c2": [["1", "0", "0"], ["-4", "1", "0"], ["-4", "2", "1"]],
     "heis_shear": [["1", "-1", "0"], ["0", "1", "0"], ["0", "0", "1"]],
 }
 
+# A four-dimensional bracket table that fails the Jacobi identity on three
+# triples, with fractional residuals.
+PINNED_ALGEBRAS = {
+    "broken": {
+        "name": "broken",
+        "dim": 4,
+        "brackets": [
+            {"left": 1, "right": 2, "result": [["1", 3]]},
+            {"left": 1, "right": 3, "result": [["1", 4]]},
+            {"left": 2, "right": 3, "result": [["1", 1]]},
+            {"left": 2, "right": 4, "result": [["-1/2", 2]]},
+        ],
+    },
+}
+
 PINNED_LINEAR_STDOUT = {
+    ("check", "--algebra", "sl2"):
+        "8cacdd3bf123f79164e30894ac45db57d6725cf1d6d981ce6a128c5863e6aca0",
+    ("check", "--algebra", "sl2", "--format", "text"):
+        "241d8f2ab6310293381e798facb6c4c246bfc28e7376620d023233c33937702d",
+    ("check", "--algebra", "@broken"):
+        "23f6634f984aef7f1d8c9006024408275cf87b1900198ddacdc79a914551e018",
+    ("check", "--algebra", "@broken", "--format", "text"):
+        "63684ca6e967354ac411e1edea88fed45ce0d1ffdc84e88c7ab94416ce42ac0e",
+    # sl2_b1 is a quasiderivation of sl2, and of the Heisenberg algebra it
+    # is not.
+    ("quasider", "--algebra", "sl2", "--map", "@sl2_b1"):
+        "a0f4993166eb53a8263ca8b2c2d45b57a6a9ec52d3646bd6dccc6b494d449780",
+    ("quasider", "--algebra", "sl2", "--map", "@sl2_b1", "--format", "text"):
+        "e779905ba8701619cef555162b9324167c4f3989f8ad365b0b01b98eec5771ed",
+    ("quasider", "--algebra", "heisenberg", "--map", "@sl2_b1"):
+        "b6e28246801fc14c2387ea89bd7c793cd3fc237a458e177e9ca6b67c6dcdbd40",
+    ("quasider", "--algebra", "heisenberg", "--map", "@sl2_b1", "--format",
+     "text"):
+        "796d5ebf18807266ff07ce3fa1933d93d6b0f550b76d0e4b63826816d6583fac",
     ("centroid", "--algebra", "sl2"):
         "c9eabca67b25ce81e029e2a183a5f2ea7418500cbd36d0abd9c881cb0809453c",
     ("centroid", "--algebra", "heisenberg"):
@@ -1206,6 +1241,10 @@ class TestPinnedOutput:
         for name, grid in PINNED_SIGMAS.items():
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps({"rows": 3, "cols": 3, "entries": grid}))
+            paths[f"@{name}"] = str(path)
+        for name, doc in PINNED_ALGEBRAS.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
             paths[f"@{name}"] = str(path)
         code, out, _ = run(capsys, *(paths.get(a, a) for a in argv))
         assert code == 0
@@ -1339,12 +1378,44 @@ def _modules_after(code: str) -> set:
 PINNED_HELP = {
     ("--help",):
         "524ff151a27772e72080dd067c1f6828397b99ff746f2393a2a16164a2acd7f6",
+    ("check", "--help"):
+        "3da3d0ce7c89eb1d7c1485c579e4d027e236947827995a4dc90af97d0b6e950e",
+    ("derive", "--help"):
+        "3bc446e6728c869ef7b3b83f9004c53480657e7b30c67c31e6488a82f06b3c1e",
+    ("centroid", "--help"):
+        "a761b9d5de29497cfc7667680684fe2605b06e613ddf813cc20dd932b4b51c35",
+    ("quasider", "--help"):
+        "d7d311eb42b786bc568ba1f9e4fb96f738aa2a982a8a7c28f38530c24a45e7c9",
+    ("abg", "--help"):
+        "f3d0f0740af1eb418ff39628cfe7d2c868993c3a8655836fcf2393fbc88878be",
+    ("intersect", "--help"):
+        "e2ef64b2aff4a8ab4731da33f58fb0f48e401243df7848e78494aac90090685e",
     ("hilbert", "--help"):
         "054bf9f962f9c6c1c6a08e96e9a5c1e4e85480eba5fa0ffb0adfcdc9d15304a0",
     ("groebner", "--help"):
         "582d4e8c0fa99f39f364d85a4163e29d5da6ed8fb01a3464c51243a94d9bab7e",
+    ("member", "--help"):
+        "aa6c90c435ab0f48ac904b9f9cb0b6ecf3da4e1e98398ee01a2720bd64186f14",
+    ("contain", "--help"):
+        "e294f49aec419dd5dab0db36c73a8631efc5a6f1092fadecd75d2abc8dd278aa",
+    ("prime-check", "--help"):
+        "6bc6a9256a42aeaa29dcf9b56664dd94c0fc47efa8b8934887fc697031d5c5c5",
     ("sl2", "--help"):
         "10371ca17a7e078f2d666d02bd87ad07f8cf15109b7bb7524e2ea5b1c3263b4c",
+    ("reproduce", "--help"):
+        "dce4014cc0a9a8b9c21113bf7a8d7c2f91fa09a41bac4985e9353283f5d75707",
+}
+
+# sha256 of stderr for three usage errors, which exit 2 before any handler
+# runs: an unknown subcommand, an unrecognised argument and a missing
+# required argument. Laid out like PINNED_HELP.
+PINNED_USAGE_ERRORS = {
+    ("deriv",):
+        "41650a05ac69834d91bf305185235bdd6ff423993dba9fdce83f3fc5a37189fa",
+    ("sl2", "--family", "b", "--report"):
+        "fd638ab64bcf231e2a3eac9497397e630c1d09345a8890be251d270468ed35a9",
+    ("derive", "--sigma", "s.json"):
+        "9450fce859f4a2a375a531a52f94fe2c93e9fade751bfde2fd980833d26db78b",
 }
 
 
@@ -1406,3 +1477,19 @@ class TestStartup:
         )
         assert proc.returncode == 0
         assert hashlib.sha256(proc.stdout).hexdigest() == PINNED_HELP[argv]
+
+    @pytest.mark.skipif(
+        sys.version_info[:2] != (3, 11),
+        reason="argparse words usage errors differently in other Python versions",
+    )
+    @pytest.mark.parametrize("argv", list(PINNED_USAGE_ERRORS), ids=" ".join)
+    def test_usage_error_digest(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gderive.cli", *argv],
+            capture_output=True,
+            env=_child_env(COLUMNS="80"),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        digest = hashlib.sha256(proc.stderr).hexdigest()
+        assert digest == PINNED_USAGE_ERRORS[argv]
