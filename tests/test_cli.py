@@ -1420,7 +1420,8 @@ PINNED_USAGE_ERRORS = {
 
 
 class TestStartup:
-    """Building the parser loads no engine, a subcommand loads only the
+    """Building the parser loads no engine, no handler module and no
+    `json`, a subcommand loads only its own family of handlers and the
     engines it runs, no run loads `dataclasses` or `inspect`, and
     `reproduce` loads no process pool or `pickle`."""
 
@@ -1430,38 +1431,61 @@ class TestStartup:
             "gderive", "gderive.cli", "gderive.errors", "gderive.limits",
         }
         assert not loaded & {
-            "fractions", "dataclasses", "inspect", "gderive.record",
+            "json", "fractions", "dataclasses", "inspect", "gderive.record",
         }
 
-    # check, and every subcommand that the `ladder` benchmark runs.
+    # Every linear subcommand, the `ladder` benchmark's among them. "{name}"
+    # stands for the fixture file of that name.
     @pytest.mark.parametrize("argv", [
         ["check", "--algebra", "sl2"],
         ["derive", "--algebra", "sl2", "--sigma", "{sigma}"],
         ["centroid", "--algebra", "sl2"],
         ["abg", "--algebra", "heisenberg", "--alpha", "2", "--beta", "1",
          "--gamma", "1"],
-    ], ids=["check", "derive", "centroid", "abg"])
+        ["quasider", "--algebra", "heisenberg", "--map", "{projection}"],
+        ["intersect", "--algebra", "sl2", "--sigma", "{sigma}", "--tau",
+         "{identity}"],
+        ["hilbert", "--algebra", "sl2", "--sigma", "{sigma}"],
+    ], ids=["check", "derive", "centroid", "abg", "quasider", "intersect",
+            "hilbert"])
     def test_linear_subcommand_footprint(self, files, argv):
-        argv = [files["sigma"] if a == "{sigma}" else a for a in argv]
+        argv = [files[a[1:-1]] if a.startswith("{") else a for a in argv]
         loaded = _modules_after(
             f"from gderive.cli import main\nassert main({argv!r}) == 0"
         )
-        assert "gderive.algebra" in loaded
+        assert {"gderive.algebra", "gderive.cli_linear"} <= loaded
+        unused = {
+            "gderive.polynomials", "gderive.sl2", "gderive.reproduce",
+            "gderive.cli_ideals", "dataclasses", "inspect",
+        }
+        if argv[0] != "hilbert":
+            unused.add("gderive.hilbert")
+        assert not loaded & unused
+
+    @pytest.mark.parametrize("argv", [
+        ["groebner", "--ideal", "{ideal}"],
+        ["sl2", "--family", "b"],
+    ], ids=["groebner", "sl2"])
+    def test_ideal_subcommand_footprint(self, files, argv):
+        argv = [files[a[1:-1]] if a.startswith("{") else a for a in argv]
+        loaded = _modules_after(
+            f"from gderive.cli import main\nassert main({argv!r}) == 0"
+        )
+        assert {"gderive.polynomials", "gderive.cli_ideals"} <= loaded
         assert not loaded & {
-            "gderive.polynomials", "gderive.sl2", "gderive.hilbert",
-            "gderive.reproduce", "dataclasses", "inspect",
+            "gderive.cli_linear", "gderive.reproduce", "dataclasses", "inspect",
         }
 
     def test_reproduce_footprint(self):
         loaded = _modules_after(
             "from gderive.cli import main\nassert main(['reproduce']) == 0"
         )
-        assert "gderive.reproduce" in loaded
+        assert {"gderive.reproduce", "gderive.cli_ideals"} <= loaded
         # The workers use only os and json: a process pool would cost
         # about as much to import as the workers save.
         assert not loaded & {
-            "dataclasses", "inspect", "multiprocessing", "concurrent.futures",
-            "pickle",
+            "gderive.cli_linear", "dataclasses", "inspect", "multiprocessing",
+            "concurrent.futures", "pickle",
         }
 
     @pytest.mark.skipif(

@@ -71,13 +71,13 @@ SHARED_METHOD_NAMES = {
     "basis": {
         "derivations.DerivationSpace": "reproduce: for m in space.basis:",
         "linalg.Subspace":
-            'cli: "basis": [_vector_list(v) for v in report.intersection.basis],',
+            'cli_linear: "basis": [_vector_list(v) for v in report.intersection.basis],',
     },
     "dim": {
         "algebra.LieAlgebra": "derivations: n = g.dim",
         "derivations.DerivationSpace":
             "hilbert: return _solve(g, (1, 1, 1), m, ident, commuting).dim",
-        "linalg.Subspace": 'cli: "dimension": report.intersection.dim,',
+        "linalg.Subspace": 'cli_linear: "dimension": report.intersection.dim,',
     },
     "den": {
         "linalg.Matrix": "linalg: den = self.rows.den",
@@ -93,8 +93,8 @@ SHARED_METHOD_NAMES = {
             "polynomials: return remainder(p, basis.generators).is_zero",
     },
     "name": {
-        "algebra.LieAlgebra": 'cli: "name": g.name,',
-        "sl2.Component": 'cli: "name": component.name,',
+        "algebra.LieAlgebra": 'cli_linear: "name": g.name,',
+        "sl2.Component": 'cli_ideals: "name": component.name,',
     },
     "num": {
         "linalg.Matrix": "linalg: return not any(map(any, self.num))",
