@@ -2,8 +2,7 @@
 prime-check, sl2 and reproduce.
 
 Each handler imports the engine names it uses when it runs, so a run
-loads only the engines it needs and never the linear handlers. The
-engine types named in signatures are never evaluated.
+loads only the engines it needs and never the linear handlers.
 """
 
 from __future__ import annotations
